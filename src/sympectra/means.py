@@ -171,7 +171,8 @@ def evaluate(mean: MeanSpec, a, b):
 
 
 def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
-    """Vectorized evaluate that tolerates scalar-only custom evaluators."""
+    """Vectorized evaluate; scalar-only evaluators (a wrong-shaped result,
+    TypeError or ValueError on arrays) are called once per element."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.any(a <= 0) or np.any(b <= 0):
@@ -180,7 +181,7 @@ def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
         out = np.asarray(mean.evaluator(a, b), dtype=float)
         if out.shape == np.broadcast_shapes(a.shape, b.shape):
             return out
-    except Exception:
+    except (TypeError, ValueError):
         pass
     af, bf = np.broadcast_arrays(a, b)
     return np.array([mean.evaluator(float(x), float(y))

@@ -25,7 +25,7 @@ from .errors import DomainError, NumericalError
 from .majorization import (MajorizationReport, horn_realize,
                            intermediate_vector, weak_supermajorize)
 from .means import MeanSpec, dominates_geometric, evaluate, evaluate_pairs
-from .spectral import symplectic_diag, symplectic_eigenvalues, validate_pd, williamson
+from .spectral import _delta, _diag_m, _williamson, validate_pd
 from .symplectic import (DEFAULT_TOL, check_frame, expanding_sum, expm_batch,
                          standard_J)
 
@@ -80,8 +80,8 @@ def _mean_dominates(mean: MeanSpec) -> bool:
 def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport:
     """Compare the mean-indexed diagonal of A against delta(A) under <=^w."""
     A, _ = validate_pd(A)
-    dm = symplectic_diag(A, mean)
-    delta = symplectic_eigenvalues(A, tol)
+    dm = _diag_m(A, mean)
+    delta = _delta(A, tol)
     rep = weak_supermajorize(dm, delta, tol)
     return SchurCheckReport(diag_m=dm, delta=delta, report=rep,
                             mean_dominates_geometric=_mean_dominates(mean))
@@ -167,12 +167,12 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
         A, _ = validate_pd(A, "realized matrix")
     except DomainError as exc:
         raise NumericalError(f"stage 'assemble': {exc}") from exc
-    got_x = symplectic_diag(A, mean)
+    got_x = _diag_m(A, mean)
     if np.max(np.abs(got_x - x)) > tol * max(1.0, float(np.max(x))):
         raise NumericalError(
             "stage 'diag': realized symplectic diagonal off by "
             f"{np.max(np.abs(got_x - x)):.3e}")
-    got_d = symplectic_eigenvalues(A, tol)
+    got_d = _delta(A, tol)
     ys = np.sort(y)
     if np.max(np.abs(got_d - ys)) > tol * max(1.0, float(np.max(ys))):
         raise NumericalError(
@@ -198,6 +198,11 @@ def kyfan_objective(A, X, mean: MeanSpec) -> float:
     if X.shape[0] != 2 * n:
         raise DomainError(
             f"frame has {X.shape[0]} rows, expected {2 * n}")
+    return _objective(A, X, mean)
+
+
+def _objective(A: np.ndarray, X: np.ndarray, mean: MeanSpec) -> float:
+    """kyfan_objective for a validated A and a checked frame X."""
     k = X.shape[1] // 2
     d = np.einsum("il,il->l", X, A @ X)
     return float(np.sum(evaluate_pairs(mean, d[:k], d[k:])))
@@ -215,12 +220,12 @@ def kyfan_minimizer(A, k: int, mean: MeanSpec,
     A, n = validate_pd(A)
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
-    fact = williamson(A, tol)
+    fact = _williamson(A, tol)
     J = standard_J(n)
     V = -J @ fact.W @ J
     X = np.hstack([V[:, :k], V[:, n:n + k]])
     X = check_frame(X, tol)
-    value = kyfan_objective(A, X, mean)
+    value = _objective(A, X, mean)
     return KyFanResult(k=k, minimizer=X, min_value=value,
                        delta_partial_sum=float(np.sum(fact.delta[:k])))
 
@@ -263,7 +268,7 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
         raise DomainError(f"k must be in 1..{n}, got {k}")
     if budget < 1:
         raise DomainError("budget must be >= 1")
-    delta = symplectic_eigenvalues(A, tol)
+    delta = _delta(A, tol)
     target = float(np.sum(delta[:k]))
     threshold = tol * max(1.0, abs(target))
 
@@ -332,7 +337,7 @@ def equivalence_crosscheck(A, mean: MeanSpec, budget: int = 200, seed=0,
     A, n = validate_pd(A)
     if budget < 1:
         raise DomainError("budget must be >= 1")
-    delta_base = symplectic_eigenvalues(A, tol)
+    delta_base = _delta(A, tol)
     base_cumsum = np.cumsum(delta_base)
 
     rng = np.random.default_rng(seed)
@@ -351,9 +356,9 @@ def equivalence_crosscheck(A, mean: MeanSpec, budget: int = 200, seed=0,
         Ws = expm_batch(Jn @ _symmetric_batch(rng, count, 2 * n, spread))
         for W in Ws:
             C = W.T @ A @ W
-            C = 0.5 * (C + C.T)
-            dm = symplectic_diag(C, mean)
-            direct = weak_supermajorize(dm, symplectic_eigenvalues(C, tol), tol)
+            C, _ = validate_pd(0.5 * (C + C.T))
+            dm = _diag_m(C, mean)
+            direct = weak_supermajorize(dm, _delta(C, tol), tol)
             thr = direct.threshold
             partial = bool(np.all(np.cumsum(np.sort(dm)) >= base_cumsum - thr))
             if direct.verdict:

@@ -6,9 +6,10 @@ symplectic eigenvalues: the moduli of the eigenvalues of J A, which come
 in conjugate pairs +-i delta_j.  They are invariant under symplectic
 congruence and additive (as multisets) over the expanding sum.
 
-The numerical route works with K = A^{1/2} J A^{1/2} instead of the
-non-normal J A: K is exactly skew-symmetric, so its real Schur form is
-block diagonal with 2x2 blocks [[0, b], [-b, 0]], and |b| recovers delta.
+The numerical route is one Cholesky factorization A = R R^T and one
+Hermitian eigensolve per call: K = R^T J R is exactly skew-symmetric and
+similar to the non-normal J A, so the Hermitian matrix iK has the real
+eigenvalues +-delta_j, and its eigenvectors for +delta give W.
 """
 
 from __future__ import annotations
@@ -16,16 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NumericalError
 from .means import MeanSpec, evaluate_pairs
-from .symplectic import DEFAULT_TOL, is_symplectic, standard_J
+from .symplectic import DEFAULT_TOL, is_symplectic
 
 __all__ = [
     "WilliamsonFactorization",
     "validate_pd",
-    "sqrtm_pd",
     "symplectic_eigenvalues",
     "williamson",
     "symplectic_diag",
@@ -67,75 +66,57 @@ def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:
     return A, A.shape[0] // 2
 
 
-def sqrtm_pd(A: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a symmetric positive definite matrix."""
-    w, V = np.linalg.eigh(A)
-    if w[0] <= 0:
-        raise DomainError("matrix square root needs a positive definite input")
-    return (V * np.sqrt(w)) @ V.T
+def _factor(A: np.ndarray, tol: float, vectors: bool):
+    """(delta ascending, R, V) for a validated A = R R^T.
 
-
-def _skew_blocks(K: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical 2x2-block form of a nonsingular skew-symmetric matrix.
-
-    Returns (delta, L) with L orthogonal up to Schur roundoff and
-    L^T K L = [[0, D], [-D, 0]] in the split layout, delta ascending.
-    Raises NumericalError when the Schur form fails to pair up: a 1x1
-    block (a numerically real eigenvalue of K), a block whose diagonal
-    is not negligible, or off-diagonal entries of the same sign.
+    K = R^T J R is skew and similar to J A, so iK is Hermitian with
+    eigenvalues +-delta; V (only if ``vectors``) holds its unit eigenvectors
+    for +delta.  Raises NumericalError when the spectrum fails to pair up.
     """
-    twon = K.shape[0]
-    scale = max(1.0, float(np.linalg.norm(K, 2)))
-    T, Q = scipy.linalg.schur(K, output="real")
+    n = A.shape[0] // 2
+    try:
+        R = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+    # R^T J R = P - P^T with P = R_1^T R_2 for the row halves R_1, R_2.
+    P = R[:n].T @ R[n:]
+    H = 1j * (P - P.T)
+    if vectors:
+        ev, V = np.linalg.eigh(H)
+        V = V[:, n:]
+    else:
+        ev, V = np.linalg.eigvalsh(H), None
+    if not np.all(np.isfinite(ev)):
+        raise NumericalError("eigenvalue pairing failure: non-finite spectrum")
+    # K is normal, so ||K||_2 is its largest eigenvalue modulus.
+    scale = max(1.0, float(ev[-1]))
     pair_floor = 1e3 * np.finfo(float).eps * scale
+    if ev[n] <= pair_floor:
+        raise NumericalError(
+            f"eigenvalue pairing failure: smallest positive eigenvalue {ev[n]:.3e} "
+            f"is below the floor {pair_floor:.3e} (matrix numerically singular?)")
+    mirror = float(np.max(np.abs(ev[n:] + ev[n - 1::-1])))
+    if mirror > tol * scale:
+        raise NumericalError(
+            f"eigenvalue pairing failure: +- halves differ by {mirror:.3e}, "
+            f"exceeding {tol:.1e} * {scale:.3e}")
+    return ev[n:], R, V
 
-    deltas = []
-    ucols = []
-    vcols = []
-    i = 0
-    while i < twon:
-        if i + 1 >= twon or abs(T[i + 1, i]) <= pair_floor:
-            raise NumericalError(
-                "eigenvalue pairing failure: skew canonical form produced a "
-                f"1x1 block at position {i} (matrix numerically singular?)")
-        a, b = T[i, i], T[i, i + 1]
-        c, d = T[i + 1, i], T[i + 1, i + 1]
-        if max(abs(a), abs(d)) > tol * scale:
-            raise NumericalError(
-                f"eigenvalue pairing failure: block diagonal {a:.3e}, {d:.3e} "
-                f"exceeds {tol:.1e} * {scale:.3e}")
-        if b * c >= 0 or abs(abs(b) - abs(c)) > tol * scale:
-            raise NumericalError(
-                f"eigenvalue pairing failure: block entries {b:.3e}, {c:.3e} "
-                "do not form a conjugate pair")
-        u, v = Q[:, i], Q[:, i + 1]
-        if b < 0:
-            u, v = v, u
-        deltas.append(np.sqrt(-b * c))
-        ucols.append(u)
-        vcols.append(v)
-        i += 2
 
-    delta = np.array(deltas)
-    order = np.argsort(delta, kind="stable")
-    delta = delta[order]
-    L = np.column_stack([ucols[j] for j in order] + [vcols[j] for j in order])
-    return delta, L
+def _delta(A: np.ndarray, tol: float) -> np.ndarray:
+    """symplectic_eigenvalues for an already validated A."""
+    return _factor(A, tol, vectors=False)[0]
 
 
 def symplectic_eigenvalues(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ascending symplectic eigenvalues of a positive definite matrix.
 
     These are the moduli of the eigenvalues of J A, one per conjugate
-    pair +-i delta_j; computed from the skew-symmetric congruence
-    K = A^{1/2} J A^{1/2}, which has the same spectrum.
+    pair +-i delta_j; computed as the positive eigenvalues of the
+    Hermitian iK for K = R^T J R and the Cholesky factor A = R R^T.
     """
-    A, n = validate_pd(A)
-    S = sqrtm_pd(A)
-    K = S @ standard_J(n) @ S
-    K = 0.5 * (K - K.T)
-    delta, _ = _skew_blocks(K, tol)
-    return delta
+    A, _ = validate_pd(A)
+    return _delta(A, tol)
 
 
 @dataclass(frozen=True)
@@ -161,22 +142,12 @@ class WilliamsonFactorization:
         return (self.W * d) @ self.W.T
 
 
-def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
-    """Williamson normal form of a positive definite matrix.
-
-    With L^T K L = [[0, D], [-D, 0]] for K = A^{1/2} J A^{1/2} and L
-    orthogonal, the factor W = A^{1/2} L (D^{-1/2} oplus D^{-1/2})
-    satisfies both A = W (D oplus D) W^T (since L L^T = I) and
-    W^T J W = J (since the inner congruence collapses to J).  Both
-    contracts are verified before returning.
-    """
-    A, n = validate_pd(A)
-    S = sqrtm_pd(A)
-    K = S @ standard_J(n) @ S
-    K = 0.5 * (K - K.T)
-    delta, L = _skew_blocks(K, tol)
+def _williamson(A: np.ndarray, tol: float) -> WilliamsonFactorization:
+    """williamson for an already validated A."""
+    delta, R, V = _factor(A, tol, vectors=True)
+    L = np.sqrt(2.0) * np.hstack([V.imag, V.real])
     dinv = 1.0 / np.sqrt(np.concatenate([delta, delta]))
-    W = (S @ L) * dinv
+    W = (R @ L) * dinv
 
     scaleA = float(np.linalg.norm(A))
     rec = float(np.linalg.norm(A - (W * (1.0 / dinv**2)) @ W.T)) / scaleA
@@ -191,12 +162,32 @@ def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
                                    symplectic_residual=symp_res)
 
 
+def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
+    """Williamson normal form of a positive definite matrix.
+
+    With A = R R^T and v = u + i w the unit eigenvectors of iK for +delta,
+    K = R^T J R, the matrix L = sqrt(2) [w u] is orthogonal with
+    L^T K L = [[0, D], [-D, 0]].  The factor W = R L (D^{-1/2} oplus
+    D^{-1/2}) then satisfies both A = W (D oplus D) W^T (since L L^T = I)
+    and W^T J W = J (since the inner congruence collapses to J).  Both
+    contracts are verified before returning.
+    """
+    A, _ = validate_pd(A)
+    return _williamson(A, tol)
+
+
+def _diag_m(A: np.ndarray, mean: MeanSpec) -> np.ndarray:
+    """symplectic_diag for an already validated A."""
+    n = A.shape[0] // 2
+    d = np.diag(A)
+    return evaluate_pairs(mean, d[:n], d[n:])
+
+
 def symplectic_diag(A, mean: MeanSpec) -> np.ndarray:
     """Mean-indexed symplectic diagonal [M(a_jj, a_{n+j,n+j})]_{j=1..n}.
 
     Pairs the j-th and (n+j)-th main-diagonal entries through the mean,
     in the original coordinate order (no sorting).
     """
-    A, n = validate_pd(A)
-    d = np.diag(A)
-    return evaluate_pairs(mean, d[:n], d[n:])
+    A, _ = validate_pd(A)
+    return _diag_m(A, mean)

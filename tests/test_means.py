@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,34 @@ def test_evaluate_pairs_scalar_fallback_for_custom():
     a = np.array([1.0, 4.0, 2.0])
     b = np.array([3.0, 1.0, 2.0])
     np.testing.assert_allclose(evaluate_pairs(mean, a, b), [1.0, 1.0, 2.0])
+
+
+def test_evaluate_pairs_math_sqrt_mean_takes_per_element_path():
+    calls = []
+
+    def heronian(a, b):
+        calls.append((a, b))
+        return (a + math.sqrt(a * b) + b) / 3.0
+
+    a = np.array([1.0, 4.0, 2.0, 9.0])
+    b = np.array([4.0, 1.0, 2.0, 1.0])
+    got = evaluate_pairs(custom_mean(heronian), a, b)
+    np.testing.assert_allclose(got, (a + np.sqrt(a * b) + b) / 3.0, rtol=1e-15)
+    # One rejected whole-array attempt, then one call per element.
+    assert len(calls) == 1 + a.size
+    assert all(isinstance(x, float) for x, _ in calls[1:])
+
+
+def test_evaluate_pairs_propagates_other_evaluator_errors():
+    # A bug on the array path must surface, not be retried per element.
+    def broken(a, b):
+        if np.ndim(a):
+            raise RuntimeError("evaluator bug")
+        return 0.5 * (a + b)
+
+    with pytest.raises(RuntimeError, match="evaluator bug"):
+        evaluate_pairs(custom_mean(broken), np.array([1.0, 2.0]),
+                       np.array([3.0, 4.0]))
 
 
 def test_validate_axioms_passes_builtins():

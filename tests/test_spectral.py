@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from sympectra import DomainError
+from sympectra import DomainError, SympectraError
 from sympectra.means import arithmetic_mean, geometric_mean, max_mean, parse_mean
+from sympectra.schur_horn import horn_symplectic_realize, schur_check
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
                                 validate_pd, williamson)
 from sympectra.symplectic import (expanding_sum, is_symplectic, random_pd,
@@ -10,7 +12,7 @@ from sympectra.symplectic import (expanding_sum, is_symplectic, random_pd,
 
 # Reference values computed with the generic nonsymmetric eigensolver on
 # J @ A (positive imaginary parts, sorted), independently of the
-# skew-Schur route used by the library.
+# Cholesky route used by the library.
 ORACLE_A2_SEED123 = [1.0365365114940959, 1.5538267116719693]
 ORACLE_A3_SEED77 = [0.9592149061428442, 1.162898703982922, 1.8530643932017912]
 
@@ -176,3 +178,56 @@ def test_symplectic_diag_keeps_coordinate_order():
     A = np.diag([5.0, 1.0, 2.0, 7.0, 3.0, 4.0])
     got = symplectic_diag(A, arithmetic_mean())
     np.testing.assert_allclose(got, [(5 + 7) / 2, (1 + 3) / 2, (2 + 4) / 2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+def test_delta_matches_independent_reference(n):
+    A = random_pd(n, seed=100 + n)
+    d = symplectic_eigenvalues(A)
+    np.testing.assert_allclose(d, jA_moduli(A), rtol=1e-12)
+    if n == 1:
+        np.testing.assert_allclose(d, [np.sqrt(np.linalg.det(A))], rtol=1e-14)
+
+
+def test_williamson_exactly_degenerate_spectrum():
+    # A = W W^T has delta = 1 with multiplicity n: one n-dimensional
+    # eigenspace of iK, from which any orthonormal basis must give a W.
+    W0 = random_symplectic(8, seed=2, spread=0.2)
+    A = W0 @ W0.T
+    f = williamson(A)
+    np.testing.assert_allclose(f.delta, np.ones(8), atol=1e-13)
+    assert f.residual < 1e-13
+    assert f.symplectic_residual < 1e-13
+
+
+def test_near_singular_input_raises_typed_error():
+    # Relatively singular inputs fail validation, absolutely tiny ones the
+    # pairing floor; whatever is returned instead must be finite.
+    for A in (np.diag([1.0, 1e-15]), 1e-15 * np.eye(4)):
+        with pytest.raises(SympectraError):
+            symplectic_eigenvalues(A)
+        with pytest.raises(SympectraError):
+            williamson(A)
+    B = np.random.default_rng(0).normal(size=(4, 3))
+    for k in range(6, 18):
+        A = B @ B.T + 10.0 ** -k * np.eye(4)
+        try:
+            d = symplectic_eigenvalues(A)
+        except SympectraError:
+            continue
+        assert np.all(np.isfinite(d)) and np.all(d > 0)
+
+
+def test_no_route_uses_real_schur(monkeypatch):
+    def schur(*args, **kwargs):
+        raise AssertionError("scipy.linalg.schur was called")
+
+    monkeypatch.setattr(scipy.linalg, "schur", schur)
+    A = random_pd(3, seed=4)
+    np.testing.assert_allclose(symplectic_eigenvalues(A), jA_moduli(A),
+                               rtol=1e-12)
+    assert williamson(A).residual < 1e-12
+    assert schur_check(A, geometric_mean()).verdict
+    B = horn_symplectic_realize([2.0, 2.0], [1.0, 2.0], geometric_mean())
+    np.testing.assert_allclose(symplectic_eigenvalues(B), [1.0, 2.0],
+                               rtol=1e-12)
