@@ -15,15 +15,12 @@ from .means import (DominanceReport, MeanSpec, ValidationReport,
                     evaluate, evaluate_pairs, geometric_mean, harmonic_mean,
                     max_mean, min_mean, parse_mean, power_mean,
                     validate_mean_axioms)
-from .schur_horn import (CrosscheckReport, KyFanResult, KyFanSearchReport,
-                         SchurCheckReport, equivalence_crosscheck,
+from .schur_horn import (KyFanResult, KyFanSearchReport, SchurCheckReport,
                          horn_symplectic_realize, kyfan_minimizer,
-                         kyfan_objective, kyfan_search, schur_check,
-                         sl2_for_ratio)
+                         kyfan_objective, kyfan_search, schur_check)
 from .spectral import (WilliamsonFactorization, symplectic_diag,
                        symplectic_eigenvalues, williamson)
-from .symplectic import (DEFAULT_TOL, BlockCriterionReport, SymplecticCheck,
-                         block_criterion, complete_to_symplectic,
+from .symplectic import (DEFAULT_TOL, SymplecticCheck, complete_to_symplectic,
                          expanding_sum, frame_residual, is_symplectic,
                          random_pd, random_symplectic, s_pinching, standard_J)
 
@@ -36,16 +33,14 @@ __all__ = [
     "min_mean", "max_mean", "power_mean", "custom_mean", "parse_mean",
     "evaluate", "evaluate_pairs", "validate_mean_axioms",
     "dominates_geometric", "ValidationReport", "DominanceReport",
-    "DEFAULT_TOL", "standard_J", "is_symplectic", "block_criterion",
-    "expanding_sum", "s_pinching", "frame_residual",
-    "complete_to_symplectic", "random_symplectic", "random_pd",
-    "SymplecticCheck", "BlockCriterionReport",
+    "DEFAULT_TOL", "standard_J", "is_symplectic", "expanding_sum",
+    "s_pinching", "frame_residual", "complete_to_symplectic",
+    "random_symplectic", "random_pd", "SymplecticCheck",
     "WilliamsonFactorization", "symplectic_eigenvalues", "williamson",
     "symplectic_diag",
     "MAJORIZATION_TOL", "MajorizationReport", "weak_supermajorize",
     "majorize", "intermediate_vector", "horn_realize",
     "SchurCheckReport", "KyFanResult", "KyFanSearchReport",
-    "CrosscheckReport", "schur_check", "sl2_for_ratio",
-    "horn_symplectic_realize", "kyfan_minimizer", "kyfan_objective",
-    "kyfan_search", "equivalence_crosscheck",
+    "schur_check", "horn_symplectic_realize", "kyfan_minimizer",
+    "kyfan_objective", "kyfan_search",
 ]

@@ -153,26 +153,21 @@ def parse_mean(spec: str) -> MeanSpec:
 
 
 def evaluate(mean: MeanSpec, a, b):
-    """Evaluate M(a, b) for positive scalars (arrays work for built-ins).
+    """M(a, b) for positive inputs: a float for scalars, else an array.
 
     Raises
     ------
     DomainError
         If any input is not strictly positive.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise DomainError("mean arguments must be strictly positive")
-    out = mean.evaluator(a, b)
-    if a.ndim == 0 and b.ndim == 0:
-        return float(out)
-    return np.asarray(out, dtype=float)
+    out = evaluate_pairs(mean, a, b)
+    return float(out) if out.ndim == 0 else out
 
 
 def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
-    """Vectorized evaluate; scalar-only evaluators (a wrong-shaped result,
-    TypeError or ValueError on arrays) are called once per element."""
+    """Elementwise M(a, b) over broadcast arrays; scalar-only evaluators (a
+    wrong-shaped result, TypeError or ValueError on arrays) are called once
+    per element."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.any(a <= 0) or np.any(b <= 0):

@@ -7,8 +7,10 @@ Three capabilities built on the spectral and majorization layers:
   definite A is weakly supermajorized by the symplectic eigenvalues.
 * ``horn_symplectic_realize``: the converse, constructive and valid for
   every mean. Builds A with prescribed diag_M and prescribed symplectic
-  spectrum through an intermediate majorized vector, an orthogonal
-  diagonal realization, and per-coordinate SL(2) scalings.
+  spectrum through an intermediate majorized vector z, an orthogonal
+  diagonal realization C with diagonal z, and the closed-form symplectic
+  congruence of C (+) C that scales each diagonal pair (z_j, z_j) up to
+  (x_j, x_j).
 * Ky Fan minimum principle: the ascending k-partial sum of symplectic
   eigenvalues equals the minimum of sum_j M(b_jj, b_{k+j,k+j}) over
   B = X^T A X with X a symplectic frame; exact minimizer from the
@@ -24,23 +26,19 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .majorization import (MajorizationReport, horn_realize,
                            intermediate_vector, weak_supermajorize)
-from .means import MeanSpec, dominates_geometric, evaluate, evaluate_pairs
+from .means import MeanSpec, dominates_geometric, evaluate_pairs
 from .spectral import _delta, _diag_m, _williamson, validate_pd
-from .symplectic import (DEFAULT_TOL, check_frame, expanding_sum, expm_batch,
-                         standard_J)
+from .symplectic import DEFAULT_TOL, check_frame, expm_batch, standard_J
 
 __all__ = [
     "SchurCheckReport",
     "KyFanResult",
     "KyFanSearchReport",
-    "CrosscheckReport",
     "schur_check",
-    "sl2_for_ratio",
     "horn_symplectic_realize",
     "kyfan_minimizer",
     "kyfan_objective",
     "kyfan_search",
-    "equivalence_crosscheck",
 ]
 
 # Spread sweep for randomized frame sampling: near-identity through
@@ -87,28 +85,6 @@ def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport
                             mean_dominates_geometric=_mean_dominates(mean))
 
 
-def sl2_for_ratio(mean: MeanSpec, t: float) -> tuple[float, float, float, float]:
-    """Determinant-one (p, q, r, s) with M(p^2+q^2, r^2+s^2) = t, t >= 1.
-
-    Closed form p = sqrt(t), q = 0, r = sqrt(t - 1/t), s = 1/sqrt(t):
-    both squared row norms equal t, so any mean hits the target exactly
-    through M(t, t) = t; no root finding and no mean-specific path.
-    """
-    t = float(t)
-    if not np.isfinite(t) or t < 1.0:
-        raise DomainError(f"ratio target must be >= 1, got {t}")
-    p = np.sqrt(t)
-    q = 0.0
-    r = np.sqrt(max(t - 1.0 / t, 0.0))
-    s = 1.0 / p
-    achieved = evaluate(mean, p * p + q * q, r * r + s * s)
-    if abs(achieved - t) > 1e-10 * max(1.0, t):
-        raise NumericalError(
-            f"ratio target {t} not achieved (got {achieved}); "
-            "the evaluator appears to violate M(a, a) = a")
-    return float(p), q, float(r), float(s)
-
-
 def horn_symplectic_realize(x, y, mean: MeanSpec,
                             tol: float = DEFAULT_TOL) -> np.ndarray:
     """Positive definite A with diag_M(A) = x and delta(A) = sorted y.
@@ -117,12 +93,15 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
 
     1. z = intermediate_vector(x, y): z <= x, z majorized by y.
     2. U = orthogonal realization of diagonal z with spectrum y;
-       C = U diag(y) U^T, then B = C (+) C (block diagonal), which has
-       symplectic spectrum y and symplectic diagonal entries (z_j, z_j).
-    3. W = expanding sum of SL(2) blocks for the ratios t_j = x_j / z_j;
-       A = W B W^T.  Congruence preserves delta, and each diagonal pair
-       becomes (t_j z_j, t_j z_j) = (x_j, x_j), so diag_M(A) = x for
-       every mean.
+       C = U diag(y) U^T, so B = C (+) C (block diagonal) has symplectic
+       spectrum y and symplectic diagonal entries (z_j, z_j).
+    3. For the ratios t = x / z, W = [[diag p, 0], [diag r, diag s]] with
+       p = sqrt(t), r = sqrt(t - 1/t), s = 1/p is symplectic, and
+       A = W B W^T is the block matrix [[pp^T o C, pr^T o C],
+       [rp^T o C, (rr^T + ss^T) o C]] (o the entrywise product), formed
+       directly and exactly symmetric.  Congruence preserves delta, and
+       each diagonal pair becomes (t_j z_j, t_j z_j) = (x_j, x_j), so
+       diag_M(A) = x for every mean through M(a, a) = a.
 
     x keeps its original coordinate order end to end.  Every stage is
     re-verified; failures raise NumericalError naming the stage.
@@ -139,14 +118,10 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
             "weak supermajorization precondition fails "
             f"(worst slack {pre.k_slacks.min():.3e})")
 
-    n = x.shape[0]
     z = intermediate_vector(x, y)
     U = horn_realize(z, y)
     C = (U * y) @ U.T
     C = 0.5 * (C + C.T)
-    B = np.zeros((2 * n, 2 * n))
-    B[:n, :n] = C
-    B[n:, n:] = C
 
     ratios = x / z
     bad = ratios < 1.0 - _RATIO_SLACK
@@ -154,14 +129,12 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
         raise NumericalError(
             "stage 'ratio': x/z dipped below 1 beyond slack "
             f"(min {ratios.min()!r})")
-    ratios = np.maximum(ratios, 1.0)
-    blocks = []
-    for t in ratios:
-        p, q, r, s = sl2_for_ratio(mean, t)
-        blocks.append(np.array([[p, q], [r, s]]))
-    W = expanding_sum(blocks)
-    A = W @ B @ W.T
-    A = 0.5 * (A + A.T)
+    t = np.maximum(ratios, 1.0)
+    p = np.sqrt(t)
+    r = np.sqrt(t - 1.0 / t)
+    s = 1.0 / p
+    A = np.block([[np.outer(p, p) * C, np.outer(p, r) * C],
+                  [np.outer(r, p) * C, (np.outer(r, r) + np.outer(s, s)) * C]])
 
     try:
         A, _ = validate_pd(A, "realized matrix")
@@ -305,71 +278,3 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     return KyFanSearchReport(k=k, best_value=best_value, best_frame=best_frame,
                              violations=violations, n_samples=total,
                              delta_partial_sum=target, threshold=threshold)
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    """Agreement tally between the two faces of the equivalence.
-
-    For each sampled symplectic congruence C = W^T A W, the direct
-    weak-supermajorization verdict on (diag_M(C), delta(C)) is compared
-    with the all-k partial-sum bound of diag_M(C) against delta(A),
-    which is the frame-objective form of the same statement (delta is a
-    congruence invariant).  ``disagreements`` counts samples where the
-    two verdicts differ; sampling may miss witnesses, so agreement is
-    evidence, not proof.
-    """
-
-    samples: int
-    disagreements: int
-    verdicts_true: int
-    verdicts_false: int
-    first_disagreement: int | None
-
-    @property
-    def consistent(self) -> bool:
-        return self.disagreements == 0
-
-
-def equivalence_crosscheck(A, mean: MeanSpec, budget: int = 200, seed=0,
-                           tol: float = DEFAULT_TOL) -> CrosscheckReport:
-    """Cross-validate the majorization and partial-sum forms on congruences."""
-    A, n = validate_pd(A)
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
-    delta_base = _delta(A, tol)
-    base_cumsum = np.cumsum(delta_base)
-
-    rng = np.random.default_rng(seed)
-    Jn = standard_J(n)
-    counts = [budget // 4] * 4
-    for i in range(budget - sum(counts)):
-        counts[i] += 1
-
-    samples = 0
-    disagreements = 0
-    verdicts_true = 0
-    first = None
-    for spread, count in zip(_SEARCH_SPREADS, counts):
-        if count == 0:
-            continue
-        Ws = expm_batch(Jn @ _symmetric_batch(rng, count, 2 * n, spread))
-        for W in Ws:
-            C = W.T @ A @ W
-            C, _ = validate_pd(0.5 * (C + C.T))
-            dm = _diag_m(C, mean)
-            direct = weak_supermajorize(dm, _delta(C, tol), tol)
-            thr = direct.threshold
-            partial = bool(np.all(np.cumsum(np.sort(dm)) >= base_cumsum - thr))
-            if direct.verdict:
-                verdicts_true += 1
-            if direct.verdict != partial:
-                if first is None:
-                    first = samples
-                disagreements += 1
-            samples += 1
-
-    return CrosscheckReport(samples=samples, disagreements=disagreements,
-                            verdicts_true=verdicts_true,
-                            verdicts_false=samples - verdicts_true,
-                            first_disagreement=first)

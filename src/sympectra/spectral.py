@@ -36,6 +36,16 @@ _ASYM_TOL = 1e-8
 _PD_TOL = 1e-13
 
 
+def _pow2_scale(A: np.ndarray) -> float:
+    """The power of two within a factor 2 below max |a_ij| (1 for A = 0).
+
+    Frobenius norms of A divided by it cannot overflow, and dividing by a
+    power of two is exact, so relative norms keep every bit.
+    """
+    amax = float(np.max(np.abs(A)))
+    return float(np.ldexp(1.0, np.frexp(amax)[1] - 1)) if amax > 0 else 1.0
+
+
 def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:
     """Check A is symmetric positive definite of even order; symmetrize.
 
@@ -52,12 +62,13 @@ def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:
         raise DomainError(f"{what} must have positive even order, got {A.shape[0]}")
     if not np.all(np.isfinite(A)):
         raise DomainError(f"{what} has non-finite entries")
-    scale = float(np.linalg.norm(A))
-    asym = float(np.linalg.norm(A - A.T))
-    if asym > _ASYM_TOL * max(scale, 1.0):
+    unit = A / _pow2_scale(A)
+    scale = float(np.linalg.norm(unit))
+    asym = float(np.linalg.norm(unit - unit.T))
+    if asym > _ASYM_TOL * scale:
         raise DomainError(
-            f"{what} is not symmetric: ||A - A^T|| = {asym:.3e}")
-    A = 0.5 * (A + A.T)
+            f"{what} is not symmetric: ||A - A^T|| / ||A|| = {asym / scale:.3e}")
+    A = 0.5 * A + 0.5 * A.T
     evals = np.linalg.eigvalsh(A)
     if evals[0] <= _PD_TOL * max(evals[-1], 0.0) or evals[0] <= 0.0:
         raise DomainError(
@@ -149,9 +160,10 @@ def _williamson(A: np.ndarray, tol: float) -> WilliamsonFactorization:
     dinv = 1.0 / np.sqrt(np.concatenate([delta, delta]))
     W = (R @ L) * dinv
 
-    scaleA = float(np.linalg.norm(A))
-    rec = float(np.linalg.norm(A - (W * (1.0 / dinv**2)) @ W.T)) / scaleA
-    if rec > tol:
+    c = _pow2_scale(A)
+    rec = float(np.linalg.norm((A - (W * (1.0 / dinv**2)) @ W.T) / c)
+                / np.linalg.norm(A / c))
+    if not rec <= tol:
         raise NumericalError(
             f"Williamson reconstruction residual {rec:.3e} exceeds {tol:.1e}")
     ok, symp_res = is_symplectic(W, tol)

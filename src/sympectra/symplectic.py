@@ -10,21 +10,17 @@ can re-threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import DomainError, NumericalError
 
 __all__ = [
     "DEFAULT_TOL",
     "SymplecticCheck",
-    "BlockCriterionReport",
     "standard_J",
     "is_symplectic",
-    "block_criterion",
     "expanding_sum",
     "s_pinching",
     "frame_residual",
@@ -83,35 +79,6 @@ def is_symplectic(W, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     return SymplecticCheck(residual <= tol * scale, residual)
 
 
-@dataclass(frozen=True)
-class BlockCriterionReport:
-    """Residuals of the block characterization of symplecticity.
-
-    For W = [[P, Q], [R, S]]: W is symplectic iff P^T S - R^T Q = I and
-    both P^T R and Q^T S are symmetric.
-    """
-
-    identity_residual: float
-    ptr_asymmetry: float
-    qts_asymmetry: float
-    ok: bool
-
-
-def block_criterion(W, tol: float = DEFAULT_TOL) -> BlockCriterionReport:
-    """Evaluate the three block conditions equivalent to W^T J W = J."""
-    W, n = _as_square_even(W)
-    P, Q = W[:n, :n], W[:n, n:]
-    R, S = W[n:, :n], W[n:, n:]
-    id_res = float(np.linalg.norm(P.T @ S - R.T @ Q - np.eye(n)))
-    PtR = P.T @ R
-    QtS = Q.T @ S
-    asym_ptr = float(np.linalg.norm(PtR - PtR.T))
-    asym_qts = float(np.linalg.norm(QtS - QtS.T))
-    scale = max(1.0, float(np.linalg.norm(W)) ** 2)
-    ok = max(id_res, asym_ptr, asym_qts) <= tol * scale
-    return BlockCriterionReport(id_res, asym_ptr, asym_qts, ok)
-
-
 def expanding_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Interleaved direct sum: direct-sum each of the P/Q/R/S quadrants.
 
@@ -122,15 +89,15 @@ def expanding_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
     if len(blocks) == 0:
         raise DomainError("expanding_sum needs at least one block")
     parts = [_as_square_even(B, "expanding_sum block") for B in blocks]
-    quads = {key: [] for key in "PQRS"}
+    n = sum(m for _, m in parts)
+    out = np.zeros((2 * n, 2 * n))
+    offset = 0
     for B, m in parts:
-        quads["P"].append(B[:m, :m])
-        quads["Q"].append(B[:m, m:])
-        quads["R"].append(B[m:, :m])
-        quads["S"].append(B[m:, m:])
-    top = np.hstack([block_diag(*quads["P"]), block_diag(*quads["Q"])])
-    bot = np.hstack([block_diag(*quads["R"]), block_diag(*quads["S"])])
-    return np.vstack([top, bot])
+        # Block rows/columns 1..m land at offset.., m+1..2m at n + offset..
+        idx = np.r_[offset:offset + m, n + offset:n + offset + m]
+        out[np.ix_(idx, idx)] = B
+        offset += m
+    return out
 
 
 def s_pinching(A, partition: Sequence[int]) -> np.ndarray:

@@ -279,3 +279,14 @@ def test_module_entry_point():
         input="2 0\n0 2\n", capture_output=True, text=True)
     assert r.returncode == 0
     assert json.loads(r.stdout)["delta"] == [pytest.approx(2.0)]
+
+
+def test_cli_import_does_not_load_scipy():
+    import subprocess
+    import sys
+    code = ("import sys, sympectra.cli; "
+            "print([k for k in sys.modules if k.startswith('scipy')])")
+    r = subprocess.run([sys.executable, "-c", code],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

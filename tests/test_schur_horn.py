@@ -5,10 +5,8 @@ from sympectra import DomainError, NumericalError
 from sympectra.majorization import weak_supermajorize
 from sympectra.means import (arithmetic_mean, custom_mean, geometric_mean,
                              harmonic_mean, max_mean, min_mean, parse_mean)
-from sympectra.schur_horn import (equivalence_crosscheck,
-                                  horn_symplectic_realize, kyfan_minimizer,
-                                  kyfan_objective, kyfan_search, schur_check,
-                                  sl2_for_ratio)
+from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
+                                  kyfan_objective, kyfan_search, schur_check)
 from sympectra.spectral import symplectic_diag, symplectic_eigenvalues, williamson
 from sympectra.symplectic import frame_residual, random_pd, random_symplectic
 
@@ -80,47 +78,6 @@ def test_schur_check_finds_min_mean_counterexample():
     assert found
 
 
-# -------------------------------------------------------------- sl2_for_ratio
-
-def test_sl2_identity_at_one():
-    assert sl2_for_ratio(geometric_mean(), 1.0) == (1.0, 0.0, 0.0, 1.0)
-
-
-def test_sl2_hand_values():
-    p, q, r, s = sl2_for_ratio(arithmetic_mean(), 4.0)
-    assert (p, q) == (2.0, 0.0)
-    assert r == pytest.approx(np.sqrt(15.0) / 2.0)
-    assert s == pytest.approx(0.5)
-    assert p * s - q * r == pytest.approx(1.0, abs=1e-15)
-
-    p, q, r, s = sl2_for_ratio(geometric_mean(), 2.0)
-    assert p == pytest.approx(np.sqrt(2.0))
-    assert r == pytest.approx(np.sqrt(1.5))
-    assert s == pytest.approx(1 / np.sqrt(2.0))
-
-
-def test_sl2_sweep_log_uniform():
-    rng = np.random.default_rng(0)
-    ts = np.exp(rng.uniform(0.0, np.log(1e6), size=300))
-    for mean in DOMINATING + [harmonic_mean(), min_mean()]:
-        for t in ts[:60]:
-            p, q, r, s = sl2_for_ratio(mean, float(t))
-            assert abs(p * s - q * r - 1.0) <= 1e-12
-            m = mean(p * p + q * q, r * r + s * s)
-            assert abs(m - t) <= 1e-10 * max(1.0, t)
-
-
-def test_sl2_rejects_below_one():
-    with pytest.raises(DomainError):
-        sl2_for_ratio(geometric_mean(), 0.999)
-
-
-def test_sl2_flags_broken_evaluator():
-    fake = custom_mean(lambda a, b: a + b)  # violates M(a, a) = a
-    with pytest.raises(NumericalError):
-        sl2_for_ratio(fake, 2.0)
-
-
 # -------------------------------------------------- horn_symplectic_realize
 
 def test_realize_equality_case_constant_vectors():
@@ -168,6 +125,26 @@ def test_realize_works_for_custom_mean():
     A = horn_symplectic_realize([2.0, 2.0], [1.0, 2.0], mean)
     np.testing.assert_allclose(symplectic_diag(A, mean), [2.0, 2.0],
                                atol=1e-8)
+
+
+def test_realize_flags_mean_violating_idempotence():
+    # M(a, a) = 2a breaks the construction; the diagonal stage catches it.
+    broken = custom_mean(lambda a, b: a + b)
+    with pytest.raises(NumericalError, match="stage 'diag'"):
+        horn_symplectic_realize([2.0, 2.0], [1.0, 2.0], broken)
+
+
+def test_realize_diagonal_pairs_equal_x_for_builtin_means():
+    # Each realized diagonal pair is (x_j, x_j), so every mean reads x_j.
+    rng = np.random.default_rng(11)
+    means = [arithmetic_mean(), geometric_mean(), harmonic_mean(), min_mean(),
+             max_mean(), parse_mean("power:2"), parse_mean("power:-3")]
+    for mean in means:
+        for n in (1, 2, 5):
+            x, y = admissible_pair(rng, n)
+            d = np.diag(horn_symplectic_realize(x, y, mean))
+            np.testing.assert_allclose(d[:n], x, rtol=1e-13)
+            np.testing.assert_allclose(d[n:], x, rtol=1e-13)
 
 
 def test_realize_keeps_x_coordinate_order():
@@ -288,31 +265,6 @@ def test_kyfan_search_non_dominating_mean_well_formed():
     rep = kyfan_search(A, 1, min_mean(), budget=500, seed=0)
     assert rep.violations >= 0
     assert np.isfinite(rep.best_value)
-
-
-# ------------------------------------------------------------- crosscheck
-
-def test_crosscheck_identity():
-    rep = equivalence_crosscheck(np.eye(4), geometric_mean(), budget=20, seed=0)
-    assert rep.consistent
-    assert rep.samples == 20
-    assert rep.verdicts_true == 20
-
-
-def test_crosscheck_random_pd_dominating_mean():
-    A = random_pd(2, seed=13)
-    rep = equivalence_crosscheck(A, geometric_mean(), budget=40, seed=1)
-    assert rep.consistent
-    assert rep.verdicts_false == 0
-    assert rep.first_disagreement is None
-
-
-def test_crosscheck_non_dominating_mean_records_false_verdicts():
-    A = random_pd(2, seed=0, spread=2.0)
-    rep = equivalence_crosscheck(A, min_mean(), budget=40, seed=3)
-    # both routes should still agree with each other on each sample
-    assert rep.verdicts_false > 0
-    assert rep.samples == 40
 
 
 # -------------------------------------------------------- pinching chain

@@ -164,6 +164,28 @@ def test_validate_pd_rejections():
         validate_pd(A)
 
 
+def test_validate_pd_asymmetry_bound_is_relative():
+    B = 1e-10 * np.array([[1.0, 0.5], [-0.5, 1.0]])
+    for c in (1.0, 1e6, 1e10):
+        with pytest.raises(DomainError):
+            validate_pd(c * B)
+
+
+@pytest.mark.parametrize("c", [1e160, 1e200, 1.5e308])
+def test_huge_scale_residuals_are_checked(c):
+    # Norms of such matrices overflow unless rescaled; a non-finite
+    # residual must never pass the reconstruction check.
+    A0 = random_pd(2, seed=1, spread=0.5)
+    try:
+        f = williamson(c * A0)
+    except SympectraError:
+        return
+    np.testing.assert_allclose(f.delta / c, symplectic_eigenvalues(A0),
+                               rtol=1e-13)
+    assert np.isfinite(f.residual) and f.residual <= 1e-8
+    assert np.isfinite(f.symplectic_residual)
+
+
 def test_symplectic_diag_examples():
     A = np.array([[2.0, 1.0], [1.0, 8.0]])
     np.testing.assert_allclose(symplectic_diag(A, geometric_mean()), [4.0])

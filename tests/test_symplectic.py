@@ -3,10 +3,10 @@ import pytest
 import scipy.linalg
 
 from sympectra import DomainError, NumericalError
-from sympectra.symplectic import (block_criterion, complete_to_symplectic,
-                                  expanding_sum, expm_batch, frame_residual,
-                                  is_symplectic, random_pd, random_symplectic,
-                                  s_pinching, standard_J)
+from sympectra.symplectic import (complete_to_symplectic, expanding_sum,
+                                  expm_batch, frame_residual, is_symplectic,
+                                  random_pd, random_symplectic, s_pinching,
+                                  standard_J)
 
 
 def test_standard_J_identities():
@@ -47,23 +47,6 @@ def test_is_symplectic_rejects_odd_shapes():
         is_symplectic(np.ones((4, 2)))
 
 
-def test_block_criterion_matches_full_check():
-    # Half genuinely symplectic, half perturbed: the two predicates agree.
-    rng = np.random.default_rng(4)
-    for i in range(100):
-        W = random_symplectic(2, seed=i, spread=0.8)
-        if i % 2:
-            W = W + rng.normal(scale=1e-5, size=W.shape)
-        assert block_criterion(W).ok == is_symplectic(W).ok
-
-
-def test_block_criterion_residual_fields():
-    rep = block_criterion(np.eye(6))
-    assert rep.ok
-    assert rep.identity_residual == 0.0
-    assert rep.ptr_asymmetry == 0.0 and rep.qts_asymmetry == 0.0
-
-
 def test_closure_under_group_operations():
     U = random_symplectic(2, seed=1)
     V = random_symplectic(3, seed=2)
@@ -80,6 +63,20 @@ def test_expanding_sum_preserves_eigenvalue_multiset():
     ev_box = np.sort_complex(np.linalg.eigvals(expanding_sum(blocks)))
     ev_dir = np.sort_complex(np.linalg.eigvals(scipy.linalg.block_diag(*blocks)))
     np.testing.assert_allclose(ev_box, ev_dir, atol=1e-9)
+
+
+def test_expanding_sum_is_a_permuted_direct_sum():
+    # Exact: each block's rows/columns 1..m and m+1..2m move to its slot in
+    # the first and second half of the interleaved order.
+    rng = np.random.default_rng(10)
+    blocks = [rng.normal(size=(2 * n, 2 * n)) for n in (2, 1, 3)]
+    halves = [B.shape[0] // 2 for B in blocks]
+    starts = np.cumsum([0] + [2 * m for m in halves[:-1]])
+    perm = np.concatenate([s + np.arange(m) for s, m in zip(starts, halves)]
+                          + [s + m + np.arange(m) for s, m in zip(starts, halves)])
+    direct = scipy.linalg.block_diag(*blocks)
+    np.testing.assert_array_equal(expanding_sum(blocks),
+                                  direct[np.ix_(perm, perm)])
 
 
 def test_expanding_sum_is_multiplicative():
