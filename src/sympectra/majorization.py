@@ -14,6 +14,7 @@ a matrix with prescribed spectrum.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +63,17 @@ class MajorizationReport:
     threshold: float
 
 
-def weak_supermajorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationReport:
-    """Test x weakly supermajorized by y (ascending prefix dominance)."""
+def _prefix_slacks(x, y, tol: float) -> tuple[np.ndarray, float]:
+    """Ascending prefix-sum slacks of x against y and the verdict threshold."""
     x, y = _pair(x, y)
     slacks = np.cumsum(np.sort(x)) - np.cumsum(np.sort(y))
     threshold = tol * max(1.0, float(np.abs(x).sum() + np.abs(y).sum()))
+    return slacks, threshold
+
+
+def weak_supermajorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationReport:
+    """Test x weakly supermajorized by y (ascending prefix dominance)."""
+    slacks, threshold = _prefix_slacks(x, y, tol)
     verdict = bool(np.all(slacks >= -threshold))
     return MajorizationReport("weak_super", slacks, float(slacks[-1]),
                               verdict, threshold)
@@ -74,10 +81,10 @@ def weak_supermajorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationRepor
 
 def majorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationReport:
     """Test x majorized by y: prefix dominance plus equal totals."""
-    base = weak_supermajorize(x, y, tol)
-    verdict = base.verdict and abs(base.total_gap) <= base.threshold
-    return MajorizationReport("majorize", base.k_slacks, base.total_gap,
-                              verdict, base.threshold)
+    slacks, threshold = _prefix_slacks(x, y, tol)
+    total_gap = float(slacks[-1])
+    verdict = bool(np.all(slacks >= -threshold)) and abs(total_gap) <= threshold
+    return MajorizationReport("majorize", slacks, total_gap, verdict, threshold)
 
 
 def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
@@ -98,7 +105,12 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
         raise DomainError(
             "weak supermajorization precondition fails "
             f"(worst slack {pre.k_slacks.min():.3e} at k={k})")
+    return _intermediate_vector(x, y, tol)
 
+
+def _intermediate_vector(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """intermediate_vector for positive float vectors already known to satisfy
+    x weakly supermajorized by y at ``tol``; the post-conditions still run."""
     n = x.shape[0]
     target = float(np.sum(y))
     xs = np.sort(x)
@@ -136,14 +148,20 @@ def horn_realize(z, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
         raise DomainError(
             "majorization precondition fails (worst slack "
             f"{pre.k_slacks.min():.3e}, total gap {pre.total_gap:.3e})")
+    return _horn_realize(z, y, tol)
 
+
+def _horn_realize(z: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """horn_realize for float vectors already known to satisfy z majorized
+    by y at ``tol``; the orthogonality and diagonal checks still run."""
     n = z.shape[0]
     z_order = np.argsort(z, kind="stable")
     y_order = np.argsort(y, kind="stable")
-    zs = z[z_order]
+    zs = z[z_order].tolist()
 
-    # Working basis: slot t starts with the t-th smallest y value.
-    vals = list(y[y_order])
+    # Working basis: slot t starts with the t-th smallest y value.  Plain
+    # float lists, so each bisection touches no array conversion.
+    vals = y[y_order].tolist()
     slots = list(range(n))
     U = np.eye(n)
     placed_slot = np.empty(n, dtype=int)
@@ -154,11 +172,11 @@ def horn_realize(z, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
         # successor.  On an exact tie take the leftmost equal value, so
         # already-realized inputs come back as the identity; clamp into
         # range when roundoff pushes d past an end.
-        left = int(np.searchsorted(vals, d, side="left"))
+        left = bisect_left(vals, d)
         if left < len(vals) and vals[left] == d:
             i = left
         else:
-            i = int(np.searchsorted(vals, d, side="right")) - 1
+            i = bisect_right(vals, d) - 1
         i = min(max(i, 0), len(vals) - 2)
         lam_p, lam_q = vals[i], vals[i + 1]
         p, q = slots[i], slots[i + 1]
@@ -176,7 +194,7 @@ def horn_realize(z, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
         leftover = lam_p + lam_q - d
         placed_slot[t] = p
         del vals[i:i + 2], slots[i:i + 2]
-        j = int(np.searchsorted(vals, leftover))
+        j = bisect_left(vals, leftover)
         vals.insert(j, leftover)
         slots.insert(j, q)
     placed_slot[n - 1] = slots[0]

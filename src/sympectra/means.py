@@ -11,6 +11,7 @@ wrapped as ``custom`` means and can be vetted by randomized sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +46,10 @@ class MeanSpec:
 
     ``dominates_geometric_claim`` is an analytically asserted flag stating
     whether sqrt(a*b) <= M(a,b) holds for all positive a, b; ``None`` means
-    unknown (typical for custom evaluators).
+    unknown (typical for custom evaluators).  For an unknown claim,
+    ``schur_check`` samples the dominance once per spec and keeps the
+    verdict on it, so a spec's evaluator should not change behaviour
+    after its first ``schur_check``.
     """
 
     kind: str
@@ -61,6 +65,13 @@ class MeanSpec:
 
     def __call__(self, a, b):
         return evaluate(self, a, b)
+
+    @cached_property
+    def _dominates_geometric(self) -> bool:
+        """The claim if given, else a 2000-pair sample (seed 0), taken once."""
+        if self.dominates_geometric_claim is not None:
+            return bool(self.dominates_geometric_claim)
+        return dominates_geometric(self, sample_budget=2000, seed=0).holds
 
 
 def _power_eval(p: float):
@@ -115,7 +126,12 @@ def power_mean(p: float) -> MeanSpec:
 
 def custom_mean(evaluator: Callable[[float, float], float],
                 dominates_geometric_claim: Optional[bool] = None) -> MeanSpec:
-    """Wrap a user-supplied evaluator; its axioms are NOT checked here."""
+    """Wrap a user-supplied evaluator; its axioms are NOT checked here.
+
+    Without a ``dominates_geometric_claim``, ``schur_check`` samples the
+    dominance of the geometric mean on its first call with the returned
+    spec and keeps that verdict on the spec for later calls.
+    """
     return MeanSpec("custom", evaluator,
                     dominates_geometric_claim=dominates_geometric_claim)
 

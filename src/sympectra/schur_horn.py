@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .majorization import (MajorizationReport, horn_realize,
-                           intermediate_vector, weak_supermajorize)
-from .means import MeanSpec, dominates_geometric, evaluate_pairs
+from .majorization import (MAJORIZATION_TOL, MajorizationReport,
+                           _horn_realize, _intermediate_vector,
+                           weak_supermajorize)
+from .means import MeanSpec, evaluate_pairs
 from .spectral import _delta, _diag_m, _williamson, validate_pd
 from .symplectic import DEFAULT_TOL, check_frame, expm_batch, standard_J
 
@@ -69,20 +70,19 @@ class SchurCheckReport:
         return self.report.verdict
 
 
-def _mean_dominates(mean: MeanSpec) -> bool:
-    if mean.dominates_geometric_claim is not None:
-        return bool(mean.dominates_geometric_claim)
-    return dominates_geometric(mean, sample_budget=2000, seed=0).holds
-
-
 def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport:
-    """Compare the mean-indexed diagonal of A against delta(A) under <=^w."""
+    """Compare the mean-indexed diagonal of A against delta(A) under <=^w.
+
+    ``mean_dominates_geometric`` is the mean's analytic claim when it has
+    one; otherwise a 2000-pair ``dominates_geometric`` sample (seed 0),
+    taken on the first call with that ``MeanSpec`` and kept on it.
+    """
     A, _ = validate_pd(A)
     dm = _diag_m(A, mean)
     delta = _delta(A, tol)
     rep = weak_supermajorize(dm, delta, tol)
     return SchurCheckReport(diag_m=dm, delta=delta, report=rep,
-                            mean_dominates_geometric=_mean_dominates(mean))
+                            mean_dominates_geometric=mean._dominates_geometric)
 
 
 def horn_symplectic_realize(x, y, mean: MeanSpec,
@@ -112,14 +112,17 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
         raise DomainError("x and y must be vectors of the same length")
     if np.any(x <= 0) or np.any(y <= 0):
         raise DomainError("x and y must be strictly positive")
-    pre = weak_supermajorize(x, y)
+    pre = weak_supermajorize(x, y, MAJORIZATION_TOL)
     if not pre.verdict:
         raise DomainError(
             "weak supermajorization precondition fails "
             f"(worst slack {pre.k_slacks.min():.3e})")
 
-    z = intermediate_vector(x, y)
-    U = horn_realize(z, y)
+    # The private forms skip only their preconditions: x <=^w y was checked
+    # just above at the same tolerance, and z majorized by y is the
+    # intermediate vector's own post-check.
+    z = _intermediate_vector(x, y, MAJORIZATION_TOL)
+    U = _horn_realize(z, y, MAJORIZATION_TOL)
     C = (U * y) @ U.T
     C = 0.5 * (C + C.T)
 
@@ -188,15 +191,17 @@ def kyfan_minimizer(A, k: int, mean: MeanSpec,
     With A = W (D oplus D) W^T, the inverse-transpose V = -J W J is
     symplectic and V^T A V = D oplus D; its columns (1..k, n+1..n+k)
     form a frame whose objective is sum_{j<=k} M(delta_j, delta_j),
-    which every mean collapses to the partial eigenvalue sum.
+    which every mean collapses to the partial eigenvalue sum.  For
+    W = [[W11, W12], [W21, W22]], V = [[W22, -W21], [-W12, W11]] exactly,
+    so the frame is read off W's quadrants.
     """
     A, n = validate_pd(A)
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
     fact = _williamson(A, tol)
-    J = standard_J(n)
-    V = -J @ fact.W @ J
-    X = np.hstack([V[:, :k], V[:, n:n + k]])
+    W = fact.W
+    X = np.block([[W[n:, n:n + k], -W[n:, :k]],
+                  [-W[:n, n:n + k], W[:n, :k]]])
     X = check_frame(X, tol)
     value = _objective(A, X, mean)
     return KyFanResult(k=k, minimizer=X, min_value=value,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .means import MeanSpec, evaluate_pairs
-from .symplectic import DEFAULT_TOL, is_symplectic
+from .symplectic import DEFAULT_TOL, _pow2_scale, is_symplectic
 
 __all__ = [
     "WilliamsonFactorization",
@@ -34,16 +34,6 @@ __all__ = [
 _ASYM_TOL = 1e-8
 # Relative floor for the smallest eigenvalue in the definiteness check.
 _PD_TOL = 1e-13
-
-
-def _pow2_scale(A: np.ndarray) -> float:
-    """The power of two within a factor 2 below max |a_ij| (1 for A = 0).
-
-    Frobenius norms of A divided by it cannot overflow, and dividing by a
-    power of two is exact, so relative norms keep every bit.
-    """
-    amax = float(np.max(np.abs(A)))
-    return float(np.ldexp(1.0, np.frexp(amax)[1] - 1)) if amax > 0 else 1.0
 
 
 def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:

@@ -10,6 +10,7 @@ can re-threshold.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,6 +62,36 @@ def standard_J(n: int) -> np.ndarray:
     return J
 
 
+def _pow2_scale(A: np.ndarray) -> float:
+    """The power of two within a factor 2 below max |a_ij| (1 for A = 0).
+
+    Frobenius norms of A divided by it cannot overflow, and dividing by a
+    power of two is exact, so relative norms keep every bit.
+    """
+    amax = float(np.max(np.abs(A)))
+    return math.ldexp(1.0, math.frexp(amax)[1] - 1) if amax > 0 else 1.0
+
+
+def _form_check(X: np.ndarray, n: int, k: int,
+                tol: float) -> tuple[bool, float, float]:
+    """(verdict, residual, relative residual) for X^T J_{2n} X = J_{2k}.
+
+    residual <= tol * max(1, ||X||_F^2) is tested on X / c for the power of
+    two c = max(1, _pow2_scale(X)): both sides carry the exact factor c^2,
+    so verdicts keep every bit at ordinary scale and nothing overflows.  A
+    non-finite residual fails; the returned residual is unscaled, the
+    relative one is residual / max(1, ||X||_F^2).
+    """
+    Jn = standard_J(n)
+    Jk = Jn if k == n else standard_J(k)
+    c = max(1.0, _pow2_scale(X))
+    if c > 1.0:  # at c = 1 the division would change nothing
+        X, Jk = X / c, Jk / (c * c)
+    res = float(np.linalg.norm(X.T @ Jn @ X - Jk))
+    scale = max(1.0 / (c * c), float(np.linalg.norm(X)) ** 2)
+    return res <= tol * scale, res * c * c, res / scale
+
+
 class SymplecticCheck(NamedTuple):
     ok: bool
     residual: float
@@ -70,13 +101,13 @@ def is_symplectic(W, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     """Test W^T J W = J; the raw Frobenius residual is always returned.
 
     The verdict compares the residual against ``tol * max(1, ||W||_F^2)``,
-    matching the quadratic scaling of the defect in W.
+    matching the quadratic scaling of the defect in W; it is taken after
+    an exact power-of-two rescaling, so it holds past the overflow of
+    ||W||_F^2.
     """
     W, n = _as_square_even(W)
-    J = standard_J(n)
-    residual = float(np.linalg.norm(W.T @ J @ W - J))
-    scale = max(1.0, float(np.linalg.norm(W)) ** 2)
-    return SymplecticCheck(residual <= tol * scale, residual)
+    ok, residual, _ = _form_check(W, n, n, tol)
+    return SymplecticCheck(ok, residual)
 
 
 def expanding_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -125,25 +156,35 @@ def s_pinching(A, partition: Sequence[int]) -> np.ndarray:
     return out
 
 
-def frame_residual(X) -> float:
-    """Frobenius norm of X^T J_{2n} X - J_{2k} for a 2n-by-2k matrix."""
-    X = np.asarray(X, dtype=float)
+def _frame_halves(X: np.ndarray) -> tuple[int, int]:
+    """(n, k) for a 2n-by-2k frame candidate with 1 <= k <= n."""
     if X.ndim != 2 or X.shape[0] % 2 or X.shape[1] % 2 or X.shape[1] == 0:
         raise DomainError(f"frame must be 2n-by-2k, got shape {X.shape}")
     n, k = X.shape[0] // 2, X.shape[1] // 2
     if k > n:
         raise DomainError(f"frame width 2k={2 * k} exceeds order 2n={2 * n}")
+    return n, k
+
+
+def frame_residual(X) -> float:
+    """Frobenius norm of X^T J_{2n} X - J_{2k} for a 2n-by-2k matrix."""
+    X = np.asarray(X, dtype=float)
+    n, k = _frame_halves(X)
     return float(np.linalg.norm(X.T @ standard_J(n) @ X - standard_J(k)))
 
 
 def check_frame(X, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate the frame relation and return X as a float array."""
+    """Validate the frame relation and return X as a float array.
+
+    The residual is held against ``tol * max(1, ||X||_F^2)``, as in
+    ``is_symplectic``.
+    """
     X = np.asarray(X, dtype=float)
-    res = frame_residual(X)
-    scale = max(1.0, float(np.linalg.norm(X)) ** 2)
-    if res > tol * scale:
+    ok, res, rel = _form_check(X, *_frame_halves(X), tol)
+    if not ok:
         raise DomainError(
-            f"not a symplectic frame: residual {res:.3e} > {tol:.1e} * {scale:.3e}")
+            f"not a symplectic frame: residual {res:.3e}, relative to "
+            f"max(1, ||X||_F^2) {rel:.3e} > {tol:.1e}")
     return X
 
 

@@ -196,6 +196,15 @@ def test_horn_realize_with_ties():
     np.testing.assert_array_equal(U, np.eye(3))
 
 
+@pytest.mark.parametrize("z", [[1.0, 1.0, 2.0, 2.0], [1.5, 1.5, 1.5, 1.5]])
+def test_horn_realize_exact_ties_meet_diagonal(z):
+    y = np.array([1.0, 1.0, 2.0, 2.0])
+    U = horn_realize(z, y)
+    assert np.linalg.norm(U.T @ U - np.eye(4)) <= 1e-14
+    np.testing.assert_allclose(np.einsum("ij,j,ij->i", U, y, U), z,
+                               rtol=0, atol=1e-14)
+
+
 def test_horn_realize_rejects_non_majorized():
     with pytest.raises(DomainError):
         horn_realize([2.0, 2.0], [1.0, 2.0])   # totals differ

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import sympectra.majorization
+import sympectra.schur_horn
 from sympectra import DomainError, NumericalError
 from sympectra.majorization import weak_supermajorize
 from sympectra.means import (arithmetic_mean, custom_mean, geometric_mean,
@@ -8,7 +10,8 @@ from sympectra.means import (arithmetic_mean, custom_mean, geometric_mean,
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_objective, kyfan_search, schur_check)
 from sympectra.spectral import symplectic_diag, symplectic_eigenvalues, williamson
-from sympectra.symplectic import frame_residual, random_pd, random_symplectic
+from sympectra.symplectic import (check_frame, frame_residual, random_pd,
+                                  random_symplectic, standard_J)
 
 DOMINATING = [arithmetic_mean(), geometric_mean(), parse_mean("power:2"),
               max_mean()]
@@ -66,6 +69,22 @@ def test_schur_check_non_dominating_mean_well_formed():
     assert rep.diag_m.shape == rep.delta.shape == (2,)
     recomputed = weak_supermajorize(rep.diag_m, rep.delta).verdict
     assert rep.verdict == recomputed
+
+
+def test_schur_check_samples_custom_dominance_once():
+    # Each call evaluates the n = 1 diagonal pair; the 2000-pair dominance
+    # sample runs on the first call only and is kept on the spec.
+    evaluated = []
+
+    def heronian(a, b):
+        evaluated.append(np.size(a))
+        return (a + np.sqrt(a * b) + b) / 3.0
+
+    mean = custom_mean(heronian)
+    A = random_pd(1, seed=2)
+    reports = [schur_check(A, mean) for _ in range(3)]
+    assert sum(evaluated) == 2000 + 3
+    assert all(rep.mean_dominates_geometric for rep in reports)
 
 
 def test_schur_check_finds_min_mean_counterexample():
@@ -154,6 +173,25 @@ def test_realize_keeps_x_coordinate_order():
     np.testing.assert_allclose(symplectic_diag(A, max_mean()), x, atol=1e-8)
 
 
+def test_realize_runs_each_majorization_check_once(monkeypatch):
+    calls = {"weak_supermajorize": 0, "majorize": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (sympectra.majorization, sympectra.schur_horn):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    x, y = admissible_pair(np.random.default_rng(4), 4)
+    horn_symplectic_realize(x, y, geometric_mean())
+    assert calls == {"weak_supermajorize": 1, "majorize": 1}
+
+
 def test_realize_rejects_bad_inputs():
     with pytest.raises(DomainError):
         horn_symplectic_realize([1.0, 2.0], [0.5, 3.0], geometric_mean())
@@ -188,6 +226,19 @@ def test_kyfan_minimizer_matches_partial_sums():
                 res = kyfan_minimizer(A, k, mean)
                 assert abs(res.min_value - delta[:k].sum()) <= 1e-8
                 assert frame_residual(res.minimizer) <= 1e-8
+
+
+def test_kyfan_minimizer_frame_is_columns_of_inverse_transpose():
+    # Reference: the frame as columns (1..k, n+1..n+k) of V = -J W J.
+    for n in (1, 2, 5):
+        A = random_pd(n, seed=n, spread=1.5)
+        W = williamson(A).W
+        J = standard_J(n)
+        V = -J @ W @ J
+        for k in range(1, n + 1):
+            X = kyfan_minimizer(A, k, geometric_mean()).minimizer
+            np.testing.assert_array_equal(
+                X, np.hstack([V[:, :k], V[:, n:n + k]]))
 
 
 def test_kyfan_minimizer_k_range():
@@ -226,6 +277,15 @@ def test_kyfan_objective_rejects_non_frame():
     A = random_pd(2, seed=0)
     with pytest.raises(DomainError):
         kyfan_objective(A, np.ones((4, 2)), geometric_mean())
+
+
+def test_frame_checks_reject_non_frames_past_norm_overflow():
+    # ||X||_F^2 overflows here; X^T J X = 1e320 J is no frame at any scale.
+    X = 1e160 * np.eye(4)[:, [0, 2]]
+    with pytest.raises(DomainError):
+        check_frame(X)
+    with pytest.raises(DomainError):
+        kyfan_objective(random_pd(2), X, geometric_mean())
 
 
 def test_kyfan_search_identity_matrix():

@@ -40,6 +40,13 @@ def test_is_symplectic_detects_perturbation():
     assert not ok2 and res2 > 1e-5
 
 
+def test_is_symplectic_verdict_past_norm_overflow():
+    # ||W||_F^2 overflows for every W here; the verdict must not.
+    for c in (1e160, 1e200, 1e300):
+        assert not is_symplectic(c * np.eye(4)).ok
+        assert is_symplectic(np.diag([c, c, 1.0 / c, 1.0 / c])).ok
+
+
 def test_is_symplectic_rejects_odd_shapes():
     with pytest.raises(DomainError):
         is_symplectic(np.eye(3))
