@@ -10,6 +10,7 @@ wrapped as ``custom`` means and can be vetted by randomized sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -87,19 +88,29 @@ def _power_eval(p: float):
     return ev
 
 
+# The built-in evaluators never form a*b or a+b, so they neither overflow
+# nor underflow anywhere in the positive double range.
+def _geometric(a, b):
+    return np.sqrt(a) * np.sqrt(b)
+
+
+def _harmonic(a, b):
+    # 2ab / (a + b) = min * (2 / (1 + min/max)), a factor in [1, 2] on min.
+    big, small = np.maximum(a, b), np.minimum(a, b)
+    return small * (2.0 / (1.0 + small / big))
+
+
 def arithmetic_mean() -> MeanSpec:
-    return MeanSpec("arithmetic", lambda a, b: 0.5 * (a + b),
+    return MeanSpec("arithmetic", lambda a, b: 0.5 * a + 0.5 * b,
                     dominates_geometric_claim=True)
 
 
 def geometric_mean() -> MeanSpec:
-    return MeanSpec("geometric", lambda a, b: np.sqrt(a * b),
-                    dominates_geometric_claim=True)
+    return MeanSpec("geometric", _geometric, dominates_geometric_claim=True)
 
 
 def harmonic_mean() -> MeanSpec:
-    return MeanSpec("harmonic", lambda a, b: 2.0 * a * b / (a + b),
-                    dominates_geometric_claim=False)
+    return MeanSpec("harmonic", _harmonic, dominates_geometric_claim=False)
 
 
 def min_mean() -> MeanSpec:
@@ -117,8 +128,10 @@ def power_mean(p: float) -> MeanSpec:
     exactly when p >= 0.
     """
     p = float(p)
+    if math.isnan(p):
+        raise DomainError("power mean exponent must not be NaN")
     if p == 0.0:
-        return MeanSpec("power", lambda a, b: np.sqrt(a * b), exponent=0.0,
+        return MeanSpec("power", _geometric, exponent=0.0,
                         dominates_geometric_claim=True)
     return MeanSpec("power", _power_eval(p), exponent=p,
                     dominates_geometric_claim=p >= 0)

@@ -77,9 +77,8 @@ def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport
     one; otherwise a 2000-pair ``dominates_geometric`` sample (seed 0),
     taken on the first call with that ``MeanSpec`` and kept on it.
     """
-    A, _ = validate_pd(A)
+    A, delta = _delta(A, tol)
     dm = _diag_m(A, mean)
-    delta = _delta(A, tol)
     rep = weak_supermajorize(dm, delta, tol)
     return SchurCheckReport(diag_m=dm, delta=delta, report=rep,
                             mean_dominates_geometric=mean._dominates_geometric)
@@ -140,7 +139,7 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
                   [np.outer(r, p) * C, (np.outer(r, r) + np.outer(s, s)) * C]])
 
     try:
-        A, _ = validate_pd(A, "realized matrix")
+        A, got_d = _delta(A, tol, "realized matrix")
     except DomainError as exc:
         raise NumericalError(f"stage 'assemble': {exc}") from exc
     got_x = _diag_m(A, mean)
@@ -148,7 +147,6 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
         raise NumericalError(
             "stage 'diag': realized symplectic diagonal off by "
             f"{np.max(np.abs(got_x - x)):.3e}")
-    got_d = _delta(A, tol)
     ys = np.sort(y)
     if np.max(np.abs(got_d - ys)) > tol * max(1.0, float(np.max(ys))):
         raise NumericalError(
@@ -195,10 +193,10 @@ def kyfan_minimizer(A, k: int, mean: MeanSpec,
     W = [[W11, W12], [W21, W22]], V = [[W22, -W21], [-W12, W11]] exactly,
     so the frame is read off W's quadrants.
     """
-    A, n = validate_pd(A)
+    A, fact = _williamson(A, tol)
+    n = fact.n
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
-    fact = _williamson(A, tol)
     W = fact.W
     X = np.block([[W[n:, n:n + k], -W[n:, :k]],
                   [-W[:n, n:n + k], W[:n, :k]]])
@@ -241,12 +239,12 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     of S sweeps over quartiles of the budget so near-identity and
     far-field frames are both covered.  Deterministic in ``seed``.
     """
-    A, n = validate_pd(A)
+    A, delta = _delta(A, tol)
+    n = delta.shape[0]
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
     if budget < 1:
         raise DomainError("budget must be >= 1")
-    delta = _delta(A, tol)
     target = float(np.sum(delta[:k]))
     threshold = tol * max(1.0, abs(target))
 

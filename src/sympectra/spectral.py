@@ -9,11 +9,16 @@ congruence and additive (as multisets) over the expanding sum.
 The numerical route is one Cholesky factorization A = R R^T and one
 Hermitian eigensolve per call: K = R^T J R is exactly skew-symmetric and
 similar to the non-normal J A, so the Hermitian matrix iK has the real
-eigenvalues +-delta_j, and its eigenvectors for +delta give W.
+eigenvalues +-delta_j, and its eigenvectors for +delta give W.  The
+definiteness floor needs no eigensolve of A on that route: Ky Fan's
+minimum principle at k = 1 bounds lambda_min / lambda_max below by
+delta_1^2 / ||A||_F^2, so a delta_1 well clear of the floor certifies it.
+Only inputs whose delta_1 fails that test run the exact eigvalsh check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +39,16 @@ __all__ = [
 _ASYM_TOL = 1e-8
 # Relative floor for the smallest eigenvalue in the definiteness check.
 _PD_TOL = 1e-13
+# delta_1 / ||A||_F above this certifies lambda_min / lambda_max > 100 _PD_TOL,
+# the definiteness floor with a safety factor 100 for rounding.
+_CERT_FLOOR = math.sqrt(100.0 * _PD_TOL)
 
 
-def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:
-    """Check A is symmetric positive definite of even order; symmetrize.
+def _symmetrized(A, what: str) -> tuple[np.ndarray, float, float]:
+    """The shape, finiteness and symmetry checks of ``validate_pd``.
 
-    Inputs within relative asymmetry 1e-8 are symmetrized (measurement
-    noise); anything worse is rejected as a wrong-domain input rather
-    than silently averaged.
-
-    Returns the symmetrized array and the half-order n.
+    Returns the symmetrized array, the power of two c = _pow2_scale(A)
+    and ||A / c||_F.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -52,32 +57,66 @@ def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:
         raise DomainError(f"{what} must have positive even order, got {A.shape[0]}")
     if not np.all(np.isfinite(A)):
         raise DomainError(f"{what} has non-finite entries")
-    unit = A / _pow2_scale(A)
+    c = _pow2_scale(A)
+    unit = A / c
     scale = float(np.linalg.norm(unit))
     asym = float(np.linalg.norm(unit - unit.T))
     if asym > _ASYM_TOL * scale:
         raise DomainError(
             f"{what} is not symmetric: ||A - A^T|| / ||A|| = {asym / scale:.3e}")
-    A = 0.5 * A + 0.5 * A.T
+    return 0.5 * A + 0.5 * A.T, c, scale
+
+
+def _check_definite(A: np.ndarray, what: str) -> None:
+    """The exact definiteness floor lambda_min > 1e-13 lambda_max (one eigvalsh)."""
     evals = np.linalg.eigvalsh(A)
     if evals[0] <= _PD_TOL * max(evals[-1], 0.0) or evals[0] <= 0.0:
         raise DomainError(
             f"{what} is not positive definite "
             f"(eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])")
+
+
+def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:
+    """Check A is symmetric positive definite of even order; symmetrize.
+
+    Inputs within relative asymmetry 1e-8 are symmetrized (measurement
+    noise); anything worse is rejected as a wrong-domain input rather
+    than silently averaged.  Definiteness is the relative floor
+    lambda_min > 1e-13 lambda_max on the eigenvalues of A.
+
+    Returns the symmetrized array and the half-order n.
+    """
+    A, _, _ = _symmetrized(A, what)
+    _check_definite(A, what)
     return A, A.shape[0] // 2
 
 
-def _factor(A: np.ndarray, tol: float, vectors: bool):
-    """(delta ascending, R, V) for a validated A = R R^T.
+def _factor(A, tol: float, vectors: bool, what: str = "matrix"):
+    """Validate and factor A: (symmetrized A, delta ascending, R, V).
 
-    K = R^T J R is skew and similar to J A, so iK is Hermitian with
-    eigenvalues +-delta; V (only if ``vectors``) holds its unit eigenvectors
-    for +delta.  Raises NumericalError when the spectrum fails to pair up.
+    A = R R^T, and K = R^T J R is skew and similar to J A, so iK is
+    Hermitian with eigenvalues +-delta; V (only if ``vectors``) holds its
+    unit eigenvectors for +delta.
+
+    Input checks and verdicts are those of ``validate_pd``, but the
+    definiteness floor is usually certified by delta_1 instead of an
+    eigvalsh of A.  Ky Fan's minimum principle at k = 1 with the geometric
+    mean, over the frame [u, -Ju] for the unit eigenvector u of lambda_min,
+    gives delta_1 <= sqrt(lambda_min (Ju)^T A (Ju)) <= sqrt(lambda_min
+    lambda_max), so lambda_min / lambda_max >= delta_1^2 / ||A||_F^2.
+    delta_1 / c > sqrt(100 * 1e-13) ||A / c||_F therefore clears the floor
+    with a factor 100 to spare for rounding.  Only when that test fails
+    (delta_1 tiny, negative or NaN), or when Cholesky fails, does the
+    exact floor check run, before any NumericalError, so every input is
+    rejected by the same rule with the same message as ``validate_pd``.
+    Raises NumericalError when the spectrum fails to pair up.
     """
+    A, c, fro = _symmetrized(A, what)
     n = A.shape[0] // 2
     try:
         R = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
+        _check_definite(A, what)
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
     # R^T J R = P - P^T with P = R_1^T R_2 for the row halves R_1, R_2.
     P = R[:n].T @ R[n:]
@@ -87,6 +126,9 @@ def _factor(A: np.ndarray, tol: float, vectors: bool):
         V = V[:, n:]
     else:
         ev, V = np.linalg.eigvalsh(H), None
+    # delta_1 itself, not its square, so a NaN or negative value falls through.
+    if not ev[n] / c > _CERT_FLOOR * fro:
+        _check_definite(A, what)
     if not np.all(np.isfinite(ev)):
         raise NumericalError("eigenvalue pairing failure: non-finite spectrum")
     # K is normal, so ||K||_2 is its largest eigenvalue modulus.
@@ -101,12 +143,13 @@ def _factor(A: np.ndarray, tol: float, vectors: bool):
         raise NumericalError(
             f"eigenvalue pairing failure: +- halves differ by {mirror:.3e}, "
             f"exceeding {tol:.1e} * {scale:.3e}")
-    return ev[n:], R, V
+    return A, ev[n:], R, V
 
 
-def _delta(A: np.ndarray, tol: float) -> np.ndarray:
-    """symplectic_eigenvalues for an already validated A."""
-    return _factor(A, tol, vectors=False)[0]
+def _delta(A, tol: float, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """The validated, symmetrized A and its symplectic eigenvalues."""
+    A, delta, _, _ = _factor(A, tol, vectors=False, what=what)
+    return A, delta
 
 
 def symplectic_eigenvalues(A, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -116,8 +159,7 @@ def symplectic_eigenvalues(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     pair +-i delta_j; computed as the positive eigenvalues of the
     Hermitian iK for K = R^T J R and the Cholesky factor A = R R^T.
     """
-    A, _ = validate_pd(A)
-    return _delta(A, tol)
+    return _delta(A, tol)[1]
 
 
 @dataclass(frozen=True)
@@ -143,9 +185,9 @@ class WilliamsonFactorization:
         return (self.W * d) @ self.W.T
 
 
-def _williamson(A: np.ndarray, tol: float) -> WilliamsonFactorization:
-    """williamson for an already validated A."""
-    delta, R, V = _factor(A, tol, vectors=True)
+def _williamson(A, tol: float) -> tuple[np.ndarray, WilliamsonFactorization]:
+    """The validated, symmetrized A and its Williamson factorization."""
+    A, delta, R, V = _factor(A, tol, vectors=True)
     L = np.sqrt(2.0) * np.hstack([V.imag, V.real])
     dinv = 1.0 / np.sqrt(np.concatenate([delta, delta]))
     W = (R @ L) * dinv
@@ -160,8 +202,8 @@ def _williamson(A: np.ndarray, tol: float) -> WilliamsonFactorization:
     if not ok:
         raise NumericalError(
             f"Williamson factor failed symplecticity (residual {symp_res:.3e})")
-    return WilliamsonFactorization(W=W, delta=delta, residual=rec,
-                                   symplectic_residual=symp_res)
+    return A, WilliamsonFactorization(W=W, delta=delta, residual=rec,
+                                      symplectic_residual=symp_res)
 
 
 def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
@@ -174,8 +216,7 @@ def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
     and W^T J W = J (since the inner congruence collapses to J).  Both
     contracts are verified before returning.
     """
-    A, _ = validate_pd(A)
-    return _williamson(A, tol)
+    return _williamson(A, tol)[1]
 
 
 def _diag_m(A: np.ndarray, mean: MeanSpec) -> np.ndarray:

@@ -303,7 +303,9 @@ def random_symplectic(n: int, seed=0, spread: float = 1.0) -> np.ndarray:
     group, the shear the non-compact ones; spread -> 0 collapses to the
     identity.
     """
-    if spread <= 0:
+    if n < 1:
+        raise DomainError("half-order n must be >= 1")
+    if not spread > 0:
         raise DomainError("spread must be positive")
     rng = np.random.default_rng(seed)
     S = rng.normal(scale=spread, size=(2 * n, 2 * n))
@@ -322,7 +324,9 @@ def random_pd(n: int, seed=0, spread: float = 1.0) -> np.ndarray:
     Eigenvalues are log-uniform in [exp(-spread), exp(spread)] with a Haar
     orthogonal eigenbasis, so ``spread`` directly controls conditioning.
     """
-    if spread <= 0:
+    if n < 1:
+        raise DomainError("half-order n must be >= 1")
+    if not spread > 0:
         raise DomainError("spread must be positive")
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(2 * n, 2 * n))

@@ -290,3 +290,20 @@ def test_cli_import_does_not_load_scipy():
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("random-pd", "--n", "0"), "n must be >= 1"),
+    (("random-pd", "--n", "-2"), "n must be >= 1"),
+    (("random-symplectic", "--n", "-2"), "n must be >= 1"),
+    (("random-pd", "--n", "2", "--spread", "nan"), "spread must be positive"),
+])
+def test_random_generators_reject_bad_arguments(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
+def test_diag_m_rejects_nan_power(tmp_path, capsys):
+    p = write_matrix(tmp_path, "a.json", np.eye(2))
+    code, out, err = run(capsys, "diag-m", "--in", p, "--mean", "power:nan")
+    assert code == 2 and out == "" and "power:nan" in err

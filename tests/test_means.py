@@ -206,3 +206,23 @@ def test_dominance_claims_annotated():
 def test_mean_is_callable():
     m = geometric_mean()
     assert m(2.0, 8.0) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("c", [2.0 ** 1000, 2.0 ** -1000, 1e200, 1e-200])
+def test_builtin_means_homogeneous_across_double_range(c):
+    # No built-in evaluator forms a*b or a+b, so scaling by c never
+    # overflows or underflows on the way.
+    rng = np.random.default_rng(3)
+    a = 10.0 ** rng.uniform(-3, 3, 200)
+    b = 10.0 ** rng.uniform(-3, 3, 200)
+    for mean in all_builtins() + [power_mean(0.0), power_mean(-3.0)]:
+        got = evaluate_pairs(mean, c * a, c * b)
+        want = c * evaluate_pairs(mean, a, b)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), mean.name
+
+
+def test_power_mean_rejects_nan_exponent():
+    with pytest.raises(DomainError):
+        power_mean(float("nan"))
+    with pytest.raises(DomainError):
+        parse_mean("power:nan")

@@ -347,3 +347,18 @@ def test_pinching_chain_properties():
             blocks = np.array([np.sqrt(A[j, j] * A[n + j, n + j]
                                        - A[j, n + j] ** 2) for j in range(n)])
             assert np.all(blocks <= dm + 1e-12)
+
+
+def test_geometric_mean_paths_past_product_overflow():
+    # sqrt(a*b) overflowed to inf at 1e200 and underflowed to 0 at 1e-200.
+    g = geometric_mean()
+    A = random_pd(2, seed=6)
+    for c in (1e200, 1e-200):
+        np.testing.assert_allclose(symplectic_diag(c * A, g) / c,
+                                   symplectic_diag(A, g), rtol=1e-14)
+    res = kyfan_minimizer(1e200 * A, 2, g)
+    np.testing.assert_allclose(res.min_value / 1e200,
+                               kyfan_minimizer(A, 2, g).min_value, rtol=1e-12)
+    B = horn_symplectic_realize([2e200, 3e200], [1e200, 2e200], g)
+    np.testing.assert_allclose(symplectic_diag(B, g), [2e200, 3e200],
+                               rtol=1e-12)

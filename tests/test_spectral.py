@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sympectra import DomainError, SympectraError
+from sympectra import DomainError, NumericalError, SympectraError, schur_horn
 from sympectra.means import arithmetic_mean, geometric_mean, max_mean, parse_mean
-from sympectra.schur_horn import horn_symplectic_realize, schur_check
+from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
+                                  kyfan_search, schur_check)
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
                                 validate_pd, williamson)
 from sympectra.symplectic import (expanding_sum, is_symplectic, random_pd,
@@ -253,3 +254,143 @@ def test_no_route_uses_real_schur(monkeypatch):
     B = horn_symplectic_realize([2.0, 2.0], [1.0, 2.0], geometric_mean())
     np.testing.assert_allclose(symplectic_eigenvalues(B), [1.0, 2.0],
                                rtol=1e-12)
+
+
+# --- definiteness certified by delta_1 -------------------------------------
+
+def _with_ratio(n, ratio, seed):
+    """Random symmetric matrix with eigenvalues spread over [ratio, 1]."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))
+    lam = np.geomspace(ratio, 1.0, 2 * n)
+    rng.shuffle(lam)
+    A = (Q * lam) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+def _certificate_sweep():
+    cases = [random_pd(n, seed=n, spread=1.0) for n in (1, 2, 4, 16)]
+    for n in (1, 2, 4):
+        for ratio in (1e-10, 1e-12, 1e-14, 1e-16, 5e-14, 2e-13):
+            cases.append(_with_ratio(n, ratio, seed=n))
+        Q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(2 * n, 2 * n)))
+        for lam0 in (-1.0, -1e-15, 0.0):     # indefinite and singular
+            lam = np.linspace(1.0, 2.0, 2 * n)
+            lam[0] = lam0
+            B = (Q * lam) @ Q.T
+            cases.append(0.5 * (B + B.T))
+    return cases
+
+
+def _domain_message(f):
+    try:
+        f()
+    except DomainError as exc:
+        return str(exc)
+    except SympectraError:
+        pass
+    return None
+
+
+def test_certified_entry_points_reject_as_validate_pd():
+    mean = arithmetic_mean()
+    entries = [
+        lambda A: symplectic_eigenvalues(A),
+        lambda A: williamson(A),
+        lambda A: schur_check(A, mean),
+        lambda A: kyfan_minimizer(A, 1, mean),
+        lambda A: kyfan_search(A, 1, mean, budget=8),
+    ]
+    cases = _certificate_sweep()
+    rejected = 0
+    for A in cases:
+        expected = _domain_message(lambda: validate_pd(A))
+        rejected += expected is not None
+        for entry in entries:
+            assert _domain_message(lambda: entry(A)) == expected
+    assert 0 < rejected < len(cases)
+
+
+def test_realization_rejects_as_validate_pd(monkeypatch):
+    # The verification step sees the realized matrix; a spy hands the same
+    # matrix to validate_pd, whose message the 'assemble' stage must carry.
+    seen = []
+    delta = schur_horn._delta
+
+    def spy(A, tol, what="matrix"):
+        seen.append(np.array(A))
+        return delta(A, tol, what)
+
+    monkeypatch.setattr(schur_horn, "_delta", spy)
+    outcomes = set()
+    for k in range(4, 16):
+        for t in (1.0, 1e3):
+            seen.clear()
+            try:
+                horn_symplectic_realize([t, t], [1.0, 10.0 ** -k],
+                                        geometric_mean())
+                got = None
+            except NumericalError as exc:
+                got = str(exc)
+            expected = _domain_message(
+                lambda: validate_pd(seen[0], "realized matrix"))
+            if expected is None:
+                assert got is None or "'assemble'" not in got
+            else:
+                assert got == f"stage 'assemble': {expected}"
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def _count_real_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        if not np.iscomplexobj(a):
+            calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_certificate_skips_eigvalsh_of_a(monkeypatch):
+    A = random_pd(4, seed=9)
+    mean = geometric_mean()
+    calls = _count_real_eigvalsh(monkeypatch)
+    symplectic_eigenvalues(A)
+    williamson(A)
+    schur_check(A, mean)
+    kyfan_minimizer(A, 2, mean)
+    kyfan_search(A, 2, mean, budget=8)
+    horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean)
+    assert calls == []
+    validate_pd(A)
+    assert calls == [(8, 8)]
+
+
+def test_failed_certificate_runs_the_exact_check(monkeypatch):
+    calls = _count_real_eigvalsh(monkeypatch)
+    # delta_1 / ||A||_F = 1e-6 is below the certificate's 3.2e-6, though
+    # lambda_min / lambda_max = 1e-12 clears the floor.
+    np.testing.assert_allclose(symplectic_eigenvalues(np.diag([1.0, 1e-12])),
+                               [1e-6], rtol=1e-12)
+    assert calls == [(2, 2)]
+    calls.clear()
+    with pytest.raises(DomainError, match="not positive definite"):
+        williamson(np.diag([1.0, -1.0, 1.0, 1.0]))   # Cholesky fails
+    assert calls == [(4, 4)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_delta1_squared_bounded_by_extreme_eigenvalues(n):
+    # Ky Fan at k = 1: delta_1^2 <= lambda_min lambda_max.
+    for seed in range(25):
+        A = random_pd(n, seed=seed, spread=0.5 + seed / 5)
+        S = random_symplectic(n, seed=seed, spread=0.3)
+        A = S @ A @ S.T
+        A = 0.5 * (A + A.T)
+        lam = np.linalg.eigvalsh(A)
+        d1 = symplectic_eigenvalues(A)[0]
+        assert d1 * d1 <= lam[0] * lam[-1] * (1 + 1e-10)
