@@ -105,12 +105,7 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
         raise DomainError(
             "weak supermajorization precondition fails "
             f"(worst slack {pre.k_slacks.min():.3e} at k={k})")
-    return _intermediate_vector(x, y, tol)
 
-
-def _intermediate_vector(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    """intermediate_vector for positive float vectors already known to satisfy
-    x weakly supermajorized by y at ``tol``; the post-conditions still run."""
     n = x.shape[0]
     target = float(np.sum(y))
     xs = np.sort(x)

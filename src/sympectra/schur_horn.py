@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .majorization import (MAJORIZATION_TOL, MajorizationReport,
-                           _horn_realize, _intermediate_vector,
+                           _horn_realize, intermediate_vector,
                            weak_supermajorize)
 from .means import MeanSpec, evaluate_pairs
 from .spectral import _delta, _diag_m, _williamson, validate_pd
@@ -45,10 +45,6 @@ __all__ = [
 # Spread sweep for randomized frame sampling: near-identity through
 # far-field regions of the (non-compact) symplectic group.
 _SEARCH_SPREADS = (0.1, 0.5, 1.0, 2.0)
-
-# Ratios this far below 1 are treated as floating-point slack from the
-# intermediate-vector construction and clamped.
-_RATIO_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,36 +98,29 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
        each diagonal pair becomes (t_j z_j, t_j z_j) = (x_j, x_j), so
        diag_M(A) = x for every mean through M(a, a) = a.
 
-    x keeps its original coordinate order end to end.  Every stage is
-    re-verified; failures raise NumericalError naming the stage.
+    x keeps its original coordinate order end to end.  The inputs are
+    checked by ``intermediate_vector`` (DomainError), and every stage is
+    re-verified: each NumericalError starts with ``stage '<name>'``, one
+    of 'intermediate', 'givens', 'assemble', 'spectrum' and 'diag'.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape or x.ndim != 1:
-        raise DomainError("x and y must be vectors of the same length")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise DomainError("x and y must be strictly positive")
-    pre = weak_supermajorize(x, y, MAJORIZATION_TOL)
-    if not pre.verdict:
-        raise DomainError(
-            "weak supermajorization precondition fails "
-            f"(worst slack {pre.k_slacks.min():.3e})")
-
-    # The private forms skip only their preconditions: x <=^w y was checked
-    # just above at the same tolerance, and z majorized by y is the
+    try:
+        z = intermediate_vector(x, y, MAJORIZATION_TOL)
+    except NumericalError as exc:
+        raise NumericalError(f"stage 'intermediate': {exc}") from exc
+    # The private form skips only its precondition: z majorized by y is the
     # intermediate vector's own post-check.
-    z = _intermediate_vector(x, y, MAJORIZATION_TOL)
-    U = _horn_realize(z, y, MAJORIZATION_TOL)
+    try:
+        U = _horn_realize(z, y, MAJORIZATION_TOL)
+    except NumericalError as exc:
+        raise NumericalError(f"stage 'givens': {exc}") from exc
     C = (U * y) @ U.T
     C = 0.5 * (C + C.T)
 
-    ratios = x / z
-    bad = ratios < 1.0 - _RATIO_SLACK
-    if np.any(bad):
-        raise NumericalError(
-            "stage 'ratio': x/z dipped below 1 beyond slack "
-            f"(min {ratios.min()!r})")
-    t = np.maximum(ratios, 1.0)
+    # z <= x exactly (intermediate_vector's post-check) and z > 0, so
+    # x / z >= 1 by monotone division and t - 1/t >= 0.
+    t = x / z
     p = np.sqrt(t)
     r = np.sqrt(t - 1.0 / t)
     s = 1.0 / p
@@ -142,6 +131,8 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
         A, got_d = _delta(A, tol, "realized matrix")
     except DomainError as exc:
         raise NumericalError(f"stage 'assemble': {exc}") from exc
+    except NumericalError as exc:
+        raise NumericalError(f"stage 'spectrum': {exc}") from exc
     got_x = _diag_m(A, mean)
     if np.max(np.abs(got_x - x)) > tol * max(1.0, float(np.max(x))):
         raise NumericalError(

@@ -19,13 +19,14 @@ Only inputs whose delta_1 fails that test run the exact eigvalsh check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .means import MeanSpec, evaluate_pairs
-from .symplectic import DEFAULT_TOL, _pow2_scale, is_symplectic
+from .symplectic import (DEFAULT_TOL, _as_square_even, _pow2_scale,
+                         _skew_eigh, _symplectic_basis, is_symplectic)
 
 __all__ = [
     "WilliamsonFactorization",
@@ -50,11 +51,7 @@ def _symmetrized(A, what: str) -> tuple[np.ndarray, float, float]:
     Returns the symmetrized array, the power of two c = _pow2_scale(A)
     and ||A / c||_F.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError(f"{what} must be square, got shape {A.shape}")
-    if A.shape[0] % 2 != 0 or A.shape[0] == 0:
-        raise DomainError(f"{what} must have positive even order, got {A.shape[0]}")
+    A, _ = _as_square_even(A, what)
     if not np.all(np.isfinite(A)):
         raise DomainError(f"{what} has non-finite entries")
     c = _pow2_scale(A)
@@ -118,14 +115,7 @@ def _factor(A, tol: float, vectors: bool, what: str = "matrix"):
     except np.linalg.LinAlgError as exc:
         _check_definite(A, what)
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
-    # R^T J R = P - P^T with P = R_1^T R_2 for the row halves R_1, R_2.
-    P = R[:n].T @ R[n:]
-    H = 1j * (P - P.T)
-    if vectors:
-        ev, V = np.linalg.eigh(H)
-        V = V[:, n:]
-    else:
-        ev, V = np.linalg.eigvalsh(H), None
+    ev, V = _skew_eigh(R, vectors)
     # delta_1 itself, not its square, so a NaN or negative value falls through.
     if not ev[n] / c > _CERT_FLOOR * fro:
         _check_definite(A, what)
@@ -188,12 +178,12 @@ class WilliamsonFactorization:
 def _williamson(A, tol: float) -> tuple[np.ndarray, WilliamsonFactorization]:
     """The validated, symmetrized A and its Williamson factorization."""
     A, delta, R, V = _factor(A, tol, vectors=True)
-    L = np.sqrt(2.0) * np.hstack([V.imag, V.real])
-    dinv = 1.0 / np.sqrt(np.concatenate([delta, delta]))
-    W = (R @ L) * dinv
+    W = _symplectic_basis(R, V, delta)
+    fact = WilliamsonFactorization(W=W, delta=delta, residual=math.nan,
+                                   symplectic_residual=math.nan)
 
     c = _pow2_scale(A)
-    rec = float(np.linalg.norm((A - (W * (1.0 / dinv**2)) @ W.T) / c)
+    rec = float(np.linalg.norm((A - fact.reconstruct()) / c)
                 / np.linalg.norm(A / c))
     if not rec <= tol:
         raise NumericalError(
@@ -202,8 +192,7 @@ def _williamson(A, tol: float) -> tuple[np.ndarray, WilliamsonFactorization]:
     if not ok:
         raise NumericalError(
             f"Williamson factor failed symplecticity (residual {symp_res:.3e})")
-    return A, WilliamsonFactorization(W=W, delta=delta, residual=rec,
-                                      symplectic_residual=symp_res)
+    return A, replace(fact, residual=rec, symplectic_residual=symp_res)
 
 
 def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:

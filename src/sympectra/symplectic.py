@@ -6,6 +6,12 @@ W is symplectic when ``W^T J W = J``.  A 2n-by-2k matrix X is a symplectic
 frame when ``X^T J_{2n} X = J_{2k}``; its columns split as ``[X1 X2]`` with
 X1, X2 of width k.  Predicates report raw Frobenius residuals so callers
 can re-threshold.
+
+One construction turns a basis into a symplectic one: the Hermitian
+eigensolve of i R^T J R (``_skew_eigh``) and the scaling of its
+eigenvectors (``_symplectic_basis``).  ``complete_to_symplectic`` applies
+it to an orthonormal basis of a frame's J-orthogonal complement, and
+``spectral.williamson`` to the Cholesky factor of A.
 """
 
 from __future__ import annotations
@@ -33,9 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-
-# Pivot floor for the J-orthogonalization in complete_to_symplectic.
-_PIVOT_TOL = 1e-10
 
 
 def _as_square_even(M, what: str = "matrix") -> tuple[np.ndarray, int]:
@@ -144,16 +147,8 @@ def s_pinching(A, partition: Sequence[int]) -> np.ndarray:
     if any(m < 1 for m in sizes) or sum(sizes) != n:
         raise DomainError(
             f"partition {sizes} must have positive parts summing to {n}")
-    out = np.zeros_like(A)
-    offset = 0
-    for m in sizes:
-        for r0 in (0, n):
-            for c0 in (0, n):
-                rows = slice(r0 + offset, r0 + offset + m)
-                cols = slice(c0 + offset, c0 + offset + m)
-                out[rows, cols] = A[rows, cols]
-        offset += m
-    return out
+    mask = expanding_sum([np.ones((2 * m, 2 * m)) for m in sizes])
+    return np.where(mask != 0, A, 0.0)
 
 
 def _frame_halves(X: np.ndarray) -> tuple[int, int]:
@@ -188,14 +183,34 @@ def check_frame(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     return X
 
 
-def _project_out(C: np.ndarray, U: np.ndarray, V: np.ndarray,
-                 J: np.ndarray) -> np.ndarray:
-    # Remove skew-form components along accepted conjugate pairs (u_j, v_j):
-    # c -> c - v_j (u_j^T J c) + u_j (v_j^T J c).  Two passes, as in
-    # modified Gram-Schmidt, to mop up the first pass's residual.
-    for _ in range(2):
-        C = C - V @ (U.T @ (J @ C)) + U @ (V.T @ (J @ C))
-    return C
+def _skew_eigh(R: np.ndarray, vectors: bool):
+    """Ascending spectrum of the Hermitian i R^T J R, and its eigenvectors.
+
+    R has 2n rows; with its row halves R_1, R_2, the skew R^T J R is
+    P minus its transpose for P = R_1^T R_2.  Its spectrum pairs up as
+    +-delta.  V (only if ``vectors``, else None) holds the unit
+    eigenvectors for the upper half of the spectrum, the +delta half.
+    """
+    h = R.shape[0] // 2
+    P = R[:h].T @ R[h:]
+    H = 1j * (P - P.T)
+    if not vectors:
+        return np.linalg.eigvalsh(H), None
+    ev, V = np.linalg.eigh(H)
+    return ev, V[:, R.shape[1] // 2:]
+
+
+def _symplectic_basis(R: np.ndarray, V: np.ndarray,
+                      delta: np.ndarray) -> np.ndarray:
+    """R L (D^{-1/2} oplus D^{-1/2}) for L = sqrt(2) [Im V, Re V].
+
+    With V and delta from ``_skew_eigh(R, True)``, L is orthogonal and
+    L^T (R^T J R) L = [[0, D], [-D, 0]], so the result Y spans the range
+    of R and satisfies Y^T J Y = J.
+    """
+    L = np.sqrt(2.0) * np.hstack([V.imag, V.real])
+    dinv = 1.0 / np.sqrt(np.concatenate([delta, delta]))
+    return (R @ L) * dinv
 
 
 def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -203,51 +218,33 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Given X = [X1 X2] of shape 2n-by-2k with X^T J X = J_{2k}, returns a
     square symplectic W = [X1 Y1 X2 Y2] whose columns 1..k and n+1..n+k
-    are X1 and X2 unchanged.  New conjugate pairs are drawn from the
-    standard basis by J-orthogonalization, pivoting on the largest
-    normalized skew product |c_i^T J c_j|.
+    are X1 and X2 unchanged.  The new columns span the J-orthogonal
+    complement of X, the range of the projector Q = I + X J_{2k} X^T J,
+    whose dimension 2(n-k) is known: its top 2(n-k) left singular vectors
+    B are an orthonormal basis.  The skew form B^T J B is normalized to J
+    by the Hermitian eigensolve that also gives the Williamson factor, so
+    Y = B L (D^{-1/2} oplus D^{-1/2}) as in ``williamson``.
 
     Raises
     ------
     DomainError
         If X fails the frame residual check.
     NumericalError
-        If the pivot drops below the degeneracy floor, or the assembled W
-        fails its own symplecticity check.
+        If the assembled W fails its own symplecticity check (a skew form
+        numerically degenerate on the complement ends there too).
     """
     X = check_frame(X, tol)
     twon, twok = X.shape
     n, k = twon // 2, twok // 2
     if k == n:
         return X.copy()
-    J = standard_J(n)
+    m = n - k
 
-    U = X[:, :k].copy()
-    V = X[:, k:].copy()
-    C = _project_out(np.eye(twon), U, V, J)
-    while U.shape[1] < n:
-        # Prune candidates absorbed into the accepted span, then work with
-        # unit columns so the pivot is scale free.
-        norms = np.linalg.norm(C, axis=0)
-        C = C[:, norms > 1e-8 * max(1.0, float(norms.max(initial=0.0)))]
-        if C.shape[1] < 2:
-            raise NumericalError(
-                "symplectic completion ran out of candidate directions")
-        C = C / np.linalg.norm(C, axis=0)
-        G = np.abs(C.T @ J @ C)
-        i, j = np.unravel_index(int(np.argmax(G)), G.shape)
-        if G[i, j] <= _PIVOT_TOL:
-            raise NumericalError(
-                "degenerate pivot in symplectic completion "
-                f"(best normalized skew product {G[i, j]:.3e})")
-        u = C[:, i]
-        v = C[:, j] / float(u @ J @ C[:, j])
-        U = np.column_stack([U, u])
-        V = np.column_stack([V, v])
-        C = _project_out(np.delete(C, (i, j), axis=1),
-                         u[:, None], v[:, None], J)
-
-    W = np.hstack([U, V])
+    Q = np.eye(twon) + X @ standard_J(k) @ X.T @ standard_J(n)
+    B = np.linalg.svd(Q)[0][:, :2 * m]
+    ev, V = _skew_eigh(B, vectors=True)
+    Y = _symplectic_basis(B, V, ev[m:])
+    W = np.hstack([X[:, :k], Y[:, :m], X[:, k:], Y[:, m:]])
     ok, res = is_symplectic(W, tol)
     if not ok:
         raise NumericalError(

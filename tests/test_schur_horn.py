@@ -192,6 +192,21 @@ def test_realize_runs_each_majorization_check_once(monkeypatch):
     assert calls == {"weak_supermajorize": 1, "majorize": 1}
 
 
+def test_realize_errors_name_their_stage_at_tiny_scale():
+    # Either a valid realization or a NumericalError naming its stage.
+    x, y = [2e-200, 3e-200], [1e-200, 2e-200]
+    try:
+        A = horn_symplectic_realize(x, y, arithmetic_mean())
+    except NumericalError as exc:
+        assert str(exc).startswith(
+            ("stage 'intermediate': ", "stage 'givens': ", "stage 'assemble': ",
+             "stage 'spectrum': ", "stage 'diag': ")), str(exc)
+    else:
+        np.testing.assert_allclose(symplectic_diag(A, arithmetic_mean()), x,
+                                   rtol=1e-8)
+        np.testing.assert_allclose(symplectic_eigenvalues(A), y, rtol=1e-8)
+
+
 def test_realize_rejects_bad_inputs():
     with pytest.raises(DomainError):
         horn_symplectic_realize([1.0, 2.0], [0.5, 3.0], geometric_mean())

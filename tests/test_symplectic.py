@@ -173,6 +173,20 @@ def test_completion_random_frames_all_sizes():
                 np.testing.assert_array_equal(W[:, cols], X)
 
 
+def test_completion_far_field_frames():
+    # Far out in the non-compact group the frame columns are large and
+    # nearly parallel; completion must still succeed.
+    for spread in (2.0, 3.0):
+        for n in (16, 32, 64):
+            W0 = random_symplectic(n, seed=0, spread=spread)
+            for k in (1, n // 2, n - 1):
+                cols = list(range(k)) + list(range(n, n + k))
+                X = W0[:, cols]
+                W = complete_to_symplectic(X)
+                assert is_symplectic(W).ok, (spread, n, k)
+                np.testing.assert_array_equal(W[:, cols], X)
+
+
 def test_completion_rejects_non_frame():
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
