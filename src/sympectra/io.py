@@ -192,8 +192,10 @@ def render_text(obj) -> str:
                 v = np.asarray(v["rows"], dtype=float)
             rendered = _text_value(v)
             if "\n" in rendered:
-                rendered = "\n" + "\n".join("  " + ln for ln in rendered.splitlines())
-            lines.append(f"{k}: {rendered}")
+                rendered = "".join("\n  " + ln for ln in rendered.splitlines())
+            else:
+                rendered = " " + rendered
+            lines.append(f"{k}:{rendered}")
         return "\n".join(lines)
     return _text_value(obj)
 

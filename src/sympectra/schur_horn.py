@@ -27,9 +27,9 @@ from .errors import DomainError, NumericalError
 from .majorization import (MAJORIZATION_TOL, MajorizationReport,
                            _horn_realize, intermediate_vector,
                            weak_supermajorize)
-from .means import MeanSpec, evaluate_pairs
+from .means import MeanSpec
 from .spectral import _delta, _diag_m, _williamson, validate_pd
-from .symplectic import DEFAULT_TOL, check_frame, expm_batch, standard_J
+from .symplectic import DEFAULT_TOL, _exp_hamiltonian, check_frame
 
 __all__ = [
     "SchurCheckReport",
@@ -74,7 +74,7 @@ def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport
     taken on the first call with that ``MeanSpec`` and kept on it.
     """
     A, delta = _delta(A, tol)
-    dm = _diag_m(A, mean)
+    dm = _diag_m(np.diag(A), mean)
     rep = weak_supermajorize(dm, delta, tol)
     return SchurCheckReport(diag_m=dm, delta=delta, report=rep,
                             mean_dominates_geometric=mean._dominates_geometric)
@@ -133,7 +133,7 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
         raise NumericalError(f"stage 'assemble': {exc}") from exc
     except NumericalError as exc:
         raise NumericalError(f"stage 'spectrum': {exc}") from exc
-    got_x = _diag_m(A, mean)
+    got_x = _diag_m(np.diag(A), mean)
     if np.max(np.abs(got_x - x)) > tol * max(1.0, float(np.max(x))):
         raise NumericalError(
             "stage 'diag': realized symplectic diagonal off by "
@@ -163,14 +163,12 @@ def kyfan_objective(A, X, mean: MeanSpec) -> float:
     if X.shape[0] != 2 * n:
         raise DomainError(
             f"frame has {X.shape[0]} rows, expected {2 * n}")
-    return _objective(A, X, mean)
+    return float(_objective(A, X, mean))
 
 
-def _objective(A: np.ndarray, X: np.ndarray, mean: MeanSpec) -> float:
-    """kyfan_objective for a validated A and a checked frame X."""
-    k = X.shape[1] // 2
-    d = np.einsum("il,il->l", X, A @ X)
-    return float(np.sum(evaluate_pairs(mean, d[:k], d[k:])))
+def _objective(A: np.ndarray, X: np.ndarray, mean: MeanSpec):
+    """kyfan_objective for a validated A, batched over X's leading axes."""
+    return _diag_m(np.einsum("...il,...il->...l", X, A @ X), mean).sum(-1)
 
 
 def kyfan_minimizer(A, k: int, mean: MeanSpec,
@@ -192,7 +190,7 @@ def kyfan_minimizer(A, k: int, mean: MeanSpec,
     X = np.block([[W[n:, n:n + k], -W[n:, :k]],
                   [-W[:n, n:n + k], W[:n, :k]]])
     X = check_frame(X, tol)
-    value = _objective(A, X, mean)
+    value = float(_objective(A, X, mean))
     return KyFanResult(k=k, minimizer=X, min_value=value,
                        delta_partial_sum=float(np.sum(fact.delta[:k])))
 
@@ -215,20 +213,17 @@ class KyFanSearchReport:
     threshold: float
 
 
-def _symmetric_batch(rng, count: int, order: int, spread: float) -> np.ndarray:
-    S = rng.normal(scale=spread, size=(count, order, order))
-    return 0.5 * (S + np.swapaxes(S, -1, -2))
-
-
 def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
                  tol: float = DEFAULT_TOL) -> KyFanSearchReport:
     """Sample random symplectic frames and scan the objective for violations.
 
     Each sample takes columns (1..k, n+1..n+k) of exp(J S) for symmetric
     Gaussian S, then right-multiplies by an independent order-2k factor
-    of the same form; both steps preserve the frame property.  The spread
-    of S sweeps over quartiles of the budget so near-identity and
-    far-field frames are both covered.  Deterministic in ``seed``.
+    of the same form; both steps preserve the frame property, and both
+    use ``random_symplectic``'s sampler.  Each frame is scored with
+    ``kyfan_objective``'s formula.  The spread of S sweeps over quartiles
+    of the budget, covering near-identity and far-field frames.
+    Deterministic in ``seed``.
     """
     A, delta = _delta(A, tol)
     n = delta.shape[0]
@@ -240,8 +235,6 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     threshold = tol * max(1.0, abs(target))
 
     rng = np.random.default_rng(seed)
-    Jn = standard_J(n)
-    Jk = standard_J(k)
     cols = np.concatenate([np.arange(k), n + np.arange(k)])
 
     counts = [budget // 4] * 4
@@ -255,13 +248,10 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     for spread, count in zip(_SEARCH_SPREADS, counts):
         if count == 0:
             continue
-        Ws = expm_batch(Jn @ _symmetric_batch(rng, count, 2 * n, spread))
-        Xs = Ws[:, :, cols]
-        Ts = expm_batch(Jk @ _symmetric_batch(rng, count, 2 * k, spread))
-        Xs = Xs @ Ts
-        d = np.einsum("mil,mil->ml", Xs, np.matmul(A, Xs))
-        vals = evaluate_pairs(mean, d[:, :k].ravel(), d[:, k:].ravel())
-        objectives = vals.reshape(count, k).sum(axis=1)
+        # Keep Ws bound: freeing it before the second draw churns the allocator.
+        Ws = _exp_hamiltonian(rng, count, n, spread)
+        Xs = Ws[:, :, cols] @ _exp_hamiltonian(rng, count, k, spread)
+        objectives = _objective(A, Xs, mean)
         total += count
         violations += int(np.sum(objectives < target - threshold))
         i = int(np.argmin(objectives))

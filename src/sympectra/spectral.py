@@ -208,11 +208,12 @@ def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
     return _williamson(A, tol)[1]
 
 
-def _diag_m(A: np.ndarray, mean: MeanSpec) -> np.ndarray:
-    """symplectic_diag for an already validated A."""
-    n = A.shape[0] // 2
-    d = np.diag(A)
-    return evaluate_pairs(mean, d[:n], d[n:])
+def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
+    """M(d_j, d_{m+j}), j = 1..m, over the last axis (length 2m) of d.
+
+    diag(A) for the Schur check, diag(X^T A X) for every Ky Fan frame."""
+    m = d.shape[-1] // 2
+    return evaluate_pairs(mean, d[..., :m], d[..., m:])
 
 
 def symplectic_diag(A, mean: MeanSpec) -> np.ndarray:
@@ -222,4 +223,4 @@ def symplectic_diag(A, mean: MeanSpec) -> np.ndarray:
     in the original coordinate order (no sorting).
     """
     A, _ = validate_pd(A)
-    return _diag_m(A, mean)
+    return _diag_m(np.diag(A), mean)

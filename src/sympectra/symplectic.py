@@ -164,8 +164,7 @@ def _frame_halves(X: np.ndarray) -> tuple[int, int]:
 def frame_residual(X) -> float:
     """Frobenius norm of X^T J_{2n} X - J_{2k} for a 2n-by-2k matrix."""
     X = np.asarray(X, dtype=float)
-    n, k = _frame_halves(X)
-    return float(np.linalg.norm(X.T @ standard_J(n) @ X - standard_J(k)))
+    return _form_check(X, *_frame_halves(X), DEFAULT_TOL)[1]
 
 
 def check_frame(X, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -291,6 +290,13 @@ def expm_batch(H: np.ndarray) -> np.ndarray:
     return E[0] if squeeze else E
 
 
+def _exp_hamiltonian(rng, count: int, n: int, spread: float) -> np.ndarray:
+    """``count`` draws of exp(J S) for symmetric Gaussian S of order 2n."""
+    S = rng.normal(scale=spread, size=(count, 2 * n, 2 * n))
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    return expm_batch(standard_J(n) @ S)
+
+
 def random_symplectic(n: int, seed=0, spread: float = 1.0) -> np.ndarray:
     """Seeded random symplectic matrix of order 2n.
 
@@ -305,9 +311,7 @@ def random_symplectic(n: int, seed=0, spread: float = 1.0) -> np.ndarray:
     if not spread > 0:
         raise DomainError("spread must be positive")
     rng = np.random.default_rng(seed)
-    S = rng.normal(scale=spread, size=(2 * n, 2 * n))
-    S = 0.5 * (S + S.T)
-    W = expm_batch(standard_J(n) @ S)
+    W = _exp_hamiltonian(rng, 1, n, spread)[0]
     Z = rng.normal(scale=spread, size=(n, n))
     Z = 0.5 * (Z + Z.T)
     shear = np.eye(2 * n)

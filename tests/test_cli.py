@@ -229,6 +229,29 @@ def test_format_text_parses_back(tmp_path, capsys):
     assert float(val) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("argv", [("williamson",), ("kyfan-min", "--k", "1")])
+def test_format_text_matches_json_bit_for_bit(tmp_path, capsys, argv):
+    p = write_matrix(tmp_path, "a.json", random_pd(2, seed=3))
+    code, out, _ = run(capsys, *argv, "--in", p)
+    assert code == 0
+    want = {key: np.array(val["rows"] if isinstance(val, dict) else val,
+                          dtype=float)
+            for key, val in json.loads(out).items()}
+    code, out, _ = run(capsys, *argv, "--in", p, "--format", "text")
+    assert code == 0
+    got = {}
+    for line in out.splitlines():
+        assert line == line.rstrip(), repr(line)
+        if line.startswith("  "):
+            got[key].append([float(t) for t in line.split()])
+            continue
+        key, _, value = line.partition(":")
+        got[key] = [float(t) for t in value.split()]
+    assert got.keys() == want.keys()
+    for key, val in want.items():
+        assert np.array(got[key]).tobytes() == val.tobytes(), key
+
+
 def test_tol_env_override(tmp_path, capsys, monkeypatch):
     p = write_matrix(tmp_path, "a.json", np.eye(2))
     monkeypatch.setenv("SYMPECTRA_TOL", "1e-6")

@@ -68,6 +68,17 @@ def test_parse_matrix_rejects_garbage():
         parse_matrix('{"rows": "nope"}')
     with pytest.raises(DomainError):
         parse_matrix("1 two\n3 4\n")
+    for text, message in [
+            ('{"n": 2, "rows": [[1, 0], [0, 1]]}', "declares n=2 but has 2 rows"),
+            ('{"k": 1}', 'needs a "rows" field'),
+            ("3", "must be an object or an array"),
+            ('[["a", 1], [1, 1]]', "entries must be numbers"),
+            ("[[1e999, 0], [0, 1]]", "non-finite entries"),
+            ("1 0 0\n0 1 0\n0 0 1", "square of even order")]:
+        with pytest.raises(DomainError, match=message):
+            parse_matrix(text)
+    with pytest.raises(DomainError, match="frame must be 2n-by-2k"):
+        parse_frame("[[1, 0, 0], [0, 1, 0]]")
 
 
 def test_parse_vector():
@@ -76,6 +87,18 @@ def test_parse_vector():
     np.testing.assert_array_equal(parse_vector("1\n2\n3\n"), [1.0, 2.0, 3.0])
     with pytest.raises(DomainError):
         parse_vector("")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[]", "non-empty array"),
+    ("1 x", "unparseable vector text"),
+    ('["a"]', "entries must be numbers"),
+    ("[[1, 2]]", "1-d with finite entries"),
+    ("[NaN]", "1-d with finite entries"),
+])
+def test_parse_vector_rejects_garbage(text, message):
+    with pytest.raises(DomainError, match=message):
+        parse_vector(text)
 
 
 def test_render_text_matrix_and_parse_back():

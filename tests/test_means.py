@@ -195,6 +195,12 @@ def test_dominance_witness_for_sub_geometric(factory):
     assert m < g  # the witness really is a violation
 
 
+@pytest.mark.parametrize("check", [validate_mean_axioms, dominates_geometric])
+def test_sampling_checks_reject_empty_budget(check):
+    with pytest.raises(DomainError, match="sample_budget must be >= 1"):
+        check(arithmetic_mean(), sample_budget=0)
+
+
 def test_dominance_claims_annotated():
     assert arithmetic_mean().dominates_geometric_claim is True
     assert harmonic_mean().dominates_geometric_claim is False

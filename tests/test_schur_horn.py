@@ -207,6 +207,18 @@ def test_realize_errors_name_their_stage_at_tiny_scale():
         np.testing.assert_allclose(symplectic_eigenvalues(A), y, rtol=1e-8)
 
 
+@pytest.mark.parametrize("name,stage", [("intermediate_vector", "intermediate"),
+                                        ("_horn_realize", "givens")])
+def test_realize_names_the_stage_of_inner_numerical_errors(monkeypatch, name,
+                                                           stage):
+    def fail(*args):
+        raise NumericalError("injected")
+    monkeypatch.setattr(sympectra.schur_horn, name, fail)
+    x, y = admissible_pair(np.random.default_rng(2), 3)
+    with pytest.raises(NumericalError, match=f"^stage '{stage}': injected$"):
+        horn_symplectic_realize(x, y, geometric_mean())
+
+
 def test_realize_rejects_bad_inputs():
     with pytest.raises(DomainError):
         horn_symplectic_realize([1.0, 2.0], [0.5, 3.0], geometric_mean())

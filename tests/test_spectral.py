@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sympectra import DomainError, NumericalError, SympectraError, schur_horn
+from sympectra import (DomainError, NumericalError, SympectraError, schur_horn,
+                       spectral)
 from sympectra.means import arithmetic_mean, geometric_mean, max_mean, parse_mean
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_search, schur_check)
@@ -394,3 +395,12 @@ def test_delta1_squared_bounded_by_extreme_eigenvalues(n):
         lam = np.linalg.eigvalsh(A)
         d1 = symplectic_eigenvalues(A)[0]
         assert d1 * d1 <= lam[0] * lam[-1] * (1 + 1e-10)
+
+
+def test_williamson_reconstruction_check_raises(monkeypatch):
+    basis = spectral._symplectic_basis
+    monkeypatch.setattr(spectral, "_symplectic_basis",
+                        lambda *args: 2.0 * basis(*args))
+    with pytest.raises(NumericalError,
+                       match="^Williamson reconstruction residual"):
+        williamson(random_pd(2, seed=0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sympectra import DomainError, NumericalError
+from sympectra import DomainError, NumericalError, symplectic
 from sympectra.symplectic import (complete_to_symplectic, expanding_sum,
                                   expm_batch, frame_residual, is_symplectic,
                                   random_pd, random_symplectic, s_pinching,
@@ -147,6 +147,15 @@ def test_frame_residual_shape_validation():
         frame_residual(np.ones((4, 6)))  # k > n
 
 
+def test_frame_residual_past_norm_overflow():
+    # ||(cX)^T J (cX) - J|| = c^2 ||X^T J X - J / c^2||, which is finite.
+    X = random_symplectic(3, seed=1)[:, [0, 3]]
+    X[0, 0] += 1e-3
+    want = 1e200 * np.linalg.norm(X.T @ standard_J(3) @ X
+                                  - 1e-200 * standard_J(1))
+    assert frame_residual(1e100 * X) == pytest.approx(want, rel=1e-12)
+
+
 def test_completion_identity_frame():
     X = np.eye(4)[:, [0, 2]]
     W = complete_to_symplectic(X)
@@ -191,6 +200,16 @@ def test_completion_rejects_non_frame():
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
         complete_to_symplectic(rng.normal(size=(6, 2)))
+
+
+def test_completion_verification_raises(monkeypatch):
+    basis = symplectic._symplectic_basis
+    monkeypatch.setattr(symplectic, "_symplectic_basis",
+                        lambda *args: 2.0 * basis(*args))
+    X = random_symplectic(3, seed=1)[:, [0, 3]]
+    with pytest.raises(NumericalError,
+                       match="^symplectic completion failed verification"):
+        complete_to_symplectic(X)
 
 
 def test_random_symplectic_is_deterministic():
