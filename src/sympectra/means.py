@@ -141,6 +141,9 @@ def custom_mean(evaluator: Callable[[float, float], float],
                 dominates_geometric_claim: Optional[bool] = None) -> MeanSpec:
     """Wrap a user-supplied evaluator; its axioms are NOT checked here.
 
+    The library's own calls hand the evaluator scalars or 1-D arrays, and
+    fall back to one call per element as ``evaluate_pairs`` describes.
+
     Without a ``dominates_geometric_claim``, ``schur_check`` samples the
     dominance of the geometric mean on its first call with the returned
     spec and keeps that verdict on the spec for later calls.

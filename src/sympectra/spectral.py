@@ -211,9 +211,12 @@ def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
 def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
     """M(d_j, d_{m+j}), j = 1..m, over the last axis (length 2m) of d.
 
-    diag(A) for the Schur check, diag(X^T A X) for every Ky Fan frame."""
+    diag(A) for the Schur check, diag(X^T A X) for every Ky Fan frame,
+    a batch of frames in kyfan_search.  The mean's evaluator receives the
+    pairs as 1-D arrays whatever the batch shape."""
     m = d.shape[-1] // 2
-    return evaluate_pairs(mean, d[..., :m], d[..., m:])
+    out = evaluate_pairs(mean, d[..., :m].ravel(), d[..., m:].ravel())
+    return out.reshape(d.shape[:-1] + (m,))
 
 
 def symplectic_diag(A, mean: MeanSpec) -> np.ndarray:

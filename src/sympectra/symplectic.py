@@ -79,20 +79,34 @@ def _form_check(X: np.ndarray, n: int, k: int,
                 tol: float) -> tuple[bool, float, float]:
     """(verdict, residual, relative residual) for X^T J_{2n} X = J_{2k}.
 
-    residual <= tol * max(1, ||X||_F^2) is tested on X / c for the power of
-    two c = max(1, _pow2_scale(X)): both sides carry the exact factor c^2,
-    so verdicts keep every bit at ordinary scale and nothing overflows.  A
-    non-finite residual fails; the returned residual is unscaled, the
-    relative one is residual / max(1, ||X||_F^2).
+    Below max |x_ij| = 2^240 nothing overflows for orders up to 10^4.
+    Past it, column l of X is divided by a power of two 2^e_l and entry
+    (l, m) of X^T J X multiplied back by 2^(e_l + e_m) before J is
+    subtracted, so the residual reads inf only when it is out of range.
+    The verdict residual <= tol * max(1, ||X||_F^2) is taken with both
+    sides divided by the exact c^2, c = max(1, _pow2_scale(X)).  A
+    non-finite residual fails; the relative residual is
+    residual / max(1, ||X||_F^2).
     """
     Jn = standard_J(n)
     Jk = Jn if k == n else standard_J(k)
-    c = max(1.0, _pow2_scale(X))
-    if c > 1.0:  # at c = 1 the division would change nothing
-        X, Jk = X / c, Jk / (c * c)
-    res = float(np.linalg.norm(X.T @ Jn @ X - Jk))
-    scale = max(1.0 / (c * c), float(np.linalg.norm(X)) ** 2)
-    return res <= tol * scale, res * c * c, res / scale
+    m = math.frexp(max(1.0, _pow2_scale(X)))[1] - 1  # c = 2^m
+    if m < 240:
+        res = float(np.linalg.norm(X.T @ Jn @ X - Jk))
+        res_c = math.ldexp(res, -2 * m)
+    else:
+        e = np.frexp(np.max(np.abs(X), axis=0))[1]
+        Y = np.ldexp(X, -e)
+        G, E = Y.T @ Jn @ Y, e[:, None] + e
+        with np.errstate(over="ignore"):  # an out-of-range residual reads inf
+            R = np.ldexp(G, E) - Jk
+            s = max(1.0, _pow2_scale(R))
+            res = float(np.linalg.norm(R / s)) * s
+        res_c = float(np.linalg.norm(np.ldexp(G, E - 2 * m)
+                                     - np.ldexp(Jk, -2 * m)))
+    scale = max(math.ldexp(1.0, -2 * m),
+                float(np.linalg.norm(np.ldexp(X, -m))) ** 2)
+    return res_c <= tol * scale, res, res_c / scale
 
 
 class SymplecticCheck(NamedTuple):

@@ -347,6 +347,19 @@ def test_kyfan_search_budget_validation():
         kyfan_search(A, 1, geometric_mean(), budget=0)
 
 
+def test_kyfan_search_hands_custom_means_1d_arrays():
+    # Indexing by a.size works only on 1-D input.
+    def one_d_only(a, b):
+        return np.sqrt(a * b)[np.arange(a.size)]
+
+    A = random_pd(3, seed=4)
+    got = kyfan_search(A, 2, custom_mean(one_d_only), budget=40, seed=1)
+    want = kyfan_search(A, 2, custom_mean(lambda a, b: np.sqrt(a * b)),
+                        budget=40, seed=1)
+    assert (got.best_value, got.violations) == (want.best_value, want.violations)
+    np.testing.assert_array_equal(got.best_frame, want.best_frame)
+
+
 def test_kyfan_search_non_dominating_mean_well_formed():
     A = random_pd(2, seed=2, spread=2.0)
     rep = kyfan_search(A, 1, min_mean(), budget=500, seed=0)

@@ -3,10 +3,10 @@ import pytest
 import scipy.linalg
 
 from sympectra import DomainError, NumericalError, symplectic
-from sympectra.symplectic import (complete_to_symplectic, expanding_sum,
-                                  expm_batch, frame_residual, is_symplectic,
-                                  random_pd, random_symplectic, s_pinching,
-                                  standard_J)
+from sympectra.symplectic import (check_frame, complete_to_symplectic,
+                                  expanding_sum, expm_batch, frame_residual,
+                                  is_symplectic, random_pd, random_symplectic,
+                                  s_pinching, standard_J)
 
 
 def test_standard_J_identities():
@@ -154,6 +154,20 @@ def test_frame_residual_past_norm_overflow():
     want = 1e200 * np.linalg.norm(X.T @ standard_J(3) @ X
                                   - 1e-200 * standard_J(1))
     assert frame_residual(1e100 * X) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1e100, 1e160, 1e300])
+def test_frame_residual_keeps_J_past_square_overflow(a):
+    # Isotropic columns: X^T J X = 0, so the residual is ||J_2||_F.
+    X = np.zeros((4, 2))
+    X[0, 0] = X[1, 1] = a
+    assert frame_residual(X) == np.sqrt(2.0)
+    # A genuine frame with columns of size a and 1/a.
+    X = np.zeros((4, 2))
+    X[0, 0], X[2, 1] = a, 1.0 / a
+    assert frame_residual(X) <= 1e-15
+    np.testing.assert_array_equal(check_frame(X), X)
+    assert is_symplectic(np.diag([a, 1.0 / a])).ok
 
 
 def test_completion_identity_frame():
