@@ -30,123 +30,95 @@ def _resolve_tol(args, default: float = DEFAULT_TOL) -> float:
     tol = getattr(args, "tol", None)
     if tol is None:
         env = os.environ.get("SYMPECTRA_TOL")
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError as exc:
-                raise DomainError(f"SYMPECTRA_TOL={env!r} is not a number") from exc
-        else:
-            tol = default
+        try:
+            tol = default if env is None else float(env)
+        except ValueError as exc:
+            raise DomainError(f"SYMPECTRA_TOL={env!r} is not a number") from exc
     if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     return float(tol)
-
-
-def _emit(args, obj) -> None:
-    text = render_text(obj) if args.format == "text" else dumps(obj)
-    write_output(text, args.out)
 
 
 def _matrix_in(args):
     return parse_matrix(read_input(args.infile))
 
 
-def _cmd_eig(args) -> int:
-    delta = symplectic_eigenvalues(_matrix_in(args), _resolve_tol(args))
-    _emit(args, {"delta": delta})
-    return 0
+# Each handler returns its report; ``main`` writes it and exits 1 when the
+# report holds a false "verdict" or a nonzero "violations" count.
+def _cmd_eig(args) -> dict:
+    return {"delta": symplectic_eigenvalues(_matrix_in(args), _resolve_tol(args))}
 
 
-def _cmd_williamson(args) -> int:
+def _cmd_williamson(args) -> dict:
     fact = williamson(_matrix_in(args), _resolve_tol(args))
-    _emit(args, {"delta": fact.delta, "W": matrix_obj(fact.W),
-                 "residual": fact.residual})
-    return 0
+    return {"delta": fact.delta, "W": matrix_obj(fact.W),
+            "residual": fact.residual}
 
 
-def _cmd_diag_m(args) -> int:
-    dm = symplectic_diag(_matrix_in(args), parse_mean(args.mean))
-    _emit(args, {"diag_m": dm})
-    return 0
+def _cmd_diag_m(args) -> dict:
+    return {"diag_m": symplectic_diag(_matrix_in(args), parse_mean(args.mean))}
 
 
-def _cmd_schur_check(args) -> int:
+def _cmd_schur_check(args) -> dict:
     rep = schur_check(_matrix_in(args), parse_mean(args.mean), _resolve_tol(args))
-    _emit(args, {"verdict": rep.verdict, "diag_m": rep.diag_m,
-                 "delta": rep.delta, "slacks": rep.report.k_slacks})
-    return 0 if rep.verdict else 1
+    return {"verdict": rep.verdict, "diag_m": rep.diag_m,
+            "delta": rep.delta, "slacks": rep.report.k_slacks}
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args) -> dict:
     x = parse_vector(read_input(args.x))
     y = parse_vector(read_input(args.y))
-    A = horn_symplectic_realize(x, y, parse_mean(args.mean), _resolve_tol(args))
-    _emit(args, matrix_obj(A))
-    return 0
+    return matrix_obj(horn_symplectic_realize(x, y, parse_mean(args.mean),
+                                              _resolve_tol(args)))
 
 
-def _cmd_kyfan_min(args) -> int:
+def _cmd_kyfan_min(args) -> dict:
     res = kyfan_minimizer(_matrix_in(args), args.k, parse_mean(args.mean),
                           _resolve_tol(args))
-    _emit(args, {"k": res.k, "min_value": res.min_value,
-                 "delta_partial": res.delta_partial_sum,
-                 "frame": frame_obj(res.minimizer)})
-    return 0
+    return {"k": res.k, "min_value": res.min_value,
+            "delta_partial": res.delta_partial_sum,
+            "frame": frame_obj(res.minimizer)}
 
 
-def _cmd_kyfan_search(args) -> int:
+def _cmd_kyfan_search(args) -> dict:
     rep = kyfan_search(_matrix_in(args), args.k, parse_mean(args.mean),
                        budget=args.budget, seed=args.seed, tol=_resolve_tol(args))
-    _emit(args, {"k": rep.k, "best_value": rep.best_value,
-                 "delta_partial": rep.delta_partial_sum,
-                 "violations": rep.violations, "n_samples": rep.n_samples,
-                 "frame": frame_obj(rep.best_frame)})
-    return 0 if rep.violations == 0 else 1
+    return {"k": rep.k, "best_value": rep.best_value,
+            "delta_partial": rep.delta_partial_sum,
+            "violations": rep.violations, "n_samples": rep.n_samples,
+            "frame": frame_obj(rep.best_frame)}
 
 
-def _cmd_pinch(args) -> int:
+def _cmd_pinch(args) -> dict:
     try:
         partition = [int(tok) for tok in args.partition.split(",") if tok.strip()]
     except ValueError as exc:
         raise DomainError(f"bad --partition {args.partition!r}: "
                           "expected comma-separated integers") from exc
-    _emit(args, matrix_obj(s_pinching(_matrix_in(args), partition)))
-    return 0
+    return matrix_obj(s_pinching(_matrix_in(args), partition))
 
 
-def _cmd_boxplus(args) -> int:
+def _cmd_boxplus(args) -> dict:
     paths = args.infile if args.infile else [None]
-    blocks = [parse_matrix(read_input(p)) for p in paths]
-    _emit(args, matrix_obj(expanding_sum(blocks)))
-    return 0
+    return matrix_obj(expanding_sum([parse_matrix(read_input(p)) for p in paths]))
 
 
-def _cmd_complete_frame(args) -> int:
+def _cmd_complete_frame(args) -> dict:
     X = parse_frame(read_input(args.infile))
-    _emit(args, matrix_obj(complete_to_symplectic(X, _resolve_tol(args))))
-    return 0
+    return matrix_obj(complete_to_symplectic(X, _resolve_tol(args)))
 
 
-def _cmd_major_check(args) -> int:
+def _cmd_major_check(args) -> dict:
     x = parse_vector(read_input(args.x))
     y = parse_vector(read_input(args.y))
-    tol = _resolve_tol(args, default=MAJORIZATION_TOL)
     check = majorize if args.kind == "majorize" else weak_supermajorize
-    rep = check(x, y, tol)
-    _emit(args, {"verdict": rep.verdict, "slacks": rep.k_slacks,
-                 "total_gap": rep.total_gap})
-    return 0 if rep.verdict else 1
+    rep = check(x, y, _resolve_tol(args, default=MAJORIZATION_TOL))
+    return {"verdict": rep.verdict, "slacks": rep.k_slacks,
+            "total_gap": rep.total_gap}
 
 
-def _cmd_random_pd(args) -> int:
-    _emit(args, matrix_obj(random_pd(args.n, seed=args.seed, spread=args.spread)))
-    return 0
-
-
-def _cmd_random_symplectic(args) -> int:
-    _emit(args, matrix_obj(random_symplectic(args.n, seed=args.seed,
-                                             spread=args.spread)))
-    return 0
+def _cmd_random(args) -> dict:
+    return matrix_obj(args.sampler(args.n, seed=args.seed, spread=args.spread))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -239,18 +211,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="weak-super",
                    help="preorder to test (default weak-super)")
 
-    p = add("random-pd", _cmd_random_pd, "seeded random PD matrix of order 2n")
-    p.add_argument("--n", type=int, required=True, help="half-order")
-    opt_seed(p)
-    p.add_argument("--spread", type=float, default=1.0,
-                   help="conditioning control (default 1.0)")
-
-    p = add("random-symplectic", _cmd_random_symplectic,
-            "seeded random symplectic matrix of order 2n")
-    p.add_argument("--n", type=int, required=True, help="half-order")
-    opt_seed(p)
-    p.add_argument("--spread", type=float, default=1.0,
-                   help="distance-from-identity control (default 1.0)")
+    for name, sampler, what, spread in (
+            ("random-pd", random_pd, "PD", "conditioning control"),
+            ("random-symplectic", random_symplectic, "symplectic",
+             "distance-from-identity control")):
+        p = add(name, _cmd_random, f"seeded random {what} matrix of order 2n")
+        p.set_defaults(sampler=sampler)
+        p.add_argument("--n", type=int, required=True, help="half-order")
+        opt_seed(p)
+        p.add_argument("--spread", type=float, default=1.0,
+                       help=f"{spread} (default 1.0)")
 
     return parser
 
@@ -258,13 +228,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        report = args.handler(args)
+        text = render_text(report) if args.format == "text" else dumps(report)
+        write_output(text, args.out)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    return 1 if report.get("verdict") is False or report.get("violations") else 0
 
 
 if __name__ == "__main__":

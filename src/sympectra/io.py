@@ -32,7 +32,10 @@ __all__ = [
 
 
 def fmt_float(x) -> str:
-    """Shortest 17-significant-digit decimal; round-trips IEEE doubles."""
+    """17 significant digits (%.17g), which round-trips IEEE doubles.
+
+    Not the shortest round-tripping decimal: 0.1 is 0.10000000000000001.
+    """
     return "%.17g" % float(x)
 
 
@@ -165,14 +168,10 @@ def parse_vector(text: str) -> np.ndarray:
 
 
 def _text_value(v) -> str:
-    if isinstance(v, bool) or v is None:
-        return json.dumps(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt_float(v)
     if isinstance(v, str):
         return v
+    if not isinstance(v, (np.ndarray, list, tuple)):
+        return _emit(v)  # scalars are spelled as in JSON
     a = np.asarray(v)
     if a.ndim == 1:
         return " ".join(fmt_float(x) for x in a)

@@ -42,7 +42,7 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] == 0:
         raise DomainError("majorization comparisons need n >= 1")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("vectors must be finite")
     return x, y
 
@@ -74,7 +74,7 @@ def _prefix_slacks(x, y, tol: float) -> tuple[np.ndarray, float]:
 def weak_supermajorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationReport:
     """Test x weakly supermajorized by y (ascending prefix dominance)."""
     slacks, threshold = _prefix_slacks(x, y, tol)
-    verdict = bool(np.all(slacks >= -threshold))
+    verdict = bool((slacks >= -threshold).all())
     return MajorizationReport("weak_super", slacks, float(slacks[-1]),
                               verdict, threshold)
 
@@ -83,7 +83,7 @@ def majorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationReport:
     """Test x majorized by y: prefix dominance plus equal totals."""
     slacks, threshold = _prefix_slacks(x, y, tol)
     total_gap = float(slacks[-1])
-    verdict = bool(np.all(slacks >= -threshold)) and abs(total_gap) <= threshold
+    verdict = bool((slacks >= -threshold).all()) and abs(total_gap) <= threshold
     return MajorizationReport("majorize", slacks, total_gap, verdict, threshold)
 
 
@@ -97,7 +97,7 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
     NumericalError rather than handing back a wrong z.
     """
     x, y = _pair(x, y)
-    if np.any(x <= 0) or np.any(y <= 0):
+    if not ((x > 0).all() and (y > 0).all()):
         raise DomainError("intermediate_vector needs strictly positive vectors")
     pre = weak_supermajorize(x, y, tol)
     if not pre.verdict:
@@ -107,20 +107,18 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
             f"(worst slack {pre.k_slacks.min():.3e} at k={k})")
 
     n = x.shape[0]
-    target = float(np.sum(y))
-    xs = np.sort(x)
+    target = float(y.sum())
+    xs = np.sort(x).tolist()
     prefix = 0.0
-    z = None
-    for m in range(n):
+    for m in range(n):  # the last level c is the cap when none breaks
         c = (target - prefix) / (n - m)
-        if c <= xs[m] or m == n - 1:
-            z = np.minimum(x, c)
+        if c <= xs[m]:
             break
         prefix += xs[m]
-    assert z is not None
+    z = np.minimum(x, c)
 
     post = majorize(z, y, tol)
-    if not post.verdict or np.any(z > x) or np.any(z <= 0):
+    if not post.verdict or (z > x).any() or (z <= 0).any():
         raise NumericalError(
             "intermediate vector construction failed verification "
             f"(majorize verdict {post.verdict}, total gap {post.total_gap:.3e})")
@@ -202,7 +200,7 @@ def _horn_realize(z: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
     U = U[:, np.argsort(y_order)]
 
     ortho = float(np.linalg.norm(U.T @ U - np.eye(n)))
-    diag_err = float(np.max(np.abs(np.einsum("ij,j,ij->i", U, y, U) - z)))
+    diag_err = float(np.abs(np.einsum("ij,j,ij->i", U, y, U) - z).max())
     threshold = tol * max(1.0, float(np.abs(z).sum() + np.abs(y).sum()))
     if ortho > threshold or diag_err > threshold:
         raise NumericalError(

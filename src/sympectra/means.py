@@ -79,11 +79,8 @@ def _power_eval(p: float):
     # Factor out the dominant argument so a**p never overflows for large |p|.
     def ev(a, b):
         big, small = np.maximum(a, b), np.minimum(a, b)
-        if p > 0:
-            ratio = small / big
-            return big * ((1.0 + ratio**p) / 2.0) ** (1.0 / p)
-        ratio = big / small
-        return small * ((1.0 + ratio**p) / 2.0) ** (1.0 / p)
+        lead, ratio = (big, small / big) if p > 0 else (small, big / small)
+        return lead * ((1.0 + ratio**p) / 2.0) ** (1.0 / p)
 
     return ev
 
@@ -202,11 +199,13 @@ def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
     per element."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(a <= 0) or np.any(b <= 0):
+    # Phrased as "not all positive" so that NaN is rejected too.
+    if not ((a > 0).all() and (b > 0).all()):
         raise DomainError("mean arguments must be strictly positive")
     try:
         out = np.asarray(mean.evaluator(a, b), dtype=float)
-        if out.shape == np.broadcast_shapes(a.shape, b.shape):
+        if out.shape == (a.shape if a.shape == b.shape
+                         else np.broadcast_shapes(a.shape, b.shape)):
             return out
     except (TypeError, ValueError):
         pass
@@ -265,16 +264,8 @@ def validate_mean_axioms(mean: MeanSpec, sample_budget: int = 10_000,
     non-strict monotonicity against a shifted copy of each argument, and
     betweenness min <= M <= max (including equal-argument pairs, which
     forces M(a,a) = a).  Violations are reported, never raised.
-
-    Parameters
-    ----------
-    mean : MeanSpec
-    sample_budget : int
-        Number of sampled triples, >= 1.
-    seed : int
-        Reproducibility seed.
-    tol : float
-        Comparison slack, scaled by max(1, |values|).
+    ``sample_budget`` >= 1 triples are drawn from ``seed``; ``tol`` is the
+    comparison slack, scaled by max(1, |values|).
     """
     if sample_budget < 1:
         raise DomainError("sample_budget must be >= 1")
@@ -295,11 +286,14 @@ def validate_mean_axioms(mean: MeanSpec, sample_budget: int = 10_000,
 
     scale = np.maximum(1.0, np.abs(m_ab))
 
-    sym_bad = np.abs(m_ab - m_ba) > tol * scale
-    hom_bad = np.abs(m_r - r * m_ab) > tol * np.maximum(1.0, np.abs(r * m_ab))
-    mono_bad = (m_up_a < m_ab - tol * scale) | (m_up_b < m_ab - tol * scale)
+    # Each mask is "not ok", so a NaN value counts as a violation.
+    sym_bad = ~(np.abs(m_ab - m_ba) <= tol * scale)
+    hom_bad = ~(np.abs(m_r - r * m_ab)
+                <= tol * np.maximum(1.0, np.abs(r * m_ab)))
+    mono_bad = ~((m_up_a >= m_ab - tol * scale)
+                 & (m_up_b >= m_ab - tol * scale))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    btw_bad = (m_ab < lo - tol * scale) | (m_ab > hi + tol * scale)
+    btw_bad = ~((m_ab >= lo - tol * scale) & (m_ab <= hi + tol * scale))
 
     def result(mask, *cols):
         if not mask.any():
@@ -329,7 +323,7 @@ def dominates_geometric(mean: MeanSpec, sample_budget: int = 10_000,
     b = _log_uniform(rng, sample_budget)
     m = evaluate_pairs(mean, a, b)
     g = np.sqrt(a * b)
-    bad = g > m + tol * np.maximum(1.0, g)
+    bad = ~(g <= m + tol * np.maximum(1.0, g))  # NaN counts as a violation
     if not bad.any():
         return DominanceReport(True, None, sample_budget)
     return DominanceReport(False, _first_violation(bad, a, b, g, m),

@@ -19,14 +19,15 @@ Only inputs whose delta_1 fails that test run the exact eigvalsh check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .means import MeanSpec, evaluate_pairs
-from .symplectic import (DEFAULT_TOL, _as_square_even, _pow2_scale,
-                         _skew_eigh, _symplectic_basis, is_symplectic)
+from .symplectic import (DEFAULT_TOL, _as_square_even, _pow2_below,
+                         _pow2_scale, _skew_eigh, _symplectic_basis,
+                         is_symplectic)
 
 __all__ = [
     "WilliamsonFactorization",
@@ -49,12 +50,14 @@ def _symmetrized(A, what: str) -> tuple[np.ndarray, float, float]:
     """The shape, finiteness and symmetry checks of ``validate_pd``.
 
     Returns the symmetrized array, the power of two c = _pow2_scale(A)
-    and ||A / c||_F.
+    and ||A / c||_F.  One max |a_ij| gives both c and finiteness: it is
+    NaN or inf exactly when an entry is.
     """
     A, _ = _as_square_even(A, what)
-    if not np.all(np.isfinite(A)):
+    amax = float(np.abs(A).max())
+    if not math.isfinite(amax):
         raise DomainError(f"{what} has non-finite entries")
-    c = _pow2_scale(A)
+    c = _pow2_below(amax)
     unit = A / c
     scale = float(np.linalg.norm(unit))
     asym = float(np.linalg.norm(unit - unit.T))
@@ -119,7 +122,7 @@ def _factor(A, tol: float, vectors: bool, what: str = "matrix"):
     # delta_1 itself, not its square, so a NaN or negative value falls through.
     if not ev[n] / c > _CERT_FLOOR * fro:
         _check_definite(A, what)
-    if not np.all(np.isfinite(ev)):
+    if not np.isfinite(ev).all():
         raise NumericalError("eigenvalue pairing failure: non-finite spectrum")
     # K is normal, so ||K||_2 is its largest eigenvalue modulus.
     scale = max(1.0, float(ev[-1]))
@@ -128,7 +131,7 @@ def _factor(A, tol: float, vectors: bool, what: str = "matrix"):
         raise NumericalError(
             f"eigenvalue pairing failure: smallest positive eigenvalue {ev[n]:.3e} "
             f"is below the floor {pair_floor:.3e} (matrix numerically singular?)")
-    mirror = float(np.max(np.abs(ev[n:] + ev[n - 1::-1])))
+    mirror = float(np.abs(ev[n:] + ev[n - 1::-1]).max())
     if mirror > tol * scale:
         raise NumericalError(
             f"eigenvalue pairing failure: +- halves differ by {mirror:.3e}, "
@@ -171,19 +174,21 @@ class WilliamsonFactorization:
         return self.delta.shape[0]
 
     def reconstruct(self) -> np.ndarray:
-        d = np.concatenate([self.delta, self.delta])
-        return (self.W * d) @ self.W.T
+        return _reconstruct(self.W, self.delta)
+
+
+def _reconstruct(W: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """W (D oplus D) W^T."""
+    d = np.concatenate([delta, delta])
+    return (W * d) @ W.T
 
 
 def _williamson(A, tol: float) -> tuple[np.ndarray, WilliamsonFactorization]:
     """The validated, symmetrized A and its Williamson factorization."""
     A, delta, R, V = _factor(A, tol, vectors=True)
     W = _symplectic_basis(R, V, delta)
-    fact = WilliamsonFactorization(W=W, delta=delta, residual=math.nan,
-                                   symplectic_residual=math.nan)
-
     c = _pow2_scale(A)
-    rec = float(np.linalg.norm((A - fact.reconstruct()) / c)
+    rec = float(np.linalg.norm((A - _reconstruct(W, delta)) / c)
                 / np.linalg.norm(A / c))
     if not rec <= tol:
         raise NumericalError(
@@ -192,7 +197,8 @@ def _williamson(A, tol: float) -> tuple[np.ndarray, WilliamsonFactorization]:
     if not ok:
         raise NumericalError(
             f"Williamson factor failed symplecticity (residual {symp_res:.3e})")
-    return A, replace(fact, residual=rec, symplectic_residual=symp_res)
+    return A, WilliamsonFactorization(W=W, delta=delta, residual=rec,
+                                      symplectic_residual=symp_res)
 
 
 def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:

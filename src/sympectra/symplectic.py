@@ -71,41 +71,62 @@ def _pow2_scale(A: np.ndarray) -> float:
     Frobenius norms of A divided by it cannot overflow, and dividing by a
     power of two is exact, so relative norms keep every bit.
     """
-    amax = float(np.max(np.abs(A)))
+    return _pow2_below(float(np.abs(A).max()))
+
+
+def _pow2_below(amax: float) -> float:
+    """``_pow2_scale`` from a precomputed max |a_ij|."""
     return math.ldexp(1.0, math.frexp(amax)[1] - 1) if amax > 0 else 1.0
 
 
-def _form_check(X: np.ndarray, n: int, k: int,
-                tol: float) -> tuple[bool, float, float]:
+def _skew(R: np.ndarray) -> np.ndarray:
+    """R^T J R for R with 2h rows, as G - G^T for G = R_1^T R_2.
+
+    R_1, R_2 are the row halves of R; J R = [R_2; -R_1] is a signed swap,
+    so the product is exactly skew and J is never formed.
+    """
+    h = R.shape[0] // 2
+    G = R[:h].T @ R[h:]
+    return G - G.T
+
+
+def _minus_J(S: np.ndarray, k: int, v: float = 1.0) -> np.ndarray:
+    """S - v J_{2k}, in place, for S of order 2k."""
+    S[:k, k:].flat[::k + 1] -= v  # the diagonal of the +I block
+    S[k:, :k].flat[::k + 1] += v  # the diagonal of the -I block
+    return S
+
+
+def _form_check(X: np.ndarray, tol: float) -> tuple[bool, float, float]:
     """(verdict, residual, relative residual) for X^T J_{2n} X = J_{2k}.
 
-    Below max |x_ij| = 2^240 nothing overflows for orders up to 10^4.
-    Past it, column l of X is divided by a power of two 2^e_l and entry
-    (l, m) of X^T J X multiplied back by 2^(e_l + e_m) before J is
+    X^T J_{2n} X is formed as G - G^T, G = X_1^T X_2 for the row halves
+    X_1, X_2 of X (``_skew``), and J_{2k} is subtracted entrywise.  Below
+    max |x_ij| = 2^240 nothing overflows for orders up to 10^4.  Past it,
+    column l of X is divided by a power of two 2^e_l first and entry
+    (l, m) of G - G^T multiplied back by 2^(e_l + e_m) before J is
     subtracted, so the residual reads inf only when it is out of range.
     The verdict residual <= tol * max(1, ||X||_F^2) is taken with both
     sides divided by the exact c^2, c = max(1, _pow2_scale(X)).  A
     non-finite residual fails; the relative residual is
     residual / max(1, ||X||_F^2).
     """
-    Jn = standard_J(n)
-    Jk = Jn if k == n else standard_J(k)
+    k = X.shape[1] // 2
     m = math.frexp(max(1.0, _pow2_scale(X)))[1] - 1  # c = 2^m
     if m < 240:
-        res = float(np.linalg.norm(X.T @ Jn @ X - Jk))
+        res = float(np.linalg.norm(_minus_J(_skew(X), k)))
         res_c = math.ldexp(res, -2 * m)
     else:
-        e = np.frexp(np.max(np.abs(X), axis=0))[1]
-        Y = np.ldexp(X, -e)
-        G, E = Y.T @ Jn @ Y, e[:, None] + e
+        e = np.frexp(np.abs(X).max(axis=0))[1]
+        S, E = _skew(np.ldexp(X, -e)), e[:, None] + e
         with np.errstate(over="ignore"):  # an out-of-range residual reads inf
-            R = np.ldexp(G, E) - Jk
+            R = _minus_J(np.ldexp(S, E), k)
             s = max(1.0, _pow2_scale(R))
             res = float(np.linalg.norm(R / s)) * s
-        res_c = float(np.linalg.norm(np.ldexp(G, E - 2 * m)
-                                     - np.ldexp(Jk, -2 * m)))
+        res_c = float(np.linalg.norm(
+            _minus_J(np.ldexp(S, E - 2 * m), k, math.ldexp(1.0, -2 * m))))
     scale = max(math.ldexp(1.0, -2 * m),
-                float(np.linalg.norm(np.ldexp(X, -m))) ** 2)
+                float(np.linalg.norm(np.ldexp(X, -m) if m else X)) ** 2)
     return res_c <= tol * scale, res, res_c / scale
 
 
@@ -117,13 +138,15 @@ class SymplecticCheck(NamedTuple):
 def is_symplectic(W, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     """Test W^T J W = J; the raw Frobenius residual is always returned.
 
+    W^T J W is formed as G - G^T for G = W_1^T W_2, the product of W's
+    row halves, so J is applied as a block swap and never multiplied.
     The verdict compares the residual against ``tol * max(1, ||W||_F^2)``,
     matching the quadratic scaling of the defect in W; it is taken after
     an exact power-of-two rescaling, so it holds past the overflow of
     ||W||_F^2.
     """
-    W, n = _as_square_even(W)
-    ok, residual, _ = _form_check(W, n, n, tol)
+    W, _ = _as_square_even(W)
+    ok, residual, _ = _form_check(W, tol)
     return SymplecticCheck(ok, residual)
 
 
@@ -165,20 +188,20 @@ def s_pinching(A, partition: Sequence[int]) -> np.ndarray:
     return np.where(mask != 0, A, 0.0)
 
 
-def _frame_halves(X: np.ndarray) -> tuple[int, int]:
-    """(n, k) for a 2n-by-2k frame candidate with 1 <= k <= n."""
+def _as_frame(X) -> np.ndarray:
+    """X as a float array, checked to be 2n-by-2k with 1 <= k <= n."""
+    X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] % 2 or X.shape[1] % 2 or X.shape[1] == 0:
         raise DomainError(f"frame must be 2n-by-2k, got shape {X.shape}")
     n, k = X.shape[0] // 2, X.shape[1] // 2
     if k > n:
         raise DomainError(f"frame width 2k={2 * k} exceeds order 2n={2 * n}")
-    return n, k
+    return X
 
 
 def frame_residual(X) -> float:
     """Frobenius norm of X^T J_{2n} X - J_{2k} for a 2n-by-2k matrix."""
-    X = np.asarray(X, dtype=float)
-    return _form_check(X, *_frame_halves(X), DEFAULT_TOL)[1]
+    return _form_check(_as_frame(X), DEFAULT_TOL)[1]
 
 
 def check_frame(X, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -187,8 +210,8 @@ def check_frame(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     The residual is held against ``tol * max(1, ||X||_F^2)``, as in
     ``is_symplectic``.
     """
-    X = np.asarray(X, dtype=float)
-    ok, res, rel = _form_check(X, *_frame_halves(X), tol)
+    X = _as_frame(X)
+    ok, res, rel = _form_check(X, tol)
     if not ok:
         raise DomainError(
             f"not a symplectic frame: residual {res:.3e}, relative to "
@@ -199,14 +222,11 @@ def check_frame(X, tol: float = DEFAULT_TOL) -> np.ndarray:
 def _skew_eigh(R: np.ndarray, vectors: bool):
     """Ascending spectrum of the Hermitian i R^T J R, and its eigenvectors.
 
-    R has 2n rows; with its row halves R_1, R_2, the skew R^T J R is
-    P minus its transpose for P = R_1^T R_2.  Its spectrum pairs up as
+    R has 2n rows; the skew R^T J R is ``_skew(R)``.  Its spectrum pairs up as
     +-delta.  V (only if ``vectors``, else None) holds the unit
     eigenvectors for the upper half of the spectrum, the +delta half.
     """
-    h = R.shape[0] // 2
-    P = R[:h].T @ R[h:]
-    H = 1j * (P - P.T)
+    H = 1j * _skew(R)
     if not vectors:
         return np.linalg.eigvalsh(H), None
     ev, V = np.linalg.eigh(H)
@@ -247,13 +267,14 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
         numerically degenerate on the complement ends there too).
     """
     X = check_frame(X, tol)
-    twon, twok = X.shape
-    n, k = twon // 2, twok // 2
+    n, k = X.shape[0] // 2, X.shape[1] // 2
     if k == n:
         return X.copy()
     m = n - k
 
-    Q = np.eye(twon) + X @ standard_J(k) @ X.T @ standard_J(n)
+    # Q = I + (X J_{2k} X^T) J_{2n}, each J applied as a signed column swap.
+    M = np.hstack([-X[:, k:], X[:, :k]]) @ X.T
+    Q = np.eye(2 * n) + np.hstack([-M[:, n:], M[:, :n]])
     B = np.linalg.svd(Q)[0][:, :2 * m]
     ev, V = _skew_eigh(B, vectors=True)
     Y = _symplectic_basis(B, V, ev[m:])
@@ -279,14 +300,19 @@ def expm_batch(H: np.ndarray) -> np.ndarray:
 
     Scaling-and-squaring with a degree-13 Pade approximant; the scaling
     power is shared across the batch (chosen from the largest 1-norm), so
-    the result is deterministic and batch-order independent.
+    the result is deterministic and batch-order independent.  An empty
+    stack comes back empty; a NaN or inf entry raises DomainError.
     """
     H = np.asarray(H, dtype=float)
+    if H.size == 0:
+        return H.copy()
     squeeze = H.ndim == 2
     if squeeze:
         H = H[None]
     m = H.shape[-1]
     norm = np.abs(H).sum(axis=-2).max(axis=-1).max()
+    if not math.isfinite(norm):
+        raise DomainError("matrix exponential of non-finite entries")
     s = max(0, int(np.ceil(np.log2(norm / _PADE13_THETA)))) if norm > _PADE13_THETA else 0
     A = H / (2.0 ** s)
     b = _PADE13
@@ -305,10 +331,12 @@ def expm_batch(H: np.ndarray) -> np.ndarray:
 
 
 def _exp_hamiltonian(rng, count: int, n: int, spread: float) -> np.ndarray:
-    """``count`` draws of exp(J S) for symmetric Gaussian S of order 2n."""
+    """``count`` draws of exp(J S) for symmetric Gaussian S of order 2n.
+
+    J S is the row blocks [S_2; -S_1] of S, exactly the dense product."""
     S = rng.normal(scale=spread, size=(count, 2 * n, 2 * n))
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    return expm_batch(standard_J(n) @ S)
+    return expm_batch(np.concatenate([S[:, n:], -S[:, :n]], axis=1))
 
 
 def random_symplectic(n: int, seed=0, spread: float = 1.0) -> np.ndarray:

@@ -57,6 +57,14 @@ def test_evaluate_requires_positive(a, b):
         evaluate(geometric_mean(), a, b)
 
 
+@pytest.mark.parametrize("a,b", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
+def test_evaluate_rejects_nan(a, b):
+    with pytest.raises(DomainError, match="strictly positive"):
+        evaluate(geometric_mean(), a, b)
+    with pytest.raises(DomainError, match="strictly positive"):
+        evaluate_pairs(arithmetic_mean(), [2.0, a], [3.0, b])
+
+
 @settings(max_examples=80, deadline=None)
 @given(a=positive, b=positive)
 def test_builtin_axioms_pointwise(a, b):
@@ -232,3 +240,22 @@ def test_power_mean_rejects_nan_exponent():
         power_mean(float("nan"))
     with pytest.raises(DomainError):
         parse_mean("power:nan")
+
+
+def _nan_mean():
+    return custom_mean(lambda a, b: float("nan"))
+
+
+def test_dominance_counts_nan_as_violation():
+    rep = dominates_geometric(_nan_mean(), 50, seed=0)
+    assert not rep.holds
+    a, b, g, m = rep.witness
+    assert g == pytest.approx(np.sqrt(a * b)) and np.isnan(m)
+
+
+def test_validate_axioms_counts_nan_as_violation():
+    rep = validate_mean_axioms(_nan_mean(), 50, seed=0)
+    assert not rep.passed
+    for axiom in (rep.symmetry, rep.homogeneity, rep.monotonicity,
+                  rep.betweenness):
+        assert not axiom.passed and axiom.witness is not None

@@ -268,6 +268,26 @@ def test_kyfan_minimizer_frame_is_columns_of_inverse_transpose():
                 X, np.hstack([V[:, :k], V[:, n:n + k]]))
 
 
+def test_realize_rejects_nan_valued_mean():
+    nan_mean = custom_mean(lambda a, b: float("nan"),
+                           dominates_geometric_claim=True)
+    with pytest.raises(NumericalError, match="^stage 'diag'"):
+        horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], nan_mean)
+
+
+def test_kyfan_minimizer_frame_is_the_block_formula():
+    # [[W22, -W21], [-W12, W11]] with each quadrant cut to its first k columns.
+    for n in (1, 2, 4):
+        A = random_pd(n, seed=n + 7, spread=1.0)
+        W = williamson(A).W
+        W11, W12, W21, W22 = W[:n, :n], W[:n, n:], W[n:, :n], W[n:, n:]
+        for k in range(1, n + 1):
+            want = np.block([[W22[:, :k], -W21[:, :k]],
+                             [-W12[:, :k], W11[:, :k]]])
+            X = kyfan_minimizer(A, k, geometric_mean()).minimizer
+            np.testing.assert_array_equal(X, want)
+
+
 def test_kyfan_minimizer_k_range():
     A = random_pd(2, seed=1)
     with pytest.raises(DomainError):

@@ -3,7 +3,10 @@ import pytest
 import scipy.linalg
 
 from sympectra import DomainError, NumericalError, symplectic
-from sympectra.symplectic import (check_frame, complete_to_symplectic,
+from sympectra.means import geometric_mean
+from sympectra.schur_horn import kyfan_minimizer
+from sympectra.symplectic import (DEFAULT_TOL, _exp_hamiltonian, check_frame,
+                                  complete_to_symplectic,
                                   expanding_sum, expm_batch, frame_residual,
                                   is_symplectic, random_pd, random_symplectic,
                                   s_pinching, standard_J)
@@ -170,6 +173,74 @@ def test_frame_residual_keeps_J_past_square_overflow(a):
     assert is_symplectic(np.diag([a, 1.0 / a])).ok
 
 
+def _dense_form_check(X):
+    """Reference residual and verdict from the dense X^T J X - J."""
+    n, k = X.shape[0] // 2, X.shape[1] // 2
+    res = np.linalg.norm(X.T @ standard_J(n) @ X - standard_J(k))
+    return res, res <= DEFAULT_TOL * max(1.0, np.linalg.norm(X) ** 2)
+
+
+def _form_cases(n):
+    """Random symplectic matrices and frames, Ky Fan frames, and each one
+    perturbed off the group, all of half-order n."""
+    cases = []
+    for seed, spread in ((0, 0.3), (1, 1.0), (2, 2.0)):
+        W = random_symplectic(n, seed=seed, spread=spread)
+        cases += [W, W[:, [0, n]]]
+    A = random_pd(n, seed=n, spread=1.0)
+    for k in sorted({1, max(1, n // 2), n}):
+        cases.append(kyfan_minimizer(A, k, geometric_mean()).minimizer)
+    rng = np.random.default_rng(n)
+    return cases + [X + 1e-3 * rng.normal(size=X.shape) for X in cases]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 64])
+def test_form_check_matches_dense_product(n):
+    eps = np.finfo(float).eps
+    for X in _form_cases(n):
+        want, ok = _dense_form_check(X)
+        bound = 8 * eps * max(1.0, np.linalg.norm(X) ** 2)
+        assert abs(frame_residual(X) - want) <= bound
+        assert (frame_residual(X) <= DEFAULT_TOL * max(
+            1.0, np.linalg.norm(X) ** 2)) == ok
+        if X.shape[0] == X.shape[1]:
+            got = is_symplectic(X)
+            assert abs(got.residual - want) <= bound
+            assert got.ok == ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_form_check_matches_dense_past_2_240(n):
+    # Exact power-of-two scaling takes the per-column branch while the
+    # dense product still fits in range.
+    eps = np.finfo(float).eps
+    for X in _form_cases(n):
+        X = np.ldexp(X, 250)
+        want, ok = _dense_form_check(X)
+        assert abs(frame_residual(X) - want) <= 8 * eps * np.linalg.norm(X) ** 2
+        if X.shape[0] == X.shape[1]:
+            assert is_symplectic(X).ok == ok
+        else:
+            assert (frame_residual(X) <= DEFAULT_TOL * np.linalg.norm(X) ** 2
+                    ) == ok
+
+
+@pytest.mark.parametrize("a", [1.0, 1e5, 2.0 ** 239, 2.0 ** 241, 1e300])
+def test_isotropic_frame_residual_is_exactly_sqrt2(a):
+    X = np.zeros((4, 2))
+    X[0, 0] = X[1, 1] = a  # X^T J X = 0, so the residual is ||J_2||_F
+    assert frame_residual(X) == np.sqrt(2.0)
+
+
+def test_exp_hamiltonian_is_bitwise_the_dense_product():
+    for n, count, spread in ((1, 3, 0.5), (2, 5, 1.0), (4, 4, 2.0)):
+        got = _exp_hamiltonian(np.random.default_rng(11), count, n, spread)
+        rng = np.random.default_rng(11)
+        S = rng.normal(scale=spread, size=(count, 2 * n, 2 * n))
+        S = 0.5 * (S + np.swapaxes(S, -1, -2))
+        np.testing.assert_array_equal(got, expm_batch(standard_J(n) @ S))
+
+
 def test_completion_identity_frame():
     X = np.eye(4)[:, [0, 2]]
     W = complete_to_symplectic(X)
@@ -277,3 +348,19 @@ def test_expm_batch_single_matrix_and_zero():
                                atol=1e-15)
     H = np.array([[0.0, 1.0], [-1.0, 0.0]])
     np.testing.assert_allclose(expm_batch(H), scipy.linalg.expm(H), atol=1e-14)
+
+
+def test_expm_batch_empty_stack():
+    for shape in ((0, 3, 3), (0, 0)):
+        E = expm_batch(np.empty(shape))
+        assert E.shape == shape
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_expm_batch_rejects_non_finite(bad):
+    H = np.zeros((2, 2, 2))
+    H[1, 0, 1] = bad
+    with pytest.raises(DomainError):
+        expm_batch(H)
+    with pytest.raises(DomainError):
+        expm_batch(H[1])
