@@ -9,7 +9,6 @@ property is false, 2 invalid input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import DomainError, NumericalError
@@ -26,19 +25,6 @@ from .symplectic import (DEFAULT_TOL, complete_to_symplectic, expanding_sum,
 __all__ = ["main"]
 
 
-def _resolve_tol(args, default: float = DEFAULT_TOL) -> float:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        env = os.environ.get("SYMPECTRA_TOL")
-        try:
-            tol = default if env is None else float(env)
-        except ValueError as exc:
-            raise DomainError(f"SYMPECTRA_TOL={env!r} is not a number") from exc
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    return float(tol)
-
-
 def _matrix_in(args):
     return parse_matrix(read_input(args.infile))
 
@@ -46,11 +32,11 @@ def _matrix_in(args):
 # Each handler returns its report; ``main`` writes it and exits 1 when the
 # report holds a false "verdict" or a nonzero "violations" count.
 def _cmd_eig(args) -> dict:
-    return {"delta": symplectic_eigenvalues(_matrix_in(args), _resolve_tol(args))}
+    return {"delta": symplectic_eigenvalues(_matrix_in(args), args.tol)}
 
 
 def _cmd_williamson(args) -> dict:
-    fact = williamson(_matrix_in(args), _resolve_tol(args))
+    fact = williamson(_matrix_in(args), args.tol)
     return {"delta": fact.delta, "W": matrix_obj(fact.W),
             "residual": fact.residual}
 
@@ -60,7 +46,7 @@ def _cmd_diag_m(args) -> dict:
 
 
 def _cmd_schur_check(args) -> dict:
-    rep = schur_check(_matrix_in(args), parse_mean(args.mean), _resolve_tol(args))
+    rep = schur_check(_matrix_in(args), parse_mean(args.mean), args.tol)
     return {"verdict": rep.verdict, "diag_m": rep.diag_m,
             "delta": rep.delta, "slacks": rep.report.k_slacks}
 
@@ -68,13 +54,11 @@ def _cmd_schur_check(args) -> dict:
 def _cmd_realize(args) -> dict:
     x = parse_vector(read_input(args.x))
     y = parse_vector(read_input(args.y))
-    return matrix_obj(horn_symplectic_realize(x, y, parse_mean(args.mean),
-                                              _resolve_tol(args)))
+    return matrix_obj(horn_symplectic_realize(x, y, parse_mean(args.mean), args.tol))
 
 
 def _cmd_kyfan_min(args) -> dict:
-    res = kyfan_minimizer(_matrix_in(args), args.k, parse_mean(args.mean),
-                          _resolve_tol(args))
+    res = kyfan_minimizer(_matrix_in(args), args.k, parse_mean(args.mean), args.tol)
     return {"k": res.k, "min_value": res.min_value,
             "delta_partial": res.delta_partial_sum,
             "frame": frame_obj(res.minimizer)}
@@ -82,7 +66,7 @@ def _cmd_kyfan_min(args) -> dict:
 
 def _cmd_kyfan_search(args) -> dict:
     rep = kyfan_search(_matrix_in(args), args.k, parse_mean(args.mean),
-                       budget=args.budget, seed=args.seed, tol=_resolve_tol(args))
+                       budget=args.budget, seed=args.seed, tol=args.tol)
     return {"k": rep.k, "best_value": rep.best_value,
             "delta_partial": rep.delta_partial_sum,
             "violations": rep.violations, "n_samples": rep.n_samples,
@@ -105,14 +89,14 @@ def _cmd_boxplus(args) -> dict:
 
 def _cmd_complete_frame(args) -> dict:
     X = parse_frame(read_input(args.infile))
-    return matrix_obj(complete_to_symplectic(X, _resolve_tol(args)))
+    return matrix_obj(complete_to_symplectic(X, args.tol))
 
 
 def _cmd_major_check(args) -> dict:
     x = parse_vector(read_input(args.x))
     y = parse_vector(read_input(args.y))
     check = majorize if args.kind == "majorize" else weak_supermajorize
-    rep = check(x, y, _resolve_tol(args, default=MAJORIZATION_TOL))
+    rep = check(x, y, args.tol)
     return {"verdict": rep.verdict, "slacks": rep.k_slacks,
             "total_gap": rep.total_gap}
 
@@ -128,8 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "majorization checks, and diagonal realization.",
         epilog="Matrix JSON: {\"n\": <half-order>, \"rows\": [[...], ...]}; "
                "vectors are plain JSON arrays; whitespace text (one row per "
-               "line) is accepted on input. SYMPECTRA_TOL overrides the "
-               "default tolerance when --tol is not given.")
+               "line) is accepted on input.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text):
@@ -144,9 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def opt_in(p, help_text="input matrix path (default stdin)"):
         p.add_argument("--in", dest="infile", default=None, help=help_text)
 
-    def opt_tol(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"tolerance (default {DEFAULT_TOL:g} or SYMPECTRA_TOL)")
+    def opt_tol(p, default=DEFAULT_TOL):
+        p.add_argument("--tol", type=float, default=default,
+                       help=f"tolerance (default {default:g})")
 
     def opt_mean(p):
         p.add_argument("--mean", default="geometric",
@@ -206,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("major-check", _cmd_major_check,
             "majorization comparison of two vectors; exit 1 if false")
-    opt_xy(p); opt_tol(p)
+    opt_xy(p); opt_tol(p, MAJORIZATION_TOL)
     p.add_argument("--kind", choices=("weak-super", "majorize"),
                    default="weak-super",
                    help="preorder to test (default weak-super)")

@@ -11,3 +11,9 @@ class DomainError(SympectraError, ValueError):
 
 class NumericalError(SympectraError, ArithmeticError):
     """A computation could not be completed or failed its own verification."""
+
+
+def _check_tol(tol) -> None:
+    """DomainError unless 0 < tol < inf; verdicts scale tol by a size."""
+    if not 0.0 < tol < float("inf"):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")

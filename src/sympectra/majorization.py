@@ -3,8 +3,8 @@
 Throughout, arrows mean ascending rearrangement: x is weakly
 supermajorized by y when every ascending partial sum of x dominates the
 matching one of y; majorization additionally forces equal totals.  Both
-comparisons are permutation invariant and use an absolute tolerance on
-partial sums scaled by max(1, ||x||_1 + ||y||_1).
+comparisons are permutation invariant and hold the partial sums against
+tol * (||x||_1 + ||y||_1), a tolerance relative to the vectors compared.
 
 The two constructions here feed the symplectic realization machinery:
 ``intermediate_vector`` interpolates a majorized vector below x, and
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _check_tol
 
 __all__ = [
     "MAJORIZATION_TOL",
@@ -53,7 +53,7 @@ class MajorizationReport:
 
     ``k_slacks[k-1]`` is the ascending k-prefix sum of x minus that of y;
     ``total_gap`` is the full-sum difference (the last slack).  The
-    verdict applies ``threshold`` = tol * max(1, ||x||_1 + ||y||_1).
+    verdict applies ``threshold`` = tol * (||x||_1 + ||y||_1).
     """
 
     kind: str
@@ -65,9 +65,10 @@ class MajorizationReport:
 
 def _prefix_slacks(x, y, tol: float) -> tuple[np.ndarray, float]:
     """Ascending prefix-sum slacks of x against y and the verdict threshold."""
+    _check_tol(tol)
     x, y = _pair(x, y)
     slacks = np.cumsum(np.sort(x)) - np.cumsum(np.sort(y))
-    threshold = tol * max(1.0, float(np.abs(x).sum() + np.abs(y).sum()))
+    threshold = tol * float(np.abs(x).sum() + np.abs(y).sum())
     return slacks, threshold
 
 
@@ -201,8 +202,9 @@ def _horn_realize(z: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
 
     ortho = float(np.linalg.norm(U.T @ U - np.eye(n)))
     diag_err = float(np.abs(np.einsum("ij,j,ij->i", U, y, U) - z).max())
-    threshold = tol * max(1.0, float(np.abs(z).sum() + np.abs(y).sum()))
-    if ortho > threshold or diag_err > threshold:
+    # Orthogonality has no units; the diagonal scales with z and y.
+    size = float(np.abs(z).sum() + np.abs(y).sum())
+    if ortho > tol or diag_err > tol * size:
         raise NumericalError(
             "diagonal realization failed verification "
             f"(orthogonality {ortho:.3e}, diagonal error {diag_err:.3e})")

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_tol
 
 __all__ = [
     "MeanSpec",
@@ -199,13 +199,19 @@ def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
     per element."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    shape = a.shape
+    if b.shape != shape:
+        try:
+            shape = np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise DomainError(f"mean arguments of shapes {a.shape} and "
+                              f"{b.shape} do not broadcast") from None
     # Phrased as "not all positive" so that NaN is rejected too.
     if not ((a > 0).all() and (b > 0).all()):
         raise DomainError("mean arguments must be strictly positive")
     try:
         out = np.asarray(mean.evaluator(a, b), dtype=float)
-        if out.shape == (a.shape if a.shape == b.shape
-                         else np.broadcast_shapes(a.shape, b.shape)):
+        if out.shape == shape:
             return out
     except (TypeError, ValueError):
         pass
@@ -265,8 +271,9 @@ def validate_mean_axioms(mean: MeanSpec, sample_budget: int = 10_000,
     betweenness min <= M <= max (including equal-argument pairs, which
     forces M(a,a) = a).  Violations are reported, never raised.
     ``sample_budget`` >= 1 triples are drawn from ``seed``; ``tol`` is the
-    comparison slack, scaled by max(1, |values|).
+    comparison slack relative to the values compared.
     """
+    _check_tol(tol)
     if sample_budget < 1:
         raise DomainError("sample_budget must be >= 1")
     rng = np.random.default_rng(seed)
@@ -284,12 +291,11 @@ def validate_mean_axioms(mean: MeanSpec, sample_budget: int = 10_000,
     m_up_a = evaluate_pairs(mean, a * up, b)
     m_up_b = evaluate_pairs(mean, a, b * up)
 
-    scale = np.maximum(1.0, np.abs(m_ab))
+    scale = np.abs(m_ab)
 
     # Each mask is "not ok", so a NaN value counts as a violation.
     sym_bad = ~(np.abs(m_ab - m_ba) <= tol * scale)
-    hom_bad = ~(np.abs(m_r - r * m_ab)
-                <= tol * np.maximum(1.0, np.abs(r * m_ab)))
+    hom_bad = ~(np.abs(m_r - r * m_ab) <= tol * np.abs(r * m_ab))
     mono_bad = ~((m_up_a >= m_ab - tol * scale)
                  & (m_up_b >= m_ab - tol * scale))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -311,11 +317,12 @@ def validate_mean_axioms(mean: MeanSpec, sample_budget: int = 10_000,
 
 def dominates_geometric(mean: MeanSpec, sample_budget: int = 10_000,
                         seed: int = 0, tol: float = 1e-12) -> DominanceReport:
-    """Sample pairs and test sqrt(a*b) <= M(a,b) + tol on every one.
+    """Sample pairs and test sqrt(a*b) <= M(a,b) + tol sqrt(a*b) on every one.
 
     The witness, when present, is ``(a, b, sqrt(a*b), M(a,b))`` for the
     first sampled violation.
     """
+    _check_tol(tol)
     if sample_budget < 1:
         raise DomainError("sample_budget must be >= 1")
     rng = np.random.default_rng(seed)
@@ -323,7 +330,7 @@ def dominates_geometric(mean: MeanSpec, sample_budget: int = 10_000,
     b = _log_uniform(rng, sample_budget)
     m = evaluate_pairs(mean, a, b)
     g = np.sqrt(a * b)
-    bad = ~(g <= m + tol * np.maximum(1.0, g))  # NaN counts as a violation
+    bad = ~(g <= m + tol * g)  # NaN counts as a violation
     if not bad.any():
         return DominanceReport(True, None, sample_budget)
     return DominanceReport(False, _first_violation(bad, a, b, g, m),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _check_tol
 from .majorization import (MAJORIZATION_TOL, MajorizationReport,
                            _horn_realize, intermediate_vector,
                            weak_supermajorize)
@@ -103,6 +103,7 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     re-verified: each NumericalError starts with ``stage '<name>'``, one
     of 'intermediate', 'givens', 'assemble', 'spectrum' and 'diag'.
     """
+    _check_tol(tol)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     try:
@@ -138,12 +139,12 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     except NumericalError as exc:
         raise NumericalError(f"stage 'spectrum': {exc}") from exc
     err = np.abs(_diag_m(np.diag(A), mean) - x).max()
-    if not err <= tol * max(1.0, float(x.max())):  # NaN fails too
+    if not err <= tol * x.max():  # NaN fails too
         raise NumericalError(
             f"stage 'diag': realized symplectic diagonal off by {err:.3e}")
     ys = np.sort(y)
     err = np.abs(got_d - ys).max()
-    if not err <= tol * max(1.0, float(ys[-1])):
+    if not err <= tol * ys[-1]:
         raise NumericalError(
             f"stage 'spectrum': realized symplectic eigenvalues off by {err:.3e}")
     return A
@@ -160,7 +161,10 @@ class KyFanResult:
 
 
 def kyfan_objective(A, X, mean: MeanSpec) -> float:
-    """sum_{j<=k} M(b_jj, b_{k+j,k+j}) for B = X^T A X over a frame X."""
+    """sum_{j<=k} M(b_jj, b_{k+j,k+j}) for B = X^T A X over a frame X.
+
+    A NaN or out-of-range value raises NumericalError, here and in
+    ``kyfan_minimizer`` and ``kyfan_search``, which score frames alike."""
     A, n = validate_pd(A)
     X = check_frame(X)
     if X.shape[0] != 2 * n:
@@ -170,7 +174,10 @@ def kyfan_objective(A, X, mean: MeanSpec) -> float:
 
 def _objective(A: np.ndarray, X: np.ndarray, mean: MeanSpec):
     """kyfan_objective for a validated A, batched over X's leading axes."""
-    return _diag_m(np.einsum("...il,...il->...l", X, A @ X), mean).sum(-1)
+    out = _diag_m(np.einsum("...il,...il->...l", X, A @ X), mean).sum(-1)
+    if not np.isfinite(out).all():
+        raise NumericalError("Ky Fan objective is not finite")
+    return out
 
 
 def kyfan_minimizer(A, k: int, mean: MeanSpec,
@@ -235,7 +242,7 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     if budget < 1:
         raise DomainError("budget must be >= 1")
     target = float(np.sum(delta[:k]))
-    threshold = tol * max(1.0, abs(target))
+    threshold = tol * target
 
     rng = np.random.default_rng(seed)
     cols = np.concatenate([np.arange(k), n + np.arange(k)])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _check_tol
 from .means import MeanSpec, evaluate_pairs
 from .symplectic import (DEFAULT_TOL, _as_square_even, _pow2_below,
                          _pow2_scale, _skew_eigh, _symplectic_basis,
@@ -109,8 +109,10 @@ def _factor(A, tol: float, vectors: bool, what: str = "matrix"):
     (delta_1 tiny, negative or NaN), or when Cholesky fails, does the
     exact floor check run, before any NumericalError, so every input is
     rejected by the same rule with the same message as ``validate_pd``.
-    Raises NumericalError when the spectrum fails to pair up.
+    Raises NumericalError when the spectrum fails to pair up: delta_1 <=
+    1e3 eps delta_n, or +- halves more than tol delta_n apart.
     """
+    _check_tol(tol)
     A, c, fro = _symmetrized(A, what)
     n = A.shape[0] // 2
     try:
@@ -124,8 +126,8 @@ def _factor(A, tol: float, vectors: bool, what: str = "matrix"):
         _check_definite(A, what)
     if not np.isfinite(ev).all():
         raise NumericalError("eigenvalue pairing failure: non-finite spectrum")
-    # K is normal, so ||K||_2 is its largest eigenvalue modulus.
-    scale = max(1.0, float(ev[-1]))
+    # K is normal, so ||K||_2 is its largest eigenvalue modulus, delta_n.
+    scale = float(ev[-1])
     pair_floor = 1e3 * np.finfo(float).eps * scale
     if ev[n] <= pair_floor:
         raise NumericalError(

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _check_tol
 
 __all__ = [
     "DEFAULT_TOL",
@@ -111,6 +111,7 @@ def _form_check(X: np.ndarray, tol: float) -> tuple[bool, float, float]:
     non-finite residual fails; the relative residual is
     residual / max(1, ||X||_F^2).
     """
+    _check_tol(tol)
     k = X.shape[1] // 2
     m = math.frexp(max(1.0, _pow2_scale(X)))[1] - 1  # c = 2^m
     if m < 240:

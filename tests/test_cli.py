@@ -252,20 +252,36 @@ def test_format_text_matches_json_bit_for_bit(tmp_path, capsys, argv):
         assert np.array(got[key]).tobytes() == val.tobytes(), key
 
 
-def test_tol_env_override(tmp_path, capsys, monkeypatch):
+def test_tol_flag_reaches_the_library(tmp_path, capsys):
+    # x's first prefix sum undercuts y's by 1e-9, against sizes near 6.
+    (tmp_path / "x.json").write_text("[1, 2]\n")
+    (tmp_path / "y.json").write_text("[1.000000001, 2]\n")
+    xy = ("--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"))
+    for tol, want in (("1e-9", 0), ("1e-11", 1), (None, 1)):
+        argv = ("major-check",) + xy + (() if tol is None else ("--tol", tol))
+        code, out, _ = run(capsys, *argv)
+        assert code == want and json.loads(out)["verdict"] is (want == 0), tol
     p = write_matrix(tmp_path, "a.json", np.eye(2))
-    monkeypatch.setenv("SYMPECTRA_TOL", "1e-6")
-    code, out, _ = run(capsys, "eig", "--in", p)
-    assert code == 0 and json.loads(out)["delta"] == [1.0]
+    for bad in ("0", "-1", "nan", "inf"):
+        for argv in (("major-check",) + xy, ("eig", "--in", p)):
+            code, out, err = run(capsys, *argv, f"--tol={bad}")
+            assert code == 2 and out == "", (argv, bad)
+            assert err.startswith("error: tolerance must be positive"), err
 
-    monkeypatch.setenv("SYMPECTRA_TOL", "banana")
-    code, _, err = run(capsys, "eig", "--in", p)
-    assert code == 2 and "SYMPECTRA_TOL" in err
 
-    # explicit flag wins over the env var
-    monkeypatch.setenv("SYMPECTRA_TOL", "-4")
-    code, _, _ = run(capsys, "eig", "--in", p, "--tol", "1e-8")
-    assert code == 0
+def test_major_check_verdicts_do_not_change_under_scaling(tmp_path, capsys):
+    pairs = [([1, 2], [1.000000001, 2]), ([2, 2], [1, 2]), ([1, 3], [2, 2])]
+    for x, y in pairs:
+        for kind in ("weak-super", "majorize"):
+            results = set()
+            for e in (-1000, -40, 0, 40, 1000):
+                (tmp_path / "x.json").write_text(dumps([2.0 ** e * v for v in x]))
+                (tmp_path / "y.json").write_text(dumps([2.0 ** e * v for v in y]))
+                code, out, _ = run(capsys, "major-check", "--kind", kind,
+                                   "--x", str(tmp_path / "x.json"),
+                                   "--y", str(tmp_path / "y.json"))
+                results.add((code, json.loads(out)["verdict"]))
+            assert len(results) == 1, (x, y, kind, results)
 
 
 def test_invalid_input_exit_2(tmp_path, capsys):

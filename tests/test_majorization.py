@@ -51,6 +51,26 @@ def test_reports_carry_kind_and_threshold():
     assert majorize([1.0], [1.0]).kind == "majorize"
 
 
+def test_verdicts_do_not_change_under_power_of_two_scaling():
+    # Slack -1e-9 against sizes near 6: false at 1e-10, true at 1e-9, at
+    # every scale; an absolute floor made it true below 2^-33.
+    rng = np.random.default_rng(7)
+    pairs = [([1.0, 2.0], [1.0 + 1e-9, 2.0]), ([2.0, 2.0], [1.0, 2.0])]
+    pairs += [admissible_pair(rng, n, noise) for n in (1, 3, 5)
+              for noise in (0.0, 1.0)]
+    for x, y in pairs:
+        x, y = np.asarray(x), np.asarray(y)
+        for check in (weak_supermajorize, majorize):
+            for tol in (1e-9, MAJORIZATION_TOL):
+                unit = check(x, y, tol)
+                for e in (-1000, -200, -40, 40, 200, 1000):
+                    rep = check(2.0 ** e * x, 2.0 ** e * y, tol)
+                    assert rep.verdict == unit.verdict, (x, y, e)
+                    assert rep.threshold == 2.0 ** e * unit.threshold
+    assert not weak_supermajorize([1.0, 2.0], [1.0 + 1e-9, 2.0]).verdict
+    assert weak_supermajorize([1.0, 2.0], [1.0 + 1e-9, 2.0], 1e-9).verdict
+
+
 def test_componentwise_domination_implies_weak_super():
     rng = np.random.default_rng(0)
     for _ in range(50):

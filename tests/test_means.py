@@ -152,6 +152,14 @@ def test_evaluate_pairs_propagates_other_evaluator_errors():
                        np.array([3.0, 4.0]))
 
 
+def test_evaluate_pairs_rejects_shapes_that_do_not_broadcast():
+    for mean in (geometric_mean(), custom_mean(lambda a, b: 0.5 * (a + b))):
+        with pytest.raises(DomainError, match=r"\(2,\) and \(3,\)"):
+            evaluate_pairs(mean, [1.0, 2.0], [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(evaluate_pairs(geometric_mean(), [[1.0], [4.0]],
+                                              [1.0, 4.0]), [[1, 2], [2, 4]])
+
+
 def test_validate_axioms_passes_builtins():
     for mean in all_builtins():
         rep = validate_mean_axioms(mean, sample_budget=2000, seed=0)

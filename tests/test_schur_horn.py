@@ -275,6 +275,27 @@ def test_realize_rejects_nan_valued_mean():
         horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], nan_mean)
 
 
+def test_kyfan_calls_reject_nan_valued_mean():
+    nan_mean = custom_mean(lambda a, b: float("nan"),
+                           dominates_geometric_claim=True)
+    A = random_pd(2, seed=1)
+    with pytest.raises(NumericalError, match="not finite"):
+        kyfan_search(A, 1, nan_mean, budget=8)
+    with pytest.raises(NumericalError, match="not finite"):
+        kyfan_minimizer(A, 1, nan_mean)
+    with pytest.raises(NumericalError, match="not finite"):
+        kyfan_objective(A, np.eye(4)[:, [0, 2]], nan_mean)
+
+
+def test_kyfan_objective_out_of_range_raises():
+    # A valid frame whose b_11 = 1e320 a_11 overflows.
+    X = np.zeros((4, 2))
+    X[0, 0], X[2, 1] = 1e160, 1e-160
+    assert frame_residual(X) == 0.0
+    with pytest.raises(NumericalError, match="not finite"):
+        kyfan_objective(random_pd(2, seed=1), X, geometric_mean())
+
+
 def test_kyfan_minimizer_frame_is_the_block_formula():
     # [[W22, -W21], [-W12, W11]] with each quadrant cut to its first k columns.
     for n in (1, 2, 4):

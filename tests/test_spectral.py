@@ -225,13 +225,17 @@ def test_williamson_exactly_degenerate_spectrum():
 
 
 def test_near_singular_input_raises_typed_error():
-    # Relatively singular inputs fail validation, absolutely tiny ones the
-    # pairing floor; whatever is returned instead must be finite.
-    for A in (np.diag([1.0, 1e-15]), 1e-15 * np.eye(4)):
-        with pytest.raises(SympectraError):
-            symplectic_eigenvalues(A)
-        with pytest.raises(SympectraError):
-            williamson(A)
+    # Relatively singular inputs fail validation; absolutely tiny but
+    # well-conditioned ones pass, since every floor is relative to delta_n.
+    # Whatever is returned must be finite.
+    A = np.diag([1.0, 1e-15])
+    with pytest.raises(SympectraError):
+        symplectic_eigenvalues(A)
+    with pytest.raises(SympectraError):
+        williamson(A)
+    A = 1e-15 * np.eye(4)
+    for d in (symplectic_eigenvalues(A), williamson(A).delta):
+        np.testing.assert_allclose(d, [1e-15, 1e-15], rtol=4e-16)
     B = np.random.default_rng(0).normal(size=(4, 3))
     for k in range(6, 18):
         A = B @ B.T + 10.0 ** -k * np.eye(4)

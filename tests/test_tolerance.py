@@ -1,0 +1,149 @@
+"""One tolerance rule: every verdict is relative to the size it checks,
+so answers are homogeneous across the double range, and every public
+``tol`` is checked by the library itself."""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+
+from sympectra import (DomainError, majorization, means, schur_horn, spectral,
+                       symplectic)
+from sympectra.majorization import (horn_realize, intermediate_vector, majorize,
+                                    weak_supermajorize)
+from sympectra.means import (arithmetic_mean, dominates_geometric,
+                             geometric_mean, harmonic_mean, min_mean,
+                             parse_mean, validate_mean_axioms)
+from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
+                                  kyfan_search, schur_check)
+from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
+                                williamson)
+from sympectra.symplectic import (check_frame, complete_to_symplectic,
+                                  is_symplectic, random_pd)
+
+SCALES = [2.0 ** 1000, 2.0 ** -1000, 1e200, 1e-200]
+MEANS = ["geometric", "arithmetic", "harmonic", "min", "max", "power:2"]
+
+
+def admissible_pair(rng, n):
+    """Positive (x, y) with x weakly supermajorized by y."""
+    y = rng.uniform(0.5, 4.0, size=n)
+    x = y[rng.permutation(n)] + rng.uniform(0.0, 1.0, size=n)
+    return x, y
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_spectrum_and_williamson_are_homogeneous(c):
+    for n in (1, 2, 4, 16):
+        A = random_pd(n, seed=n)
+        d = symplectic_eigenvalues(A)
+        np.testing.assert_allclose(symplectic_eigenvalues(c * A) / c, d,
+                                   rtol=1e-13)
+        f = williamson(c * A)
+        np.testing.assert_allclose(f.delta / c, d, rtol=1e-13)
+        assert f.residual <= 1e-12 and is_symplectic(f.W).ok
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_schur_verdicts_are_scale_free(c):
+    # harmonic at n = 2, seed 1 is False at unit scale; an absolute floor
+    # turned it True at 2^-40.
+    seen = set()
+    for n in (1, 2, 3):
+        for seed in range(4):
+            A = random_pd(n, seed=seed)
+            for name in MEANS:
+                mean = parse_mean(name)
+                unit = schur_check(A, mean)
+                got = schur_check(c * A, mean)
+                assert got.verdict == unit.verdict, (n, seed, name)
+                np.testing.assert_allclose(got.report.threshold / c,
+                                           unit.report.threshold, rtol=1e-12)
+                seen.add(unit.verdict)
+    assert seen == {True, False}
+    A = random_pd(2, seed=1)
+    for e in (-40, -200):
+        assert not schur_check(2.0 ** e * A, harmonic_mean()).verdict
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_kyfan_minimum_is_homogeneous(c):
+    for n in (1, 2, 4):
+        A = random_pd(n, seed=10 + n)
+        for k in range(1, n + 1):
+            for mean in (geometric_mean(), arithmetic_mean(), min_mean()):
+                unit = kyfan_minimizer(A, k, mean)
+                got = kyfan_minimizer(c * A, k, mean)
+                np.testing.assert_allclose(got.min_value / c, unit.min_value,
+                                           rtol=1e-13)
+                np.testing.assert_allclose(got.delta_partial_sum / c,
+                                           unit.delta_partial_sum, rtol=1e-13)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_realization_round_trips_at_every_scale(c):
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 4):
+        x, y = admissible_pair(rng, n)
+        for name in MEANS:
+            mean = parse_mean(name)
+            A = horn_symplectic_realize(c * x, c * y, mean)
+            np.testing.assert_allclose(symplectic_diag(A, mean) / c, x,
+                                       rtol=1e-9)
+            np.testing.assert_allclose(symplectic_eigenvalues(A) / c,
+                                       np.sort(y), rtol=1e-9)
+
+
+def test_realization_at_tiny_scale_returns_the_matrix():
+    # Its 'spectrum' stage used to fail on the absolute pairing floor.
+    x, y = [2e-200, 3e-200], [1e-200, 2e-200]
+    A = horn_symplectic_realize(x, y, arithmetic_mean())
+    np.testing.assert_allclose(symplectic_diag(A, arithmetic_mean()), x,
+                               rtol=1e-12)
+    np.testing.assert_allclose(symplectic_eigenvalues(A), y, rtol=1e-12)
+
+
+# Every public function that takes ``tol``, with arguments valid otherwise.
+_A = random_pd(2, seed=0)
+_X = np.eye(4)[:, [0, 2]]
+TOL_CALLS = {
+    "symplectic_eigenvalues": lambda tol: symplectic_eigenvalues(_A, tol),
+    "williamson": lambda tol: williamson(_A, tol),
+    "schur_check": lambda tol: schur_check(_A, geometric_mean(), tol),
+    "horn_symplectic_realize": lambda tol: horn_symplectic_realize(
+        [2.0, 2.0], [1.0, 2.0], geometric_mean(), tol),
+    "kyfan_minimizer": lambda tol: kyfan_minimizer(_A, 1, geometric_mean(), tol),
+    "kyfan_search": lambda tol: kyfan_search(_A, 1, geometric_mean(), budget=8,
+                                             tol=tol),
+    "weak_supermajorize": lambda tol: weak_supermajorize([2.0, 2.0], [1.0, 2.0], tol),
+    "majorize": lambda tol: majorize([1.5, 1.5], [1.0, 2.0], tol),
+    "intermediate_vector": lambda tol: intermediate_vector([2.0, 2.0], [1.0, 2.0], tol),
+    "horn_realize": lambda tol: horn_realize([1.5, 1.5], [1.0, 2.0], tol),
+    "is_symplectic": lambda tol: is_symplectic(np.eye(4), tol),
+    "check_frame": lambda tol: check_frame(_X, tol),
+    "complete_to_symplectic": lambda tol: complete_to_symplectic(_X, tol),
+    "validate_mean_axioms": lambda tol: validate_mean_axioms(
+        geometric_mean(), 50, tol=tol),
+    "dominates_geometric": lambda tol: dominates_geometric(
+        geometric_mean(), 50, tol=tol),
+}
+
+
+def test_tol_calls_cover_every_public_tol():
+    takes_tol = set()
+    for module in (majorization, means, schur_horn, spectral, symplectic):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if (inspect.isfunction(obj)
+                    and "tol" in inspect.signature(obj).parameters):
+                takes_tol.add(name)
+    assert takes_tol == set(TOL_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(TOL_CALLS))
+def test_every_public_tol_is_checked(name):
+    TOL_CALLS[name](1e-8)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            TOL_CALLS[name](bad)
