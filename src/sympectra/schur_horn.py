@@ -29,7 +29,8 @@ from .majorization import (MAJORIZATION_TOL, MajorizationReport,
                            weak_supermajorize)
 from .means import MeanSpec
 from .spectral import _delta, _diag_m, _williamson, validate_pd
-from .symplectic import DEFAULT_TOL, _exp_hamiltonian, check_frame
+from .symplectic import (DEFAULT_TOL, _as_square_even, _euler_frames,
+                         _pow2_scale, check_frame)
 
 __all__ = [
     "SchurCheckReport",
@@ -42,8 +43,9 @@ __all__ = [
     "kyfan_search",
 ]
 
-# Spread sweep for randomized frame sampling: near-identity through
-# far-field regions of the (non-compact) symplectic group.
+# Spreads of the Euler-form frames, one per quartile of a search's budget:
+# near-identity rotations and squeezes e^r with |r| ~ 0.1 out to far-field
+# frames with |r| ~ 2.
 _SEARCH_SPREADS = (0.1, 0.5, 1.0, 2.0)
 
 
@@ -227,15 +229,22 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
                  tol: float = DEFAULT_TOL) -> KyFanSearchReport:
     """Sample random symplectic frames and scan the objective for violations.
 
-    Each sample takes columns (1..k, n+1..n+k) of exp(J S) for symmetric
-    Gaussian S, then right-multiplies by an independent order-2k factor
-    of the same form; both steps preserve the frame property, and both
-    use ``random_symplectic``'s sampler.  Each frame is scored with
-    ``kyfan_objective``'s formula.  The spread of S sweeps over quartiles
-    of the budget, covering near-identity and far-field frames.
+    Each sample is an Euler-form frame O(U) (e^r oplus e^-r) O(V), from
+    the sampler behind ``random_symplectic``, and is scored with
+    ``kyfan_objective``'s formula.  The spread of U, V and r sweeps over
+    quartiles of the budget, covering near-identity and far-field frames.
+    The search runs on A / c for the largest power of two c <= max |a_ij|
+    and multiplies the values it reports back by c, so they are exactly
+    homogeneous, and in range whenever the minimum is.
     Deterministic in ``seed``.
     """
-    A, delta = _delta(A, tol)
+    A, _ = _as_square_even(A)
+    c = _pow2_scale(A)
+    try:
+        A, delta = _delta(A / c, tol)
+    except DomainError:
+        validate_pd(A)  # the same rejection, with A's own figures
+        raise
     n = delta.shape[0]
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
@@ -245,8 +254,6 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     threshold = tol * target
 
     rng = np.random.default_rng(seed)
-    cols = np.concatenate([np.arange(k), n + np.arange(k)])
-
     counts = [budget // 4 + (i < budget % 4) for i in range(4)]
 
     best_value = np.inf
@@ -256,9 +263,7 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     for spread, count in zip(_SEARCH_SPREADS, counts):
         if count == 0:
             continue
-        # Keep Ws bound: freeing it before the second draw churns the allocator.
-        Ws = _exp_hamiltonian(rng, count, n, spread)
-        Xs = Ws[:, :, cols] @ _exp_hamiltonian(rng, count, k, spread)
+        Xs = _euler_frames(rng, count, n, k, spread)
         objectives = _objective(A, Xs, mean)
         total += count
         violations += int(np.sum(objectives < target - threshold))
@@ -267,6 +272,7 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
             best_value = float(objectives[i])
             best_frame = Xs[i]
 
-    return KyFanSearchReport(k=k, best_value=best_value, best_frame=best_frame,
-                             violations=violations, n_samples=total,
-                             delta_partial_sum=target, threshold=threshold)
+    return KyFanSearchReport(k=k, best_value=c * best_value,
+                             best_frame=best_frame, violations=violations,
+                             n_samples=total, delta_partial_sum=c * target,
+                             threshold=c * threshold)

@@ -35,7 +35,6 @@ __all__ = [
     "complete_to_symplectic",
     "random_symplectic",
     "random_pd",
-    "expm_batch",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -287,79 +286,56 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     return W
 
 
-# Pade-13 coefficients for the scaling-and-squaring matrix exponential.
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_PADE13_THETA = 4.25
+def _unitaries(rng, count: int, n: int, k: int, spread: float) -> np.ndarray:
+    """``count`` n-by-k isometries: the first k columns of a unitary.
 
-
-def expm_batch(H: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a stack of small square matrices.
-
-    Scaling-and-squaring with a degree-13 Pade approximant; the scaling
-    power is shared across the batch (chosen from the largest 1-norm), so
-    the result is deterministic and batch-order independent.  An empty
-    stack comes back empty; a NaN or inf entry raises DomainError.
+    Each is the Q factor of the first k columns of I + spread Z, Z complex
+    Gaussian, with its phases fixed so that R has a positive diagonal;
+    spread -> 0 gives the first k columns of I.
     """
-    H = np.asarray(H, dtype=float)
-    if H.size == 0:
-        return H.copy()
-    squeeze = H.ndim == 2
-    if squeeze:
-        H = H[None]
-    m = H.shape[-1]
-    norm = np.abs(H).sum(axis=-2).max(axis=-1).max()
-    if not math.isfinite(norm):
-        raise DomainError("matrix exponential of non-finite entries")
-    s = max(0, int(np.ceil(np.log2(norm / _PADE13_THETA)))) if norm > _PADE13_THETA else 0
-    A = H / (2.0 ** s)
-    b = _PADE13
-    eye = np.broadcast_to(np.eye(m), A.shape)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    Uu = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    Vv = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    E = np.linalg.solve(Vv - Uu, Vv + Uu)
-    for _ in range(s):
-        E = E @ E
-    return E[0] if squeeze else E
+    Z = rng.normal(scale=spread, size=(2, count, n, k))
+    M = Z[0] + 1j * Z[1]
+    M[:, :k] += np.eye(k)
+    Q, R = np.linalg.qr(M)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[:, None, :]
 
 
-def _exp_hamiltonian(rng, count: int, n: int, spread: float) -> np.ndarray:
-    """``count`` draws of exp(J S) for symmetric Gaussian S of order 2n.
+def _euler_frames(rng, count: int, n: int, k: int,
+                  spread: float) -> np.ndarray:
+    """``count`` random symplectic frames X = O(U) (e^r oplus e^-r) O(V).
 
-    J S is the row blocks [S_2; -S_1] of S, exactly the dense product."""
-    S = rng.normal(scale=spread, size=(count, 2 * n, 2 * n))
-    S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    return expm_batch(np.concatenate([S[:, n:], -S[:, :n]], axis=1))
+    The Euler (Bloch-Messiah) form: O(U) = [[Re U, -Im U], [Im U, Re U]]
+    is orthogonal and symplectic for a unitary U, and O(V) an orthonormal
+    2n-by-2k frame for an n-by-k isometry V; every frame has this form.
+    U, r ~ N(0, spread^2) and V are drawn in that order, U and V by
+    ``_unitaries``; each factor is exact to rounding at every spread.
+    O(U) [Y_1; Y_2] is [Re P; Im P] for P = U (Y_1 + i Y_2), so no O(.)
+    is formed.
+    """
+    U = _unitaries(rng, count, n, n, spread)
+    r = rng.normal(scale=spread, size=(count, n, 1))
+    V = _unitaries(rng, count, n, k, spread)
+    up, down = np.exp(r), np.exp(-r)
+    P = U @ np.concatenate([up * V.real + 1j * (down * V.imag),
+                            -up * V.imag + 1j * (down * V.real)], axis=-1)
+    return np.concatenate([P.real, P.imag], axis=-2)
 
 
 def random_symplectic(n: int, seed=0, spread: float = 1.0) -> np.ndarray:
     """Seeded random symplectic matrix of order 2n.
 
-    Construction: exp(J S) with S symmetric Gaussian (entries scaled by
-    ``spread``), composed with a shear [[I, 0], [Z, I]] for symmetric
-    Gaussian Z.  The exponential covers the compact directions of the
-    group, the shear the non-compact ones; spread -> 0 collapses to the
-    identity.
+    Construction: the Euler form O(U) (e^r oplus e^-r) O(V) with unitaries
+    U, V the phase-fixed Q factors of I + spread Z for complex Gaussian Z,
+    and r ~ N(0, spread^2).  Its singular values are exactly e^{+-r_j}
+    up to rounding, so they pair up at every spread; spread -> 0
+    collapses to the identity.
     """
     if n < 1:
         raise DomainError("half-order n must be >= 1")
     if not spread > 0:
         raise DomainError("spread must be positive")
-    rng = np.random.default_rng(seed)
-    W = _exp_hamiltonian(rng, 1, n, spread)[0]
-    Z = rng.normal(scale=spread, size=(n, n))
-    Z = 0.5 * (Z + Z.T)
-    shear = np.eye(2 * n)
-    shear[n:, :n] = Z
-    return W @ shear
+    return _euler_frames(np.random.default_rng(seed), 1, n, n, spread)[0]
 
 
 def random_pd(n: int, seed=0, spread: float = 1.0) -> np.ndarray:

@@ -5,9 +5,9 @@ import scipy.linalg
 from sympectra import DomainError, NumericalError, symplectic
 from sympectra.means import geometric_mean
 from sympectra.schur_horn import kyfan_minimizer
-from sympectra.symplectic import (DEFAULT_TOL, _exp_hamiltonian, check_frame,
+from sympectra.symplectic import (DEFAULT_TOL, check_frame,
                                   complete_to_symplectic,
-                                  expanding_sum, expm_batch, frame_residual,
+                                  expanding_sum, frame_residual,
                                   is_symplectic, random_pd, random_symplectic,
                                   s_pinching, standard_J)
 
@@ -232,15 +232,6 @@ def test_isotropic_frame_residual_is_exactly_sqrt2(a):
     assert frame_residual(X) == np.sqrt(2.0)
 
 
-def test_exp_hamiltonian_is_bitwise_the_dense_product():
-    for n, count, spread in ((1, 3, 0.5), (2, 5, 1.0), (4, 4, 2.0)):
-        got = _exp_hamiltonian(np.random.default_rng(11), count, n, spread)
-        rng = np.random.default_rng(11)
-        S = rng.normal(scale=spread, size=(count, 2 * n, 2 * n))
-        S = 0.5 * (S + np.swapaxes(S, -1, -2))
-        np.testing.assert_array_equal(got, expm_batch(standard_J(n) @ S))
-
-
 def test_completion_identity_frame():
     X = np.eye(4)[:, [0, 2]]
     W = complete_to_symplectic(X)
@@ -281,6 +272,32 @@ def test_completion_far_field_frames():
                 np.testing.assert_array_equal(W[:, cols], X)
 
 
+def _euler_matrix(rng, r):
+    """O(U) (e^r oplus e^-r) O(V) for Haar-like unitaries U, V."""
+    n = r.shape[0]
+
+    def orthosymplectic():
+        U = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        return np.block([[U.real, -U.imag], [U.imag, U.real]])
+
+    return orthosymplectic() @ np.diag(np.exp(np.r_[r, -r])) @ orthosymplectic()
+
+
+def test_completion_far_field_euler_frames():
+    # Squeezes up to e^26: ||W||_F^2 > 1e20 and the columns are nearly
+    # parallel, far past what random_symplectic draws.
+    rng = np.random.default_rng(0)
+    for n in (16, 32, 64):
+        W0 = _euler_matrix(rng, np.linspace(-26.0, 26.0, n))
+        assert np.linalg.norm(W0) ** 2 >= 1e20
+        for k in (1, n // 2, n - 1):
+            cols = list(range(k)) + list(range(n, n + k))
+            X = W0[:, cols]
+            W = complete_to_symplectic(X)
+            assert is_symplectic(W).ok, (n, k)
+            np.testing.assert_array_equal(W[:, cols], X)
+
+
 def test_completion_rejects_non_frame():
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
@@ -310,6 +327,16 @@ def test_random_symplectic_residual_sweep():
         assert is_symplectic(W, 1e-8).ok
 
 
+def test_random_symplectic_singular_values_pair_up():
+    # Singular values of a symplectic matrix come in pairs sigma, 1/sigma.
+    for n in (1, 4, 16, 64):
+        for spread in (0.5, 1.0, 3.0):
+            for seed in range(5):
+                W = random_symplectic(n, seed=seed, spread=spread)
+                s = np.linalg.svd(W, compute_uv=False)
+                assert np.abs(np.log(s * s[::-1])).max() <= 1e-8, (n, spread, seed)
+
+
 def test_random_symplectic_small_spread_near_identity():
     W = random_symplectic(4, seed=0, spread=1e-9)
     assert np.linalg.norm(W - np.eye(8)) < 1e-7
@@ -332,35 +359,3 @@ def test_random_pd_spread_controls_conditioning():
     wide = np.linalg.cond(random_pd(4, seed=3, spread=3.0))
     assert tight <= np.exp(0.2) + 1e-9
     assert wide > tight
-
-
-def test_expm_batch_matches_scipy():
-    rng = np.random.default_rng(7)
-    H = rng.normal(scale=2.0, size=(6, 4, 4))  # 1-norms beyond theta: squaring path
-    E = expm_batch(H)
-    for i in range(H.shape[0]):
-        np.testing.assert_allclose(E[i], scipy.linalg.expm(H[i]),
-                                   rtol=1e-12, atol=1e-12)
-
-
-def test_expm_batch_single_matrix_and_zero():
-    np.testing.assert_allclose(expm_batch(np.zeros((3, 3))), np.eye(3),
-                               atol=1e-15)
-    H = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_allclose(expm_batch(H), scipy.linalg.expm(H), atol=1e-14)
-
-
-def test_expm_batch_empty_stack():
-    for shape in ((0, 3, 3), (0, 0)):
-        E = expm_batch(np.empty(shape))
-        assert E.shape == shape
-
-
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_expm_batch_rejects_non_finite(bad):
-    H = np.zeros((2, 2, 2))
-    H[1, 0, 1] = bad
-    with pytest.raises(DomainError):
-        expm_batch(H)
-    with pytest.raises(DomainError):
-        expm_batch(H[1])

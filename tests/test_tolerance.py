@@ -81,6 +81,20 @@ def test_kyfan_minimum_is_homogeneous(c):
                                            unit.delta_partial_sum, rtol=1e-13)
 
 
+@pytest.mark.parametrize("e", [-1000, 996, 1016])
+def test_kyfan_search_is_exactly_homogeneous(e):
+    # The search runs on A / c for a power of two c, so scaling A by 2^e
+    # scales its values exactly and leaves the frames bit for bit; at
+    # 2^996 the far-field objectives of A itself overflow.
+    A = random_pd(4, seed=0)
+    unit = kyfan_search(A, 2, geometric_mean(), budget=2000)
+    got = kyfan_search(2.0 ** e * A, 2, geometric_mean(), budget=2000)
+    assert unit.violations == got.violations == 0
+    assert got.best_value == 2.0 ** e * unit.best_value
+    assert got.delta_partial_sum == 2.0 ** e * unit.delta_partial_sum
+    np.testing.assert_array_equal(got.best_frame, unit.best_frame)
+
+
 @pytest.mark.parametrize("c", SCALES)
 def test_realization_round_trips_at_every_scale(c):
     rng = np.random.default_rng(5)
