@@ -12,9 +12,8 @@ from .majorization import (MAJORIZATION_TOL, MajorizationReport, horn_realize,
                            intermediate_vector, majorize, weak_supermajorize)
 from .means import (DominanceReport, MeanSpec, ValidationReport,
                     arithmetic_mean, custom_mean, dominates_geometric,
-                    evaluate, evaluate_pairs, geometric_mean, harmonic_mean,
-                    max_mean, min_mean, parse_mean, power_mean,
-                    validate_mean_axioms)
+                    evaluate_pairs, geometric_mean, harmonic_mean, max_mean,
+                    min_mean, parse_mean, power_mean, validate_mean_axioms)
 from .schur_horn import (KyFanResult, KyFanSearchReport, SchurCheckReport,
                          horn_symplectic_realize, kyfan_minimizer,
                          kyfan_objective, kyfan_search, schur_check)
@@ -31,7 +30,7 @@ __all__ = [
     "SympectraError", "DomainError", "NumericalError",
     "MeanSpec", "arithmetic_mean", "geometric_mean", "harmonic_mean",
     "min_mean", "max_mean", "power_mean", "custom_mean", "parse_mean",
-    "evaluate", "evaluate_pairs", "validate_mean_axioms",
+    "evaluate_pairs", "validate_mean_axioms",
     "dominates_geometric", "ValidationReport", "DominanceReport",
     "DEFAULT_TOL", "standard_J", "is_symplectic", "expanding_sum",
     "s_pinching", "frame_residual", "complete_to_symplectic",

@@ -32,7 +32,6 @@ __all__ = [
     "power_mean",
     "custom_mean",
     "parse_mean",
-    "evaluate",
     "evaluate_pairs",
     "validate_mean_axioms",
     "dominates_geometric",
@@ -63,9 +62,6 @@ class MeanSpec:
         if self.kind == "power":
             return f"power:{self.exponent:g}"
         return self.kind
-
-    def __call__(self, a, b):
-        return evaluate(self, a, b)
 
     @cached_property
     def _dominates_geometric(self) -> bool:
@@ -179,18 +175,6 @@ def parse_mean(spec: str) -> MeanSpec:
             raise DomainError(f"bad power mean exponent in {spec!r}") from exc
     raise DomainError(
         f"unknown mean {spec!r}; expected arithmetic|geometric|harmonic|min|max|power:<float>")
-
-
-def evaluate(mean: MeanSpec, a, b):
-    """M(a, b) for positive inputs: a float for scalars, else an array.
-
-    Raises
-    ------
-    DomainError
-        If any input is not strictly positive.
-    """
-    out = evaluate_pairs(mean, a, b)
-    return float(out) if out.ndim == 0 else out
 
 
 def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:

@@ -28,9 +28,9 @@ from .majorization import (MAJORIZATION_TOL, MajorizationReport,
                            _horn_realize, intermediate_vector,
                            weak_supermajorize)
 from .means import MeanSpec
-from .spectral import _delta, _diag_m, _williamson, validate_pd
-from .symplectic import (DEFAULT_TOL, _as_square_even, _euler_frames,
-                         _pow2_scale, check_frame)
+from .spectral import (_check_definite, _delta, _diag_m, _in_units,
+                       _symmetrized, _williamson)
+from .symplectic import DEFAULT_TOL, _euler_frames, check_frame
 
 __all__ = [
     "SchurCheckReport",
@@ -75,8 +75,9 @@ def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport
     one; otherwise a 2000-pair ``dominates_geometric`` sample (seed 0),
     taken on the first call with that ``MeanSpec`` and kept on it.
     """
-    A, delta = _delta(A, tol)
-    dm = _diag_m(np.diag(A), mean)
+    U, c, delta = _delta(A, tol)
+    delta = _in_units(c, delta)
+    dm = _diag_m(c * np.diag(U), mean)  # A's own diagonal
     rep = weak_supermajorize(dm, delta, tol)
     return SchurCheckReport(diag_m=dm, delta=delta, report=rep,
                             mean_dominates_geometric=mean._dominates_geometric)
@@ -134,8 +135,10 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     T[n:, n:] += s[:, None] * s
     A = (T.reshape(2, n, 2, n) * C[:, None, :]).reshape(2 * n, 2 * n)
 
+    # A is exactly symmetric (T and C are), so it is the matrix verified.
     try:
-        A, got_d = _delta(A, tol, "realized matrix")
+        _, c, got_d = _delta(A, tol, "realized matrix")
+        got_d = _in_units(c, got_d)
     except DomainError as exc:
         raise NumericalError(f"stage 'assemble': {exc}") from exc
     except NumericalError as exc:
@@ -165,18 +168,22 @@ class KyFanResult:
 def kyfan_objective(A, X, mean: MeanSpec) -> float:
     """sum_{j<=k} M(b_jj, b_{k+j,k+j}) for B = X^T A X over a frame X.
 
-    A NaN or out-of-range value raises NumericalError, here and in
-    ``kyfan_minimizer`` and ``kyfan_search``, which score frames alike."""
-    A, n = validate_pd(A)
+    Scored as c times the sum for the unit form U = A / c of
+    ``validate_pd``, c a power of two, which equals the sum for A itself
+    for every homogeneous mean.  ``kyfan_minimizer`` and ``kyfan_search``
+    score frames the same way.  A NaN or out-of-range value raises
+    NumericalError."""
+    U, c, _ = _symmetrized(A, "matrix")
+    _check_definite(U, c, "matrix")
     X = check_frame(X)
-    if X.shape[0] != 2 * n:
-        raise DomainError(f"frame has {X.shape[0]} rows, expected {2 * n}")
-    return float(_objective(A, X, mean))
+    if X.shape[0] != U.shape[0]:
+        raise DomainError(f"frame has {X.shape[0]} rows, expected {U.shape[0]}")
+    return float(_in_units(c, _objective(U, X, mean), "Ky Fan value"))
 
 
-def _objective(A: np.ndarray, X: np.ndarray, mean: MeanSpec):
-    """kyfan_objective for a validated A, batched over X's leading axes."""
-    out = _diag_m(np.einsum("...il,...il->...l", X, A @ X), mean).sum(-1)
+def _objective(U: np.ndarray, X: np.ndarray, mean: MeanSpec):
+    """kyfan_objective on a unit form U, unscaled, batched over X's leading axes."""
+    out = _diag_m(np.einsum("...il,...il->...l", X, U @ X), mean).sum(-1)
     if not np.isfinite(out).all():
         raise NumericalError("Ky Fan objective is not finite")
     return out
@@ -191,9 +198,11 @@ def kyfan_minimizer(A, k: int, mean: MeanSpec,
     form a frame whose objective is sum_{j<=k} M(delta_j, delta_j),
     which every mean collapses to the partial eigenvalue sum.  For
     W = [[W11, W12], [W21, W22]], V = [[W22, -W21], [-W12, W11]] exactly,
-    so the frame is read off W's quadrants.
+    so the frame is read off W's quadrants.  W is that of A's unit form,
+    so the frame is the same for every power-of-two multiple of A, and the
+    value is scored as in ``kyfan_objective``.
     """
-    A, fact = _williamson(A, tol)
+    U, c, fact = _williamson(A, tol)
     n = fact.n
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
@@ -202,7 +211,7 @@ def kyfan_minimizer(A, k: int, mean: MeanSpec,
     X[:n, :k], X[:n, k:] = W[n:, n:n + k], -W[n:, :k]
     X[n:, :k], X[n:, k:] = -W[:n, n:n + k], W[:n, :k]
     X = check_frame(X, tol)
-    value = float(_objective(A, X, mean))
+    value = float(_in_units(c, _objective(U, X, mean), "Ky Fan value"))
     return KyFanResult(k=k, minimizer=X, min_value=value,
                        delta_partial_sum=float(fact.delta[:k].sum()))
 
@@ -233,18 +242,11 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     the sampler behind ``random_symplectic``, and is scored with
     ``kyfan_objective``'s formula.  The spread of U, V and r sweeps over
     quartiles of the budget, covering near-identity and far-field frames.
-    The search runs on A / c for the largest power of two c <= max |a_ij|
-    and multiplies the values it reports back by c, so they are exactly
-    homogeneous, and in range whenever the minimum is.
-    Deterministic in ``seed``.
+    Frames are drawn and compared on A's unit form, so the frames are the
+    same for every power-of-two multiple of A; only the reported values
+    are scaled back.  Deterministic in ``seed``.
     """
-    A, _ = _as_square_even(A)
-    c = _pow2_scale(A)
-    try:
-        A, delta = _delta(A / c, tol)
-    except DomainError:
-        validate_pd(A)  # the same rejection, with A's own figures
-        raise
+    U, c, delta = _delta(A, tol)
     n = delta.shape[0]
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
@@ -264,7 +266,7 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
         if count == 0:
             continue
         Xs = _euler_frames(rng, count, n, k, spread)
-        objectives = _objective(A, Xs, mean)
+        objectives = _objective(U, Xs, mean)
         total += count
         violations += int(np.sum(objectives < target - threshold))
         i = int(np.argmin(objectives))
@@ -272,7 +274,7 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
             best_value = float(objectives[i])
             best_frame = Xs[i]
 
-    return KyFanSearchReport(k=k, best_value=c * best_value,
+    return KyFanSearchReport(k=k, best_value=_in_units(c, best_value, "Ky Fan value"),
                              best_frame=best_frame, violations=violations,
-                             n_samples=total, delta_partial_sum=c * target,
+                             n_samples=total, delta_partial_sum=_in_units(c, target),
                              threshold=c * threshold)

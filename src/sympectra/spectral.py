@@ -6,14 +6,16 @@ symplectic eigenvalues: the moduli of the eigenvalues of J A, which come
 in conjugate pairs +-i delta_j.  They are invariant under symplectic
 congruence and additive (as multisets) over the expanding sum.
 
-The numerical route is one Cholesky factorization A = R R^T and one
-Hermitian eigensolve per call: K = R^T J R is exactly skew-symmetric and
-similar to the non-normal J A, so the Hermitian matrix iK has the real
-eigenvalues +-delta_j, and its eigenvectors for +delta give W.  The
-definiteness floor needs no eigensolve of A on that route: Ky Fan's
-minimum principle at k = 1 bounds lambda_min / lambda_max below by
-delta_1^2 / ||A||_F^2, so a delta_1 well clear of the floor certifies it.
-Only inputs whose delta_1 fails that test run the exact eigvalsh check.
+Every call works on the unit form U = A / c, c the largest power of two
+<= max |a_ij|; delta(A) = c delta(U) and W is U's.  The numerical route
+is one Cholesky factorization U = R R^T and one Hermitian eigensolve per
+call: K = R^T J R is exactly skew-symmetric and similar to the
+non-normal J U, so the Hermitian matrix iK has the real eigenvalues
++-delta_j, and its eigenvectors for +delta give W.  The definiteness
+floor needs no eigensolve of U on that route: Ky Fan's minimum principle
+at k = 1 bounds lambda_min / lambda_max below by delta_1^2 / ||U||_F^2,
+so a delta_1 well clear of the floor certifies it.  Only inputs whose
+delta_1 fails that test run the exact eigvalsh check.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, _check_tol
 from .means import MeanSpec, evaluate_pairs
 from .symplectic import (DEFAULT_TOL, _as_square_even, _pow2_below,
-                         _pow2_scale, _skew_eigh, _symplectic_basis,
-                         is_symplectic)
+                         _skew_eigh, _symplectic_basis, is_symplectic)
 
 __all__ = [
     "WilliamsonFactorization",
@@ -49,9 +50,11 @@ _CERT_FLOOR = math.sqrt(100.0 * _PD_TOL)
 def _symmetrized(A, what: str) -> tuple[np.ndarray, float, float]:
     """The shape, finiteness and symmetry checks of ``validate_pd``.
 
-    Returns the symmetrized array, the power of two c = _pow2_scale(A)
-    and ||A / c||_F.  One max |a_ij| gives both c and finiteness: it is
-    NaN or inf exactly when an entry is.
+    Returns the unit form U = sym(A) / c for the largest power of two
+    c <= max |a_ij| (1 for A = 0), c and ||A / c||_F.  One max |a_ij|
+    gives both c and finiteness: it is NaN or inf exactly when an entry
+    is.  Dividing by c is exact, so U is the same for every power-of-two
+    multiple of A, and nothing computed from it overflows.
     """
     A, _ = _as_square_even(A, what)
     amax = float(np.abs(A).max())
@@ -64,16 +67,24 @@ def _symmetrized(A, what: str) -> tuple[np.ndarray, float, float]:
     if asym > _ASYM_TOL * scale:
         raise DomainError(
             f"{what} is not symmetric: ||A - A^T|| / ||A|| = {asym / scale:.3e}")
-    return 0.5 * A + 0.5 * A.T, c, scale
+    return 0.5 * unit + 0.5 * unit.T, c, scale
 
 
-def _check_definite(A: np.ndarray, what: str) -> None:
-    """The exact definiteness floor lambda_min > 1e-13 lambda_max (one eigvalsh)."""
-    evals = np.linalg.eigvalsh(A)
+def _check_definite(U: np.ndarray, c: float, what: str) -> None:
+    """The exact floor lambda_min > 1e-13 lambda_max on U; reports c U's."""
+    evals = np.linalg.eigvalsh(U)
     if evals[0] <= _PD_TOL * max(evals[-1], 0.0) or evals[0] <= 0.0:
         raise DomainError(
-            f"{what} is not positive definite "
-            f"(eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])")
+            f"{what} is not positive definite (eigenvalue range "
+            f"[{float(evals[0]) * c:.3e}, {float(evals[-1]) * c:.3e}])")
+
+
+def _in_units(c: float, x, what: str = "symplectic spectrum"):
+    """c x, U's answer x in A's units; NumericalError where it overflows."""
+    if not math.isfinite(c * float(np.abs(x).max())):  # exact: c is 2^m
+        raise NumericalError(
+            f"{what} is out of range: it overflows at the input's scale")
+    return c * x
 
 
 def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:
@@ -86,25 +97,25 @@ def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:
 
     Returns the symmetrized array and the half-order n.
     """
-    A, _, _ = _symmetrized(A, what)
-    _check_definite(A, what)
-    return A, A.shape[0] // 2
+    U, c, _ = _symmetrized(A, what)
+    _check_definite(U, c, what)
+    return c * U, U.shape[0] // 2
 
 
 def _factor(A, tol: float, vectors: bool, what: str = "matrix"):
-    """Validate and factor A: (symmetrized A, delta ascending, R, V).
+    """Validate A and factor its unit form: (U, c, delta ascending, R, V).
 
-    A = R R^T, and K = R^T J R is skew and similar to J A, so iK is
-    Hermitian with eigenvalues +-delta; V (only if ``vectors``) holds its
-    unit eigenvectors for +delta.
+    A = c U as in ``_symmetrized``; U = R R^T, and K = R^T J R is skew
+    and similar to J U, so iK is Hermitian with eigenvalues +-delta; V
+    (only if ``vectors``) holds its unit eigenvectors for +delta.
 
     Input checks and verdicts are those of ``validate_pd``, but the
     definiteness floor is usually certified by delta_1 instead of an
-    eigvalsh of A.  Ky Fan's minimum principle at k = 1 with the geometric
+    eigvalsh of U.  Ky Fan's minimum principle at k = 1 with the geometric
     mean, over the frame [u, -Ju] for the unit eigenvector u of lambda_min,
-    gives delta_1 <= sqrt(lambda_min (Ju)^T A (Ju)) <= sqrt(lambda_min
-    lambda_max), so lambda_min / lambda_max >= delta_1^2 / ||A||_F^2.
-    delta_1 / c > sqrt(100 * 1e-13) ||A / c||_F therefore clears the floor
+    gives delta_1 <= sqrt(lambda_min (Ju)^T U (Ju)) <= sqrt(lambda_min
+    lambda_max), so lambda_min / lambda_max >= delta_1^2 / ||U||_F^2.
+    delta_1 > sqrt(100 * 1e-13) ||U||_F therefore clears the floor
     with a factor 100 to spare for rounding.  Only when that test fails
     (delta_1 tiny, negative or NaN), or when Cholesky fails, does the
     exact floor check run, before any NumericalError, so every input is
@@ -113,48 +124,48 @@ def _factor(A, tol: float, vectors: bool, what: str = "matrix"):
     1e3 eps delta_n, or +- halves more than tol delta_n apart.
     """
     _check_tol(tol)
-    A, c, fro = _symmetrized(A, what)
-    n = A.shape[0] // 2
+    U, c, fro = _symmetrized(A, what)
+    n = U.shape[0] // 2
     try:
-        R = np.linalg.cholesky(A)
+        R = np.linalg.cholesky(U)
     except np.linalg.LinAlgError as exc:
-        _check_definite(A, what)
+        _check_definite(U, c, what)
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
     ev, V = _skew_eigh(R, vectors)
     # delta_1 itself, not its square, so a NaN or negative value falls through.
-    if not ev[n] / c > _CERT_FLOOR * fro:
-        _check_definite(A, what)
+    if not ev[n] > _CERT_FLOOR * fro:
+        _check_definite(U, c, what)
     if not np.isfinite(ev).all():
         raise NumericalError("eigenvalue pairing failure: non-finite spectrum")
     # K is normal, so ||K||_2 is its largest eigenvalue modulus, delta_n.
     scale = float(ev[-1])
-    pair_floor = 1e3 * np.finfo(float).eps * scale
-    if ev[n] <= pair_floor:
+    pair_floor = 1e3 * np.finfo(float).eps
+    if ev[n] <= pair_floor * scale:
         raise NumericalError(
-            f"eigenvalue pairing failure: smallest positive eigenvalue {ev[n]:.3e} "
-            f"is below the floor {pair_floor:.3e} (matrix numerically singular?)")
+            f"eigenvalue pairing failure: delta_1 / delta_n = {ev[n] / scale:.3e}"
+            f" is below {pair_floor:.3e} (matrix numerically singular?)")
     mirror = float(np.abs(ev[n:] + ev[n - 1::-1]).max())
     if mirror > tol * scale:
-        raise NumericalError(
-            f"eigenvalue pairing failure: +- halves differ by {mirror:.3e}, "
-            f"exceeding {tol:.1e} * {scale:.3e}")
-    return A, ev[n:], R, V
+        raise NumericalError(f"eigenvalue pairing failure: +- halves differ by "
+                             f"{mirror / scale:.3e} delta_n, exceeding {tol:.1e}")
+    return U, c, ev[n:], R, V
 
 
-def _delta(A, tol: float, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """The validated, symmetrized A and its symplectic eigenvalues."""
-    A, delta, _, _ = _factor(A, tol, vectors=False, what=what)
-    return A, delta
+def _delta(A, tol: float, what: str = "matrix"):
+    """A's unit form U, its scale c and U's symplectic eigenvalues."""
+    U, c, delta, _, _ = _factor(A, tol, vectors=False, what=what)
+    return U, c, delta
 
 
 def symplectic_eigenvalues(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ascending symplectic eigenvalues of a positive definite matrix.
 
     These are the moduli of the eigenvalues of J A, one per conjugate
-    pair +-i delta_j; computed as the positive eigenvalues of the
-    Hermitian iK for K = R^T J R and the Cholesky factor A = R R^T.
+    pair +-i delta_j; computed as c times the positive eigenvalues of the
+    Hermitian iK for K = R^T J R and the Cholesky factor A / c = R R^T.
     """
-    return _delta(A, tol)[1]
+    _, c, delta = _delta(A, tol)
+    return _in_units(c, delta)
 
 
 @dataclass(frozen=True)
@@ -185,13 +196,11 @@ def _reconstruct(W: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return (W * d) @ W.T
 
 
-def _williamson(A, tol: float) -> tuple[np.ndarray, WilliamsonFactorization]:
-    """The validated, symmetrized A and its Williamson factorization."""
-    A, delta, R, V = _factor(A, tol, vectors=True)
+def _williamson(A, tol: float):
+    """U, c and A's Williamson factorization: W is U's, delta is c D."""
+    U, c, delta, R, V = _factor(A, tol, vectors=True)
     W = _symplectic_basis(R, V, delta)
-    c = _pow2_scale(A)
-    rec = float(np.linalg.norm((A - _reconstruct(W, delta)) / c)
-                / np.linalg.norm(A / c))
+    rec = float(np.linalg.norm(U - _reconstruct(W, delta)) / np.linalg.norm(U))
     if not rec <= tol:
         raise NumericalError(
             f"Williamson reconstruction residual {rec:.3e} exceeds {tol:.1e}")
@@ -199,21 +208,20 @@ def _williamson(A, tol: float) -> tuple[np.ndarray, WilliamsonFactorization]:
     if not ok:
         raise NumericalError(
             f"Williamson factor failed symplecticity (residual {symp_res:.3e})")
-    return A, WilliamsonFactorization(W=W, delta=delta, residual=rec,
-                                      symplectic_residual=symp_res)
+    return U, c, WilliamsonFactorization(W, _in_units(c, delta), rec, symp_res)
 
 
 def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
     """Williamson normal form of a positive definite matrix.
 
-    With A = R R^T and v = u + i w the unit eigenvectors of iK for +delta,
-    K = R^T J R, the matrix L = sqrt(2) [w u] is orthogonal with
-    L^T K L = [[0, D], [-D, 0]].  The factor W = R L (D^{-1/2} oplus
-    D^{-1/2}) then satisfies both A = W (D oplus D) W^T (since L L^T = I)
-    and W^T J W = J (since the inner congruence collapses to J).  Both
-    contracts are verified before returning.
+    With U = A / c = R R^T and v = u + i w the unit eigenvectors of iK
+    for +delta, K = R^T J R, the matrix L = sqrt(2) [w u] is orthogonal
+    with L^T K L = [[0, D], [-D, 0]].  The factor W = R L (D^{-1/2} oplus
+    D^{-1/2}) then satisfies both U = W (D oplus D) W^T (since L L^T = I)
+    and W^T J W = J (since the inner congruence collapses to J), both
+    verified before returning; A's delta is c D.
     """
-    return _williamson(A, tol)[1]
+    return _williamson(A, tol)[2]
 
 
 def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:

@@ -144,6 +144,15 @@ def test_kyfan_search_deterministic_bytes(tmp_path, capsys):
     assert obj["violations"] == 0 and obj["n_samples"] == 400
 
 
+def test_kyfan_search_out_of_range_exit_3(tmp_path, capsys):
+    # Its values overflow in A's units: no "inf" on stdout, which JSON lacks.
+    p = write_matrix(tmp_path, "a.json", 2.0 ** 1023 * random_pd(2, seed=0))
+    code, out, err = run(capsys, "kyfan-search", "--in", p, "--k", "2",
+                         "--budget", "400", "--mean", "arithmetic")
+    assert code == 3 and out == ""
+    assert "out of range" in err
+
+
 def test_pinch(tmp_path, capsys):
     A = random_pd(3, seed=2)
     p = write_matrix(tmp_path, "a.json", A)

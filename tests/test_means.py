@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sympectra import DomainError
 from sympectra.means import (arithmetic_mean, custom_mean, dominates_geometric,
-                             evaluate, evaluate_pairs, geometric_mean,
+                             evaluate_pairs, geometric_mean,
                              harmonic_mean, max_mean, min_mean, parse_mean,
                              power_mean, validate_mean_axioms)
 
@@ -29,11 +29,11 @@ def test_parse_builtin_names():
 def test_parse_power_grammar():
     m = parse_mean("power:2")
     assert m.name == "power:2"
-    assert evaluate(m, 2.0, 8.0) == pytest.approx(np.sqrt(34.0))
+    assert evaluate_pairs(m, 2.0, 8.0) == pytest.approx(np.sqrt(34.0))
     assert parse_mean("power:-1.5").exponent == -1.5
     # exponent zero is the geometric mean
     m0 = parse_mean("power:0")
-    assert evaluate(m0, 2.0, 8.0) == pytest.approx(4.0)
+    assert evaluate_pairs(m0, 2.0, 8.0) == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("bad", ["", "quadratic", "power:", "power:abc",
@@ -44,23 +44,23 @@ def test_parse_rejects_garbage(bad):
 
 
 def test_evaluate_known_values():
-    assert evaluate(arithmetic_mean(), 2.0, 8.0) == 5.0
-    assert evaluate(geometric_mean(), 2.0, 8.0) == pytest.approx(4.0)
-    assert evaluate(harmonic_mean(), 2.0, 8.0) == pytest.approx(3.2)
-    assert evaluate(min_mean(), 2.0, 8.0) == 2.0
-    assert evaluate(max_mean(), 2.0, 8.0) == 8.0
+    assert evaluate_pairs(arithmetic_mean(), 2.0, 8.0) == 5.0
+    assert evaluate_pairs(geometric_mean(), 2.0, 8.0) == pytest.approx(4.0)
+    assert evaluate_pairs(harmonic_mean(), 2.0, 8.0) == pytest.approx(3.2)
+    assert evaluate_pairs(min_mean(), 2.0, 8.0) == 2.0
+    assert evaluate_pairs(max_mean(), 2.0, 8.0) == 8.0
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0)])
 def test_evaluate_requires_positive(a, b):
     with pytest.raises(DomainError):
-        evaluate(geometric_mean(), a, b)
+        evaluate_pairs(geometric_mean(), a, b)
 
 
 @pytest.mark.parametrize("a,b", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
 def test_evaluate_rejects_nan(a, b):
     with pytest.raises(DomainError, match="strictly positive"):
-        evaluate(geometric_mean(), a, b)
+        evaluate_pairs(geometric_mean(), a, b)
     with pytest.raises(DomainError, match="strictly positive"):
         evaluate_pairs(arithmetic_mean(), [2.0, a], [3.0, b])
 
@@ -69,25 +69,25 @@ def test_evaluate_rejects_nan(a, b):
 @given(a=positive, b=positive)
 def test_builtin_axioms_pointwise(a, b):
     for mean in all_builtins():
-        m = evaluate(mean, a, b)
-        assert m == pytest.approx(evaluate(mean, b, a))          # symmetry
+        m = evaluate_pairs(mean, a, b)
+        assert m == pytest.approx(evaluate_pairs(mean, b, a))  # symmetry
         lo, hi = min(a, b), max(a, b)
         assert lo - 1e-12 * hi <= m <= hi * (1 + 1e-12)          # betweenness
         c = 3.7
-        assert evaluate(mean, c * a, c * b) == pytest.approx(c * m)
+        assert evaluate_pairs(mean, c * a, c * b) == pytest.approx(c * m)
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=positive, b=positive, shift=st.floats(min_value=0, max_value=10))
 def test_builtin_monotonicity(a, b, shift):
     for mean in all_builtins():
-        assert evaluate(mean, a + shift, b) >= evaluate(mean, a, b) - 1e-12
+        assert evaluate_pairs(mean, a + shift, b) >= evaluate_pairs(mean, a, b) - 1e-12
 
 
 def test_equal_arguments_fixed_point():
     for mean in all_builtins():
         for a in (1e-3, 1.0, 37.5, 1e3):
-            assert evaluate(mean, a, a) == pytest.approx(a, rel=1e-14)
+            assert evaluate_pairs(mean, a, a) == pytest.approx(a, rel=1e-14)
 
 
 def test_power_means_increase_with_exponent():
@@ -95,15 +95,15 @@ def test_power_means_increase_with_exponent():
     ps = [-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 5.0]
     for _ in range(50):
         a, b = rng.uniform(0.01, 100.0, size=2)
-        vals = [evaluate(power_mean(p), a, b) for p in ps]
+        vals = [evaluate_pairs(power_mean(p), a, b) for p in ps]
         assert np.all(np.diff(vals) >= -1e-10 * max(a, b))
 
 
 def test_power_mean_extreme_exponent_no_overflow():
     # Factoring out the dominant argument keeps a^p finite.
-    v = evaluate(power_mean(200.0), 1e3, 1e-3)
+    v = evaluate_pairs(power_mean(200.0), 1e3, 1e-3)
     assert np.isfinite(v) and v == pytest.approx(1e3 * 0.5 ** (1 / 200.0))
-    v = evaluate(power_mean(-200.0), 1e3, 1e-3)
+    v = evaluate_pairs(power_mean(-200.0), 1e3, 1e-3)
     assert np.isfinite(v) and v == pytest.approx(1e-3 * 0.5 ** (-1 / 200.0))
 
 
@@ -113,7 +113,7 @@ def test_evaluate_pairs_matches_scalar_loop():
     b = rng.uniform(0.1, 10.0, 40)
     for mean in all_builtins():
         vec = evaluate_pairs(mean, a, b)
-        ref = np.array([evaluate(mean, ai, bi) for ai, bi in zip(a, b)])
+        ref = np.array([evaluate_pairs(mean, ai, bi) for ai, bi in zip(a, b)])
         np.testing.assert_allclose(vec, ref, rtol=1e-15)
 
 
@@ -223,11 +223,6 @@ def test_dominance_claims_annotated():
     assert power_mean(3.0).dominates_geometric_claim is True
     assert power_mean(-0.5).dominates_geometric_claim is False
     assert custom_mean(lambda a, b: a).dominates_geometric_claim is None
-
-
-def test_mean_is_callable():
-    m = geometric_mean()
-    assert m(2.0, 8.0) == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("c", [2.0 ** 1000, 2.0 ** -1000, 1e200, 1e-200])

@@ -296,6 +296,21 @@ def test_kyfan_objective_out_of_range_raises():
         kyfan_objective(random_pd(2, seed=1), X, geometric_mean())
 
 
+@pytest.mark.parametrize("name", ["arithmetic", "geometric", "harmonic", "min",
+                                  "max", "power:2", "custom"])
+def test_kyfan_calls_score_frames_one_way(name):
+    # The custom mean is not homogeneous, so it tells scoring on A from
+    # scoring on A's unit form: every call must use the same one.
+    mean = (custom_mean(lambda a, b: 0.5 * a + 0.5 * b + 1.0,
+                        dominates_geometric_claim=True)
+            if name == "custom" else parse_mean(name))
+    A = 8.0 * random_pd(4, seed=0)
+    rep = kyfan_search(A, 2, mean, budget=400)
+    assert rep.best_value == kyfan_objective(A, rep.best_frame, mean)
+    res = kyfan_minimizer(A, 2, mean)
+    assert res.min_value == kyfan_objective(A, res.minimizer, mean)
+
+
 def test_kyfan_minimizer_frame_is_the_block_formula():
     # [[W22, -W21], [-W12, W11]] with each quadrant cut to its first k columns.
     for n in (1, 2, 4):

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from sympectra import (DomainError, majorization, means, schur_horn, spectral,
-                       symplectic)
+from sympectra import (DomainError, NumericalError, majorization, means,
+                       schur_horn, spectral, symplectic)
 from sympectra.majorization import (horn_realize, intermediate_vector, majorize,
                                     weak_supermajorize)
 from sympectra.means import (arithmetic_mean, dominates_geometric,
@@ -23,6 +23,8 @@ from sympectra.symplectic import (check_frame, complete_to_symplectic,
                                   is_symplectic, random_pd)
 
 SCALES = [2.0 ** 1000, 2.0 ** -1000, 1e200, 1e-200]
+# Exponents e of the exact cases c = 2^e.
+EXPONENTS = [-1001, -301, -3, 1, 7, 299, 1001]
 MEANS = ["geometric", "arithmetic", "harmonic", "min", "max", "power:2"]
 
 
@@ -33,9 +35,13 @@ def admissible_pair(rng, n):
     return x, y
 
 
-@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("c", SCALES + [2.0 ** e for e in EXPONENTS])
 def test_spectrum_and_williamson_are_homogeneous(c):
-    for n in (1, 2, 4, 16):
+    # A power of two c leaves A's unit form as it is, so every answer
+    # scales by exactly c and every frame is the same bit for bit.
+    exact = math.frexp(c)[0] == 0.5
+    mean = geometric_mean()
+    for n in (1, 2, 3, 4, 8, 16):
         A = random_pd(n, seed=n)
         d = symplectic_eigenvalues(A)
         np.testing.assert_allclose(symplectic_eigenvalues(c * A) / c, d,
@@ -43,6 +49,22 @@ def test_spectrum_and_williamson_are_homogeneous(c):
         f = williamson(c * A)
         np.testing.assert_allclose(f.delta / c, d, rtol=1e-13)
         assert f.residual <= 1e-12 and is_symplectic(f.W).ok
+        if not exact:
+            continue
+        np.testing.assert_array_equal(symplectic_eigenvalues(c * A), c * d)
+        np.testing.assert_array_equal(schur_check(c * A, mean).delta, c * d)
+        np.testing.assert_array_equal(f.W, williamson(A).W)
+        k = (n + 1) // 2
+        unit = kyfan_minimizer(A, k, mean)
+        got = kyfan_minimizer(c * A, k, mean)
+        assert got.min_value == c * unit.min_value
+        assert got.delta_partial_sum == c * unit.delta_partial_sum
+        np.testing.assert_array_equal(got.minimizer, unit.minimizer)
+        unit = kyfan_search(A, k, mean, budget=64, seed=n)
+        got = kyfan_search(c * A, k, mean, budget=64, seed=n)
+        assert got.best_value == c * unit.best_value
+        assert got.delta_partial_sum == c * unit.delta_partial_sum
+        np.testing.assert_array_equal(got.best_frame, unit.best_frame)
 
 
 @pytest.mark.parametrize("c", SCALES)
@@ -93,6 +115,22 @@ def test_kyfan_search_is_exactly_homogeneous(e):
     assert got.best_value == 2.0 ** e * unit.best_value
     assert got.delta_partial_sum == 2.0 ** e * unit.delta_partial_sum
     np.testing.assert_array_equal(got.best_frame, unit.best_frame)
+
+
+def test_out_of_range_answers_raise():
+    # The unit-scale answers are finite; in A's units they overflow.
+    A = 2.0 ** 1023 * random_pd(2, seed=0)
+    with pytest.raises(NumericalError, match="Ky Fan value is out of range"):
+        kyfan_search(A, 2, arithmetic_mean(), budget=400)
+    with pytest.raises(NumericalError, match="Ky Fan value is out of range"):
+        kyfan_minimizer(A, 2, arithmetic_mean())
+    A0 = random_pd(4, seed=0, spread=1.5)
+    A = 1.99 * 2.0 ** 1023 * (A0 / np.abs(A0).max())
+    for call in (symplectic_eigenvalues, williamson,
+                 lambda A: schur_check(A, arithmetic_mean())):
+        with pytest.raises(NumericalError,
+                           match="symplectic spectrum is out of range"):
+            call(A)
 
 
 @pytest.mark.parametrize("c", SCALES)
