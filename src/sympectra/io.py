@@ -2,10 +2,14 @@
 
 Canonical format is JSON: a matrix is {"n": <half-order>, "rows": [...]}
 with 2n rows of 2n floats, a vector is a plain array, frames add a "k"
-field.  A whitespace text form (one row per line) is accepted on input
-as a convenience.  Floats are emitted with 17 significant digits so
-parse(emit(x)) restores x bit for bit, and emission is byte
-deterministic for fixed inputs.
+field.  Every input is read by one grammar (``_read``): a JSON array, a
+JSON object whose "rows" is a non-empty list of lists, or whitespace
+text with one row per line (commas count as blanks, and a single line
+is a 1-d array).  A vector's text may break its numbers over lines.
+What a matrix or a frame is (shape, finite entries) is the library's
+own check; a vector must be 1-d, non-empty and finite.  Floats are
+emitted with 17 significant digits so parse(emit(x)) restores x bit for
+bit, and emission is byte deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError
+from .symplectic import _as_frame, _as_square_even
 
 __all__ = [
     "fmt_float",
@@ -77,93 +82,61 @@ def frame_obj(X) -> dict:
     return {"n": X.shape[0] // 2, "k": X.shape[1] // 2, "rows": X.tolist()}
 
 
-def _rows_from_text(text: str) -> list[list[float]]:
-    rows = []
-    for line in text.splitlines():
-        line = line.replace(",", " ").strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise DomainError(f"unparseable text row: {line!r}") from exc
-    return rows
+def _read(text: str, what: str) -> np.ndarray:
+    """The float array that ``text`` spells in the module's grammar.
 
-
-def _rows_from_any(text: str, what: str) -> list[list[float]]:
+    An object's "rows" must number 2n when it declares "n".  The format
+    is all that is decided here: shape and finiteness are the caller's.
+    """
     text = text.strip()
     if not text:
         raise DomainError(f"empty {what} input")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
-        return _rows_from_text(text)
+        try:
+            obj = [[float(tok) for tok in line.split()]
+                   for line in text.replace(",", " ").splitlines() if line.strip()]
+        except ValueError as exc:
+            raise DomainError(f"unparseable {what} text: {exc}") from exc
+        obj = obj[0] if len(obj) == 1 else obj
     if isinstance(obj, dict):
-        if "rows" not in obj:
-            raise DomainError(f"{what} JSON object needs a \"rows\" field")
-        rows = obj["rows"]
-        if "n" in obj and isinstance(rows, list) and len(rows) != 2 * obj["n"]:
+        rows = obj.get("rows")
+        if not (isinstance(rows, list) and rows
+                and all(isinstance(r, list) for r in rows)):
+            raise DomainError(f"{what} JSON object needs a \"rows\" field "
+                              "holding a non-empty list of lists")
+        # Compared as n != rows / 2, which cannot raise for any JSON value.
+        if "n" in obj and obj["n"] != len(rows) / 2:
             raise DomainError(
                 f"{what} declares n={obj['n']} but has {len(rows)} rows")
-    elif isinstance(obj, list):
-        rows = obj
-    else:
+        obj = rows
+    elif not isinstance(obj, list):
         raise DomainError(f"{what} JSON must be an object or an array")
-    if not (isinstance(rows, list) and rows
-            and all(isinstance(r, list) for r in rows)):
-        raise DomainError(f"{what} rows must be a non-empty list of lists")
-    return rows
-
-
-def _to_array(rows: list[list[float]], what: str) -> np.ndarray:
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DomainError(f"{what} rows have inconsistent lengths {sorted(widths)}")
     try:
-        M = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{what} entries must be numbers") from exc
-    if not np.all(np.isfinite(M)):
-        raise DomainError(f"{what} has non-finite entries")
-    return M
+        return np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(
+            f"{what} entries must be numbers in double range, in rows "
+            "of one length") from exc
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Square matrix of even order from JSON or whitespace text."""
-    M = _to_array(_rows_from_any(text, "matrix"), "matrix")
-    if M.shape[0] != M.shape[1] or M.shape[0] % 2:
-        raise DomainError(f"matrix must be square of even order, got {M.shape}")
-    return M
+    """Square matrix of even order with finite entries, JSON or text."""
+    return _as_square_even(_read(text, "matrix"), "matrix")[0]
 
 
 def parse_frame(text: str) -> np.ndarray:
-    """2n-by-2k frame matrix from JSON or whitespace text."""
-    X = _to_array(_rows_from_any(text, "frame"), "frame")
-    if X.shape[0] % 2 or X.shape[1] % 2 or X.shape[1] > X.shape[0]:
-        raise DomainError(f"frame must be 2n-by-2k with k <= n, got {X.shape}")
-    return X
+    """Finite 2n-by-2k frame matrix with k <= n, JSON or text."""
+    return _as_frame(_read(text, "frame"))
 
 
 def parse_vector(text: str) -> np.ndarray:
-    """1-d vector from a JSON array or whitespace-separated text."""
-    text = text.strip()
-    if not text:
-        raise DomainError("empty vector input")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        try:
-            obj = [float(tok) for tok in text.split()]
-        except ValueError as exc:
-            raise DomainError(f"unparseable vector text: {text!r}") from exc
-    if not isinstance(obj, list) or not obj:
-        raise DomainError("vector JSON must be a non-empty array")
-    try:
-        v = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError("vector entries must be numbers") from exc
-    if v.ndim != 1 or not np.all(np.isfinite(v)):
-        raise DomainError("vector must be 1-d with finite entries")
+    """Non-empty finite 1-d vector: a JSON array, or numbers in any layout."""
+    v = _read(text.replace("\n", " "), "vector")
+    if v.ndim != 1 or not v.size or not np.isfinite(v).all():
+        raise DomainError(
+            "vector must be a non-empty array, 1-d with finite entries")
     return v
 
 

@@ -244,7 +244,8 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     quartiles of the budget, covering near-identity and far-field frames.
     Frames are drawn and compared on A's unit form, so the frames are the
     same for every power-of-two multiple of A; only the reported values
-    are scaled back.  Deterministic in ``seed``.
+    are scaled back.  ``threshold`` is a tolerance, not an answer, so it is
+    c times the unit one with no range check.  Deterministic in ``seed``.
     """
     U, c, delta = _delta(A, tol)
     n = delta.shape[0]

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, _check_tol
 from .means import MeanSpec, evaluate_pairs
-from .symplectic import (DEFAULT_TOL, _as_square_even, _pow2_below,
-                         _skew_eigh, _symplectic_basis, is_symplectic)
+from .symplectic import (DEFAULT_TOL, _as_square_even, _form_check,
+                         _pow2_scale, _skew_eigh, _symplectic_basis)
 
 __all__ = [
     "WilliamsonFactorization",
@@ -51,16 +51,12 @@ def _symmetrized(A, what: str) -> tuple[np.ndarray, float, float]:
     """The shape, finiteness and symmetry checks of ``validate_pd``.
 
     Returns the unit form U = sym(A) / c for the largest power of two
-    c <= max |a_ij| (1 for A = 0), c and ||A / c||_F.  One max |a_ij|
-    gives both c and finiteness: it is NaN or inf exactly when an entry
-    is.  Dividing by c is exact, so U is the same for every power-of-two
-    multiple of A, and nothing computed from it overflows.
+    c <= max |a_ij| (1 for A = 0), c and ||A / c||_F.  Dividing by c is
+    exact, so U is the same for every power-of-two multiple of A, and
+    nothing computed from it overflows.
     """
     A, _ = _as_square_even(A, what)
-    amax = float(np.abs(A).max())
-    if not math.isfinite(amax):
-        raise DomainError(f"{what} has non-finite entries")
-    c = _pow2_below(amax)
+    c = _pow2_scale(A)
     unit = A / c
     scale = float(np.linalg.norm(unit))
     asym = float(np.linalg.norm(unit - unit.T))
@@ -80,10 +76,16 @@ def _check_definite(U: np.ndarray, c: float, what: str) -> None:
 
 
 def _in_units(c: float, x, what: str = "symplectic spectrum"):
-    """c x, U's answer x in A's units; NumericalError where it overflows."""
+    """c x, U's answer x in A's units; NumericalError where it overflows or
+    c min |x| falls below the normal range.  A zero answer is exact and kept
+    (x is positive or a scalar)."""
     if not math.isfinite(c * float(np.abs(x).max())):  # exact: c is 2^m
         raise NumericalError(
             f"{what} is out of range: it overflows at the input's scale")
+    lo = float(np.abs(x).min())
+    if lo and c * lo < np.finfo(float).tiny:
+        raise NumericalError(
+            f"{what} is out of range: it underflows at the input's scale")
     return c * x
 
 
@@ -204,7 +206,7 @@ def _williamson(A, tol: float):
     if not rec <= tol:
         raise NumericalError(
             f"Williamson reconstruction residual {rec:.3e} exceeds {tol:.1e}")
-    ok, symp_res = is_symplectic(W, tol)
+    ok, symp_res, _ = _form_check(W, tol)
     if not ok:
         raise NumericalError(
             f"Williamson factor failed symplecticity (residual {symp_res:.3e})")

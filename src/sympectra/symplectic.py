@@ -41,11 +41,12 @@ DEFAULT_TOL = 1e-8
 
 
 def _as_square_even(M, what: str = "matrix") -> tuple[np.ndarray, int]:
+    """(M, n) for M square of order 2n >= 2 and finite, else DomainError."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError(f"{what} must be square, got shape {M.shape}")
-    if M.shape[0] % 2 != 0 or M.shape[0] == 0:
-        raise DomainError(f"{what} must have positive even order, got {M.shape[0]}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 or not M.size:
+        raise DomainError(f"{what} must be square of even order, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise DomainError(f"{what} has non-finite entries")
     return M, M.shape[0] // 2
 
 
@@ -70,11 +71,7 @@ def _pow2_scale(A: np.ndarray) -> float:
     Frobenius norms of A divided by it cannot overflow, and dividing by a
     power of two is exact, so relative norms keep every bit.
     """
-    return _pow2_below(float(np.abs(A).max()))
-
-
-def _pow2_below(amax: float) -> float:
-    """``_pow2_scale`` from a precomputed max |a_ij|."""
+    amax = float(np.abs(A).max())
     return math.ldexp(1.0, math.frexp(amax)[1] - 1) if amax > 0 else 1.0
 
 
@@ -143,7 +140,7 @@ def is_symplectic(W, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     The verdict compares the residual against ``tol * max(1, ||W||_F^2)``,
     matching the quadratic scaling of the defect in W; it is taken after
     an exact power-of-two rescaling, so it holds past the overflow of
-    ||W||_F^2.
+    ||W||_F^2.  A W with a non-finite entry raises DomainError.
     """
     W, _ = _as_square_even(W)
     ok, residual, _ = _form_check(W, tol)
@@ -189,18 +186,22 @@ def s_pinching(A, partition: Sequence[int]) -> np.ndarray:
 
 
 def _as_frame(X) -> np.ndarray:
-    """X as a float array, checked to be 2n-by-2k with 1 <= k <= n."""
+    """X as a float array, checked to be finite and 2n-by-2k, 1 <= k <= n."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] % 2 or X.shape[1] % 2 or X.shape[1] == 0:
-        raise DomainError(f"frame must be 2n-by-2k, got shape {X.shape}")
-    n, k = X.shape[0] // 2, X.shape[1] // 2
-    if k > n:
-        raise DomainError(f"frame width 2k={2 * k} exceeds order 2n={2 * n}")
+    if (X.ndim != 2 or X.shape[0] % 2 or X.shape[1] % 2
+            or not 0 < X.shape[1] <= X.shape[0]):
+        raise DomainError(
+            f"frame must be 2n-by-2k with 1 <= k <= n, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise DomainError("frame has non-finite entries")
     return X
 
 
 def frame_residual(X) -> float:
-    """Frobenius norm of X^T J_{2n} X - J_{2k} for a 2n-by-2k matrix."""
+    """Frobenius norm of X^T J_{2n} X - J_{2k} for a 2n-by-2k matrix.
+
+    A non-finite X raises DomainError.
+    """
     return _form_check(_as_frame(X), DEFAULT_TOL)[1]
 
 
@@ -279,7 +280,7 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     ev, V = _skew_eigh(B, vectors=True)
     Y = _symplectic_basis(B, V, ev[m:])
     W = np.hstack([X[:, :k], Y[:, :m], X[:, k:], Y[:, m:]])
-    ok, res = is_symplectic(W, tol)
+    ok, res, _ = _form_check(W, tol)
     if not ok:
         raise NumericalError(
             f"symplectic completion failed verification (residual {res:.3e})")

@@ -293,6 +293,16 @@ def test_major_check_verdicts_do_not_change_under_scaling(tmp_path, capsys):
             assert len(results) == 1, (x, y, kind, results)
 
 
+# Malformed matrices, frames and vectors; every one must exit 2.
+BAD_MATRICES = ["", "1 2\n3\n", '{"rows": "nope"}', "1 two\n3 4\n",
+                '{"n": 2, "rows": [[1, 0], [0, 1]]}', '{"k": 1}', "3",
+                '[["a", 1], [1, 1]]', "[[1e999, 0], [0, 1]]",
+                "1 0 0\n0 1 0\n0 0 1", "[[1, 0, 0], [0, 1, 0]]",
+                "[[NaN, 0], [0, 1]]"]
+BAD_VECTORS = ["", "[]", "1 x", '["a"]', "[[1, 2]]", "[NaN]",
+               '{"rows": [1, 2, 3]}']
+
+
 def test_invalid_input_exit_2(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("not a matrix\n")
@@ -301,6 +311,29 @@ def test_invalid_input_exit_2(tmp_path, capsys):
 
     code, _, err = run(capsys, "eig", "--in", str(tmp_path / "missing.json"))
     assert code == 2
+
+    good = tmp_path / "good.txt"
+    good.write_text("2 3\n4\n")  # a vector's text may take any layout
+    y = tmp_path / "y.txt"
+    y.write_text("1 2\n3\n")
+    for cmd in ("realize", "major-check"):
+        code, out, _ = run(capsys, cmd, "--x", str(good), "--y", str(y))
+        assert code == 0 and out
+    bad = tmp_path / "bad.txt"
+    matrix_runs = [("eig", "--in", str(bad)),
+                   ("pinch", "--partition", "1", "--in", str(bad)),
+                   ("boxplus", "--in", str(bad)),
+                   ("complete-frame", "--in", str(bad))]
+    vector_runs = [("realize", "--x", str(bad), "--y", str(y)),
+                   ("major-check", "--x", str(good), "--y", str(bad))]
+    cases = ([(text, matrix_runs) for text in BAD_MATRICES]
+             + [(text, vector_runs) for text in BAD_VECTORS])
+    for text, runs in cases:
+        bad.write_text(text)
+        for argv in runs:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (argv, text)
+            assert err.startswith("error:"), (argv, text, err)
 
 
 def test_numerical_failure_exit_3(tmp_path, capsys, monkeypatch):

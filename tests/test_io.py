@@ -74,7 +74,9 @@ def test_parse_matrix_rejects_garbage():
             ("3", "must be an object or an array"),
             ('[["a", 1], [1, 1]]', "entries must be numbers"),
             ("[[1e999, 0], [0, 1]]", "non-finite entries"),
-            ("1 0 0\n0 1 0\n0 0 1", "square of even order")]:
+            ("1 0 0\n0 1 0\n0 0 1", "square of even order"),
+            ('{"n": null, "rows": [[1, 0], [0, 1]]}', "declares n=None"),
+            ("[[1, 0], [0, 1" + "0" * 400 + "]]", "entries must be numbers")]:
         with pytest.raises(DomainError, match=message):
             parse_matrix(text)
     with pytest.raises(DomainError, match="frame must be 2n-by-2k"):
@@ -85,6 +87,7 @@ def test_parse_vector():
     np.testing.assert_array_equal(parse_vector("1 2 3"), [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(parse_vector("[4, 5]"), [4.0, 5.0])
     np.testing.assert_array_equal(parse_vector("1\n2\n3\n"), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(parse_vector("1 2\n3"), [1.0, 2.0, 3.0])
     with pytest.raises(DomainError):
         parse_vector("")
 
@@ -95,6 +98,7 @@ def test_parse_vector():
     ('["a"]', "entries must be numbers"),
     ("[[1, 2]]", "1-d with finite entries"),
     ("[NaN]", "1-d with finite entries"),
+    ('{"rows": [1, 2, 3]}', "non-empty list of lists"),
 ])
 def test_parse_vector_rejects_garbage(text, message):
     with pytest.raises(DomainError, match=message):

@@ -55,6 +55,8 @@ def test_is_symplectic_rejects_odd_shapes():
         is_symplectic(np.eye(3))
     with pytest.raises(DomainError):
         is_symplectic(np.ones((4, 2)))
+    with pytest.raises(DomainError, match="non-finite"):
+        is_symplectic(np.diag([1.0, np.nan, 1.0, 1.0]))
 
 
 def test_closure_under_group_operations():
@@ -102,6 +104,8 @@ def test_expanding_sum_validates_blocks():
         expanding_sum([])
     with pytest.raises(DomainError):
         expanding_sum([np.eye(3)])
+    with pytest.raises(DomainError, match="non-finite"):
+        expanding_sum([np.full((2, 2), np.nan), np.eye(2)])
 
 
 def test_pinching_keeps_only_partition_blocks():
@@ -136,6 +140,14 @@ def test_pinching_is_idempotent():
     np.testing.assert_array_equal(s_pinching(C, [1, 1, 1]), C)
 
 
+def test_pinching_rejects_non_finite_input():
+    for bad in (np.inf, -np.inf, np.nan):
+        A = random_pd(2, seed=1)
+        A[0, 3] = A[3, 0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            s_pinching(A, [1, 1])
+
+
 @pytest.mark.parametrize("bad", [[2], [1, 1, 2], [0, 3], [-1, 4], []])
 def test_pinching_rejects_bad_partitions(bad):
     A = random_pd(3, seed=1)
@@ -148,6 +160,11 @@ def test_frame_residual_shape_validation():
         frame_residual(np.ones((5, 2)))
     with pytest.raises(DomainError):
         frame_residual(np.ones((4, 6)))  # k > n
+    X = np.eye(4)[:, [0, 2]]
+    X[1, 0] = np.nan
+    for call in (frame_residual, check_frame):
+        with pytest.raises(DomainError, match="non-finite"):
+            call(X)
 
 
 def test_frame_residual_past_norm_overflow():

@@ -12,9 +12,10 @@ from sympectra import (DomainError, NumericalError, majorization, means,
                        schur_horn, spectral, symplectic)
 from sympectra.majorization import (horn_realize, intermediate_vector, majorize,
                                     weak_supermajorize)
-from sympectra.means import (arithmetic_mean, dominates_geometric,
-                             geometric_mean, harmonic_mean, min_mean,
-                             parse_mean, validate_mean_axioms)
+from sympectra.means import (arithmetic_mean, custom_mean,
+                             dominates_geometric, geometric_mean,
+                             harmonic_mean, min_mean, parse_mean,
+                             validate_mean_axioms)
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_search, schur_check)
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
@@ -131,6 +132,19 @@ def test_out_of_range_answers_raise():
         with pytest.raises(NumericalError,
                            match="symplectic spectrum is out of range"):
             call(A)
+    # Subnormal answers have lost bits: at 2^-1074 the true delta are
+    # [4.9e-324, 8.6e-324], at 2^-1060 they keep about 14 bits.
+    for A in (2.0 ** -1074 * np.diag([3.0, 1.0, 1.0, 1.0]),
+              2.0 ** -1060 * random_pd(2, seed=0)):
+        for call in (symplectic_eigenvalues, williamson,
+                     lambda A: schur_check(A, arithmetic_mean()),
+                     lambda A: kyfan_minimizer(A, 2, arithmetic_mean())):
+            with pytest.raises(NumericalError,
+                               match="is out of range: it underflows"):
+                call(A)
+    # A zero answer is exact at every scale.
+    zero = custom_mean(lambda a, b: 0.0 * a)
+    assert kyfan_minimizer(random_pd(2, seed=0), 1, zero).min_value == 0.0
 
 
 @pytest.mark.parametrize("c", SCALES)
