@@ -51,8 +51,6 @@ def _emit(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -141,8 +139,6 @@ def parse_vector(text: str) -> np.ndarray:
 
 
 def _text_value(v) -> str:
-    if isinstance(v, str):
-        return v
     if not isinstance(v, (np.ndarray, list, tuple)):
         return _emit(v)  # scalars are spelled as in JSON
     a = np.asarray(v)

@@ -91,22 +91,17 @@ def majorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationReport:
 def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
     """Vector z with z <= x componentwise and z majorized by y.
 
-    Requires x weakly supermajorized by y with y (and x) positive; then
-    capping x at the level c solving sum_j min(x_j, c) = sum_j y_j yields
-    such a z, positive and in the original coordinate order.  Both
-    post-conditions are re-verified before returning; a failure raises
-    NumericalError rather than handing back a wrong z.
+    x and y must be positive.  z caps x at the level c solving
+    sum_j min(x_j, c) = sum_j y_j, in x's coordinate order; c > 0, since
+    each step of the search for c leaves part of the positive sum of y
+    unspent.  x is weakly supermajorized by y exactly when this z is
+    majorized by y, so that one comparison decides admissibility: a
+    failure raises DomainError naming the worst slack, its k and the
+    total gap.
     """
     x, y = _pair(x, y)
     if not ((x > 0).all() and (y > 0).all()):
         raise DomainError("intermediate_vector needs strictly positive vectors")
-    pre = weak_supermajorize(x, y, tol)
-    if not pre.verdict:
-        k = int(np.argmin(pre.k_slacks)) + 1
-        raise DomainError(
-            "weak supermajorization precondition fails "
-            f"(worst slack {pre.k_slacks.min():.3e} at k={k})")
-
     n = x.shape[0]
     target = float(y.sum())
     xs = np.sort(x).tolist()
@@ -118,11 +113,12 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
         prefix += xs[m]
     z = np.minimum(x, c)
 
-    post = majorize(z, y, tol)
-    if not post.verdict or (z > x).any() or (z <= 0).any():
-        raise NumericalError(
-            "intermediate vector construction failed verification "
-            f"(majorize verdict {post.verdict}, total gap {post.total_gap:.3e})")
+    rep = majorize(z, y, tol)
+    if not rep.verdict:
+        k = int(np.argmin(rep.k_slacks)) + 1
+        raise DomainError(
+            "x is not weakly supermajorized by y (capped x: worst slack "
+            f"{rep.k_slacks.min():.3e} at k={k}, total gap {rep.total_gap:.3e})")
     return z
 
 

@@ -119,9 +119,11 @@ def _factor(A, tol: float, vectors: bool, what: str = "matrix"):
     lambda_max), so lambda_min / lambda_max >= delta_1^2 / ||U||_F^2.
     delta_1 > sqrt(100 * 1e-13) ||U||_F therefore clears the floor
     with a factor 100 to spare for rounding.  Only when that test fails
-    (delta_1 tiny, negative or NaN), or when Cholesky fails, does the
+    (delta_1 tiny or negative), or when Cholesky fails, does the
     exact floor check run, before any NumericalError, so every input is
     rejected by the same rule with the same message as ``validate_pd``.
+    U's entries are below 2 in magnitude, so R and the spectrum are
+    finite, or numpy raises LinAlgError.
     Raises NumericalError when the spectrum fails to pair up: delta_1 <=
     1e3 eps delta_n, or +- halves more than tol delta_n apart.
     """
@@ -134,11 +136,9 @@ def _factor(A, tol: float, vectors: bool, what: str = "matrix"):
         _check_definite(U, c, what)
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
     ev, V = _skew_eigh(R, vectors)
-    # delta_1 itself, not its square, so a NaN or negative value falls through.
+    # delta_1 itself, not its square, so a negative value falls through.
     if not ev[n] > _CERT_FLOOR * fro:
         _check_definite(U, c, what)
-    if not np.isfinite(ev).all():
-        raise NumericalError("eigenvalue pairing failure: non-finite spectrum")
     # K is normal, so ||K||_2 is its largest eigenvalue modulus, delta_n.
     scale = float(ev[-1])
     pair_floor = 1e3 * np.finfo(float).eps

@@ -319,6 +319,12 @@ def test_invalid_input_exit_2(tmp_path, capsys):
     for cmd in ("realize", "major-check"):
         code, out, _ = run(capsys, cmd, "--x", str(good), "--y", str(y))
         assert code == 0 and out
+    # Short of y by 5e-10 at k = 1: not admissible, so invalid input.
+    (tmp_path / "xs.json").write_text(dumps([1 - 5e-10, 100.0]))
+    (tmp_path / "ys.json").write_text(dumps([1.0, 1.0]))
+    code, out, err = run(capsys, "realize", "--x", str(tmp_path / "xs.json"),
+                         "--y", str(tmp_path / "ys.json"))
+    assert (code, out) == (2, "") and err.startswith("error:")
     bad = tmp_path / "bad.txt"
     matrix_runs = [("eig", "--in", str(bad)),
                    ("pinch", "--partition", "1", "--in", str(bad)),

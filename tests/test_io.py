@@ -130,6 +130,8 @@ def test_read_write_files(tmp_path):
     A = random_pd(2, seed=3)
     write_output(dumps(matrix_obj(A)), str(p))
     np.testing.assert_array_equal(parse_matrix(read_input(str(p))), A)
+    with pytest.raises(DomainError, match="cannot write"):
+        write_output("x", str(tmp_path / "missing" / "a.json"))
 
 
 def test_write_output_stdout(capsys):
@@ -137,6 +139,13 @@ def test_write_output_stdout(capsys):
     assert capsys.readouterr().out == "hello\n"
     write_output("again", "-")
     assert capsys.readouterr().out == "again\n"
+
+
+def test_emitters_reject_values_they_cannot_spell():
+    with pytest.raises(TypeError):
+        dumps({"a": object()})
+    with pytest.raises(TypeError):
+        render_text({"a": np.zeros((2, 2, 2))})
 
 
 def test_dumps_deterministic_bytes():

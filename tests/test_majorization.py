@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympectra import DomainError
+from sympectra import DomainError, NumericalError
 from sympectra.majorization import (MAJORIZATION_TOL, horn_realize,
                                     intermediate_vector, majorize,
                                     weak_supermajorize)
@@ -114,6 +114,8 @@ def test_input_validation():
         majorize([], [])
     with pytest.raises(DomainError):
         weak_supermajorize([np.inf, 1.0], [1.0, 1.0])
+    with pytest.raises(DomainError, match="1-d"):
+        weak_supermajorize([[1.0, 2.0]], [1.0, 2.0])
 
 
 def test_intermediate_vector_hand_examples():
@@ -157,6 +159,9 @@ def test_intermediate_vector_rejects_bad_inputs():
         intermediate_vector([1.0, -2.0], [0.5, 0.5])  # negative entry
     with pytest.raises(DomainError):
         intermediate_vector([1.0, 2.0], [0.0, 1.0])   # y must be positive
+    # Short of y by 5e-10 at k = 1: the capped z fails z majorized by y.
+    with pytest.raises(DomainError, match="at k=1"):
+        intermediate_vector([1 - 5e-10, 100.0], [1.0, 1.0])
 
 
 def test_horn_realize_two_by_two():
@@ -223,6 +228,12 @@ def test_horn_realize_exact_ties_meet_diagonal(z):
     assert np.linalg.norm(U.T @ U - np.eye(4)) <= 1e-14
     np.testing.assert_allclose(np.einsum("ij,j,ij->i", U, y, U), z,
                                rtol=0, atol=1e-14)
+
+
+def test_horn_realize_verification_raises():
+    with pytest.raises(NumericalError,
+                       match="diagonal realization failed verification"):
+        horn_realize([1.5, 1.5], [1.0, 2.0], tol=1e-300)
 
 
 def test_horn_realize_rejects_non_majorized():

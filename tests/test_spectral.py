@@ -408,3 +408,40 @@ def test_williamson_reconstruction_check_raises(monkeypatch):
     with pytest.raises(NumericalError,
                        match="^Williamson reconstruction residual"):
         williamson(random_pd(2, seed=0))
+
+
+def test_williamson_symplecticity_check_raises(monkeypatch):
+    # Flipping one column of W keeps W (D oplus D) W^T but breaks W^T J W = J.
+    basis = spectral._symplectic_basis
+
+    def flipped(*args):
+        W = basis(*args)
+        W[:, 0] *= -1.0
+        return W
+
+    monkeypatch.setattr(spectral, "_symplectic_basis", flipped)
+    with pytest.raises(NumericalError,
+                       match="^Williamson factor failed symplecticity"):
+        williamson(random_pd(2, seed=0))
+
+
+def test_pairing_checks_raise():
+    # delta_1 / delta_n = 1.5e-13 is below the pairing floor 1e3 eps, though
+    # the matrix clears the definiteness floor.
+    with pytest.raises(NumericalError, match="eigenvalue pairing failure"):
+        symplectic_eigenvalues(np.diag([1.5e-13, 1.0, 1.5e-13, 1.0]))
+    with pytest.raises(NumericalError,
+                       match="^stage 'spectrum': eigenvalue pairing failure"):
+        horn_symplectic_realize([1.0, 1.5e-13], [1.0, 1.5e-13], geometric_mean())
+    with pytest.raises(NumericalError, match=r"\+- halves differ"):
+        symplectic_eigenvalues(random_pd(2, seed=0), tol=1e-300)
+
+
+def test_cholesky_failure_past_the_definiteness_floor_raises(monkeypatch):
+    def cholesky(a):
+        raise np.linalg.LinAlgError("injected")
+
+    A = random_pd(2)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    with pytest.raises(NumericalError, match="Cholesky factorization failed"):
+        symplectic_eigenvalues(A)
