@@ -8,7 +8,7 @@ spectra, and the Ky Fan minimum principle over symplectic frames.
 """
 
 from .errors import DomainError, NumericalError, SympectraError
-from .majorization import (MAJORIZATION_TOL, MajorizationReport, horn_realize,
+from .majorization import (MAJORIZATION_TOL, MajorizationReport,
                            intermediate_vector, majorize, weak_supermajorize)
 from .means import (DominanceReport, MeanSpec, ValidationReport,
                     arithmetic_mean, custom_mean, dominates_geometric,
@@ -38,7 +38,7 @@ __all__ = [
     "WilliamsonFactorization", "symplectic_eigenvalues", "williamson",
     "symplectic_diag",
     "MAJORIZATION_TOL", "MajorizationReport", "weak_supermajorize",
-    "majorize", "intermediate_vector", "horn_realize",
+    "majorize", "intermediate_vector",
     "SchurCheckReport", "KyFanResult", "KyFanSearchReport",
     "schur_check", "horn_symplectic_realize", "kyfan_minimizer",
     "kyfan_objective", "kyfan_search",

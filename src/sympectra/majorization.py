@@ -6,20 +6,31 @@ matching one of y; majorization additionally forces equal totals.  Both
 comparisons are permutation invariant and hold the partial sums against
 tol * (||x||_1 + ||y||_1), a tolerance relative to the vectors compared.
 
-The two constructions here feed the symplectic realization machinery:
+Scaling x and y by one factor changes neither relation, so every call
+runs on the unit pair x / c, y / c, c the largest power of two <= the
+largest |x_i|, |y_i|.  Dividing by c is exact and nothing summed from
+the pair overflows.  Verdicts are decided on the unit pair; slacks and
+vectors are reported as c times the unit ones, and a slack whose c
+multiple overflows raises NumericalError.  A subnormal slack is kept:
+it is rounding around a verdict already decided, and the reported
+``threshold`` is a tolerance, not an answer, so it is not checked.
+
 ``intermediate_vector`` interpolates a majorized vector below x, and
-``horn_realize`` builds an orthogonal U putting a prescribed diagonal on
-a matrix with prescribed spectrum.
+``_horn_realize`` builds the orthogonal U that puts a prescribed
+diagonal on a matrix with prescribed spectrum; both feed the symplectic
+realization.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, _check_tol
+from .symplectic import _pow2_scale, _scaled
 
 __all__ = [
     "MAJORIZATION_TOL",
@@ -27,13 +38,13 @@ __all__ = [
     "weak_supermajorize",
     "majorize",
     "intermediate_vector",
-    "horn_realize",
 ]
 
 MAJORIZATION_TOL = 1e-10
 
 
-def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
+    """The unit pair (x / c, y / c) of two finite 1-d vectors, and c."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.ndim != 1 or y.ndim != 1:
@@ -42,9 +53,11 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] == 0:
         raise DomainError("majorization comparisons need n >= 1")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    amax = float(np.abs(np.concatenate((x, y))).max())  # NaN stays NaN
+    if not math.isfinite(amax):
         raise DomainError("vectors must be finite")
-    return x, y
+    c = _pow2_scale(amax)
+    return x / c, y / c, c
 
 
 @dataclass(frozen=True)
@@ -63,29 +76,28 @@ class MajorizationReport:
     threshold: float
 
 
-def _prefix_slacks(x, y, tol: float) -> tuple[np.ndarray, float]:
-    """Ascending prefix-sum slacks of x against y and the verdict threshold."""
+def _compare(kind: str, x, y, tol: float) -> MajorizationReport:
+    """Prefix-sum comparison of x against y on their unit pair; ``kind``
+    "majorize" also holds the total gap to the threshold."""
     _check_tol(tol)
-    x, y = _pair(x, y)
+    x, y, c = _pair(x, y)
     slacks = np.cumsum(np.sort(x)) - np.cumsum(np.sort(y))
     threshold = tol * float(np.abs(x).sum() + np.abs(y).sum())
-    return slacks, threshold
+    verdict = bool((slacks >= -threshold).all()) and (
+        kind != "majorize" or abs(float(slacks[-1])) <= threshold)
+    slacks = _scaled(c, slacks, "partial-sum slack")
+    return MajorizationReport(kind, slacks, float(slacks[-1]), verdict,
+                              c * threshold)
 
 
 def weak_supermajorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationReport:
     """Test x weakly supermajorized by y (ascending prefix dominance)."""
-    slacks, threshold = _prefix_slacks(x, y, tol)
-    verdict = bool((slacks >= -threshold).all())
-    return MajorizationReport("weak_super", slacks, float(slacks[-1]),
-                              verdict, threshold)
+    return _compare("weak_super", x, y, tol)
 
 
 def majorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationReport:
     """Test x majorized by y: prefix dominance plus equal totals."""
-    slacks, threshold = _prefix_slacks(x, y, tol)
-    total_gap = float(slacks[-1])
-    verdict = bool((slacks >= -threshold).all()) and abs(total_gap) <= threshold
-    return MajorizationReport("majorize", slacks, total_gap, verdict, threshold)
+    return _compare("majorize", x, y, tol)
 
 
 def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
@@ -97,9 +109,9 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
     unspent.  x is weakly supermajorized by y exactly when this z is
     majorized by y, so that one comparison decides admissibility: a
     failure raises DomainError naming the worst slack, its k and the
-    total gap.
+    total gap.  The level, z and the comparison come from the unit pair.
     """
-    x, y = _pair(x, y)
+    x, y, scale = _pair(x, y)
     if not ((x > 0).all() and (y > 0).all()):
         raise DomainError("intermediate_vector needs strictly positive vectors")
     n = x.shape[0]
@@ -118,32 +130,23 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
         k = int(np.argmin(rep.k_slacks)) + 1
         raise DomainError(
             "x is not weakly supermajorized by y (capped x: worst slack "
-            f"{rep.k_slacks.min():.3e} at k={k}, total gap {rep.total_gap:.3e})")
-    return z
-
-
-def horn_realize(z, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
-    """Orthogonal U with diag(U diag(y) U^T) = z and spectrum y.
-
-    Requires z majorized by y.  Built as a chain of at most n-1 Givens
-    rotations: targets are placed in ascending order, each time rotating
-    the pair of current diagonal values that straddles the target (the
-    largest value not exceeding it and its successor), which pins the
-    target exactly and leaves the untouched positions diagonal.  Row
-    permutations then restore the caller's coordinate orders for z and y.
-    """
-    z, y = _pair(z, y)
-    pre = majorize(z, y, tol)
-    if not pre.verdict:
-        raise DomainError(
-            "majorization precondition fails (worst slack "
-            f"{pre.k_slacks.min():.3e}, total gap {pre.total_gap:.3e})")
-    return _horn_realize(z, y, tol)
+            f"{scale * float(rep.k_slacks.min()):.3e} at k={k}, "
+            f"total gap {scale * rep.total_gap:.3e})")
+    return scale * z
 
 
 def _horn_realize(z: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    """horn_realize for float vectors already known to satisfy z majorized
-    by y at ``tol``; the orthogonality and diagonal checks still run."""
+    """Orthogonal U with diag(U diag(y) U^T) = z and spectrum y.
+
+    For a unit pair of float vectors already known to satisfy z majorized
+    by y at ``tol``; the orthogonality and diagonal checks still run.
+    Built as a chain of at most n-1 Givens rotations: targets are placed
+    in ascending order, each time rotating the pair of current diagonal
+    values that straddles the target (the largest value not exceeding it
+    and its successor), which pins the target exactly and leaves the
+    untouched positions diagonal.  Row permutations then restore the
+    caller's coordinate orders for z and y.
+    """
     n = z.shape[0]
     z_order = np.argsort(z, kind="stable")
     y_order = np.argsort(y, kind="stable")

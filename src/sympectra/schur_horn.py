@@ -25,12 +25,12 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, _check_tol
 from .majorization import (MAJORIZATION_TOL, MajorizationReport,
-                           _horn_realize, intermediate_vector,
+                           _horn_realize, _pair, intermediate_vector,
                            weak_supermajorize)
 from .means import MeanSpec
-from .spectral import (_check_definite, _delta, _diag_m, _in_units,
-                       _symmetrized, _williamson)
-from .symplectic import DEFAULT_TOL, _euler_frames, check_frame
+from .spectral import (_check_definite, _delta, _diag_m, _symmetrized,
+                       _williamson)
+from .symplectic import DEFAULT_TOL, _euler_frames, _in_units, check_frame
 
 __all__ = [
     "SchurCheckReport",
@@ -103,10 +103,14 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
        diag_M(A) = x for every mean through M(a, a) = a.
 
     x keeps its original coordinate order end to end.  Admissibility is
-    the one check of ``intermediate_vector`` (DomainError).  Every later
+    the one check of ``intermediate_vector`` (DomainError).  Steps 2 and
+    3 and their checks run on the unit pair x / c, y / c of
+    ``majorization``, and the result is c times that A.  Every later
     stage is re-verified, and each NumericalError starts with
-    ``stage '<name>'``, one of 'givens', 'assemble', 'spectrum' and
-    'diag'.  Admissibility and the Givens check hold their sums against
+    ``stage '<name>'``, one of 'givens' (the realization of z),
+    'assemble' (A not positive definite, or out of range: z is subnormal,
+    or c A's diagonal overflows or is subnormal), 'spectrum' and 'diag'.
+    Admissibility and the Givens check hold their sums against
     ``MAJORIZATION_TOL``; ``tol`` governs the last three stages.  The
     realized matrix's conditioning grows like (x/z)^2, so targets with
     large x/z are refused at 'spectrum': at x = [1e6, 1e6], y = [1, 2]
@@ -114,9 +118,12 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     miss y by 1.1e-4, 5.4e-5 of max y.
     """
     _check_tol(tol)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     z = intermediate_vector(x, y, MAJORIZATION_TOL)
+    # The rest runs on the unit pair of x and y, whose scale c also gave z.
+    # z / c is exact unless z is subnormal, and then so is A's diagonal (an
+    # uncapped z_j = x_j) or its spectrum (a capped z_j >= min y).
+    x, y, c = _pair(x, y)
+    z = _in_units(1.0, z, "stage 'assemble': realized matrix") / c
     # The private form skips only its precondition: z majorized by y is the
     # intermediate vector's own admissibility check.
     try:
@@ -126,8 +133,8 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     C = (U * y) @ U.T
     C = 0.5 * (C + C.T)
 
-    # z = min(x, c) <= x exactly and c > 0, so x / z >= 1 by monotone
-    # division and t - 1/t >= 0.
+    # z = x capped at a level > 0, so z <= x exactly, and x / z >= 1 by
+    # monotone division and t - 1/t >= 0.
     t = x / z
     p = np.sqrt(t)
     r = np.sqrt(t - 1.0 / t)
@@ -141,8 +148,8 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
 
     # A is exactly symmetric (T and C are), so it is the matrix verified.
     try:
-        _, c, got_d = _delta(A, tol, "realized matrix")
-        got_d = _in_units(c, got_d)
+        _, a, got_d = _delta(A, tol, "realized matrix")
+        got_d = _in_units(a, got_d)
     except DomainError as exc:
         raise NumericalError(f"stage 'assemble': {exc}") from exc
     except NumericalError as exc:
@@ -150,13 +157,17 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     err = np.abs(_diag_m(np.diag(A), mean) - x).max()
     if not err <= tol * x.max():  # NaN fails too
         raise NumericalError(
-            f"stage 'diag': realized symplectic diagonal off by {err:.3e}")
+            f"stage 'diag': realized symplectic diagonal off by "
+            f"{c * float(err):.3e}")
     ys = np.sort(y)
     err = np.abs(got_d - ys).max()
     if not err <= tol * ys[-1]:
         raise NumericalError(
-            f"stage 'spectrum': realized symplectic eigenvalues off by {err:.3e}")
-    return A
+            f"stage 'spectrum': realized symplectic eigenvalues off by "
+            f"{c * float(err):.3e}")
+    # |a_ij| <= sqrt(a_ii a_jj), so A's diagonal bounds every entry's range.
+    _in_units(c, np.diag(A), "stage 'assemble': realized matrix")
+    return c * A
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ import numpy as np
 from .errors import DomainError, NumericalError, _check_tol
 from .means import MeanSpec, evaluate_pairs
 from .symplectic import (DEFAULT_TOL, _as_square_even, _form_check,
-                         _pow2_scale, _skew_eigh, _symplectic_basis)
+                         _in_units, _pow2_scale, _skew_eigh,
+                         _symplectic_basis)
 
 __all__ = [
     "WilliamsonFactorization",
@@ -73,20 +74,6 @@ def _check_definite(U: np.ndarray, c: float, what: str) -> None:
         raise DomainError(
             f"{what} is not positive definite (eigenvalue range "
             f"[{float(evals[0]) * c:.3e}, {float(evals[-1]) * c:.3e}])")
-
-
-def _in_units(c: float, x, what: str = "symplectic spectrum"):
-    """c x, U's answer x in A's units; NumericalError where it overflows or
-    c min |x| falls below the normal range.  A zero answer is exact and kept
-    (x is positive or a scalar)."""
-    if not math.isfinite(c * float(np.abs(x).max())):  # exact: c is 2^m
-        raise NumericalError(
-            f"{what} is out of range: it overflows at the input's scale")
-    lo = float(np.abs(x).min())
-    if lo and c * lo < np.finfo(float).tiny:
-        raise NumericalError(
-            f"{what} is out of range: it underflows at the input's scale")
-    return c * x
 
 
 def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:

@@ -65,7 +65,7 @@ def standard_J(n: int) -> np.ndarray:
     return J
 
 
-def _pow2_scale(A: np.ndarray) -> float:
+def _pow2_scale(A) -> float:
     """The power of two within a factor 2 below max |a_ij| (1 for A = 0).
 
     Frobenius norms of A divided by it cannot overflow, and dividing by a
@@ -73,6 +73,26 @@ def _pow2_scale(A: np.ndarray) -> float:
     """
     amax = float(np.abs(A).max())
     return math.ldexp(1.0, math.frexp(amax)[1] - 1) if amax > 0 else 1.0
+
+
+def _scaled(c: float, x, what: str):
+    """c x, a unit-scale answer x in the caller's units; NumericalError
+    where it overflows.  Exact otherwise, since c is a power of two."""
+    if not math.isfinite(c * float(np.abs(x).max())):
+        raise NumericalError(
+            f"{what} is out of range: it overflows at the input's scale")
+    return c * x
+
+
+def _in_units(c: float, x, what: str = "symplectic spectrum"):
+    """``_scaled``, and NumericalError where c min |x| falls below the
+    normal range.  A zero answer is exact and kept (x is positive or a
+    scalar)."""
+    lo = float(np.abs(x).min())
+    if lo and c * lo < np.finfo(float).tiny:
+        raise NumericalError(
+            f"{what} is out of range: it underflows at the input's scale")
+    return _scaled(c, x, what)
 
 
 def _skew(R: np.ndarray) -> np.ndarray:

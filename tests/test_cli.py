@@ -283,7 +283,7 @@ def test_major_check_verdicts_do_not_change_under_scaling(tmp_path, capsys):
     for x, y in pairs:
         for kind in ("weak-super", "majorize"):
             results = set()
-            for e in (-1000, -40, 0, 40, 1000):
+            for e in (-1000, -40, 0, 40, 1000, 1022):
                 (tmp_path / "x.json").write_text(dumps([2.0 ** e * v for v in x]))
                 (tmp_path / "y.json").write_text(dumps([2.0 ** e * v for v in y]))
                 code, out, _ = run(capsys, "major-check", "--kind", kind,
@@ -291,6 +291,26 @@ def test_major_check_verdicts_do_not_change_under_scaling(tmp_path, capsys):
                                    "--y", str(tmp_path / "y.json"))
                 results.add((code, json.loads(out)["verdict"]))
             assert len(results) == 1, (x, y, kind, results)
+
+
+def test_major_check_near_the_top_of_the_range(tmp_path, capsys):
+    # Equal vectors near the largest double: slacks [0, 0], true, valid JSON.
+    # Their partial sums overflowed and printed "nan".
+    xy = {"x": [1.5e308, 2.0 ** 1023], "y": [2.0 ** 1023, 1.5e308]}
+    for name, v in xy.items():
+        (tmp_path / f"{name}.json").write_text(dumps(v))
+    argv = ("major-check", "--x", str(tmp_path / "x.json"),
+            "--y", str(tmp_path / "y.json"))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {"verdict": True, "slacks": [0, 0],
+                               "total_gap": 0}
+    # Slacks past the largest double are refused, with nothing on stdout.
+    (tmp_path / "x.json").write_text(dumps([1.5e308, 1.5e308]))
+    (tmp_path / "y.json").write_text(dumps([1e-300, 1e-300]))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "partial-sum slack is out of range" in err, err
 
 
 # Malformed matrices, frames and vectors; every one must exit 2.

@@ -193,18 +193,29 @@ def test_realize_runs_each_majorization_check_once(monkeypatch):
 
 
 def test_realize_errors_name_their_stage_at_tiny_scale():
-    # Either a valid realization or a NumericalError naming its stage.
-    x, y = [2e-200, 3e-200], [1e-200, 2e-200]
-    try:
-        A = horn_symplectic_realize(x, y, arithmetic_mean())
-    except NumericalError as exc:
-        assert str(exc).startswith(
-            ("stage 'intermediate': ", "stage 'givens': ", "stage 'assemble': ",
-             "stage 'spectrum': ", "stage 'diag': ")), str(exc)
-    else:
-        np.testing.assert_allclose(symplectic_diag(A, arithmetic_mean()), x,
-                                   rtol=1e-8)
-        np.testing.assert_allclose(symplectic_eigenvalues(A), y, rtol=1e-8)
+    # Either a valid realization or a NumericalError naming its stage.  In
+    # the last two targets A's diagonal is subnormal: they are refused as
+    # out of range, not as a failed Givens chain.  In the last, x is capped
+    # at 2^-1070 14/3, a subnormal level that keeps only a few bits.
+    e = 2.0 ** -1070
+    for x, y in (([2e-200, 3e-200], [1e-200, 2e-200]),
+                 ([3 * e, 4 * e, 5 * e], [2 * e, 5 * e, 5 * e]),
+                 ([5 * e, 5 * e, 5 * e], [e, 2 * e, 11 * e])):
+        try:
+            A = horn_symplectic_realize(x, y, arithmetic_mean())
+        except NumericalError as exc:
+            assert str(exc).startswith(
+                ("stage 'givens': ", "stage 'assemble': ", "stage 'spectrum': ",
+                 "stage 'diag': ")), str(exc)
+            if min(x) < np.finfo(float).tiny:
+                assert str(exc).startswith(
+                    "stage 'assemble': realized matrix is out of range: "
+                    "it underflows"), str(exc)
+        else:
+            assert min(x) >= np.finfo(float).tiny
+            np.testing.assert_allclose(symplectic_diag(A, arithmetic_mean()),
+                                       x, rtol=1e-8)
+            np.testing.assert_allclose(symplectic_eigenvalues(A), y, rtol=1e-8)
 
 
 @pytest.mark.parametrize("name,stage", [("_horn_realize", "givens")])

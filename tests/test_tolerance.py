@@ -10,7 +10,7 @@ import pytest
 
 from sympectra import (DomainError, NumericalError, majorization, means,
                        schur_horn, spectral, symplectic)
-from sympectra.majorization import (horn_realize, intermediate_vector, majorize,
+from sympectra.majorization import (intermediate_vector, majorize,
                                     weak_supermajorize)
 from sympectra.means import (arithmetic_mean, custom_mean,
                              dominates_geometric, geometric_mean,
@@ -170,6 +170,84 @@ def test_realization_at_tiny_scale_returns_the_matrix():
     np.testing.assert_allclose(symplectic_eigenvalues(A), y, rtol=1e-12)
 
 
+def _unit_pairs():
+    """(x, y) pairs whose largest entry is in [1, 2), so that 2^e x is exact
+    for every e from -1000 to 1023."""
+    big = 1.5e308 * 2.0 ** -1023
+    pairs = [([1.0, 1.0], [1.9, 1.9]),               # not weakly supermajorized
+             ([0.75, 1.0, 1.25], [0.5, 1.25, 1.25]),  # admissible
+             ([big, 1.0], [1.0, big]),                # equal, unsorted
+             ([1.5, 1.5], [0.5, 0.5])]                # slacks overflow at 2^1023
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 4):
+        x, y = admissible_pair(rng, n)
+        # 2^(1 - e) for max = f 2^e, f in [0.5, 1), puts the max in [1, 2).
+        s = 2.0 ** (1 - math.frexp(max(x.max(), y.max()))[1])
+        pairs += [(s * x, s * y), (s * y, s * x)]
+    return [(np.asarray(x), np.asarray(y)) for x, y in pairs]
+
+
+UNIT_PAIRS = _unit_pairs()
+
+
+@pytest.mark.parametrize("e", [-1000, -500, -40, 40, 500, 1000,
+                               1019, 1020, 1021, 1022, 1023])
+def test_vector_layer_is_exactly_homogeneous(e):
+    # Every vector call runs on the exact unit pair x / c, y / c, so verdicts,
+    # slacks, z and the realized A at 2^e are 2^e times the answers at unit
+    # scale, or the call raises the typed out-of-range error.  Before, the
+    # partial sums overflowed from 2^1021 on: NaN slacks, infinite
+    # thresholds and the verdicts they decided.
+    c = 2.0 ** e
+    mean = geometric_mean()
+    for x, y in UNIT_PAIRS:
+        for check in (weak_supermajorize, majorize):
+            unit = check(x, y)
+            with np.errstate(over="ignore"):
+                slacks = c * unit.k_slacks
+            if not np.isfinite(slacks).all():
+                with pytest.raises(NumericalError,
+                                   match="^partial-sum slack is out of range"):
+                    check(c * x, c * y)
+                continue
+            got = check(c * x, c * y)
+            assert got.verdict == unit.verdict, (x, y, check)
+            np.testing.assert_array_equal(got.k_slacks, slacks)
+            assert got.total_gap == c * unit.total_gap
+            assert got.threshold == c * unit.threshold
+        try:
+            z = intermediate_vector(x, y)
+        except DomainError:
+            for call in (intermediate_vector,
+                         lambda x, y: horn_symplectic_realize(x, y, mean)):
+                with pytest.raises(DomainError,
+                                   match="not weakly supermajorized"):
+                    call(c * x, c * y)
+            continue
+        np.testing.assert_array_equal(intermediate_vector(c * x, c * y), c * z)
+        A = horn_symplectic_realize(x, y, mean)
+        np.testing.assert_array_equal(
+            horn_symplectic_realize(c * x, c * y, mean), c * A)
+
+
+@pytest.mark.parametrize("e", [-1000, -40, 40, 1000, 1021, 1022, 1023])
+def test_schur_check_is_exactly_homogeneous(e):
+    # delta(A) is in range at 2^1023 (max 7.7e307) and the theorem says
+    # True; the overflowing partial sums read False with a NaN total gap,
+    # and True at 2^1022 only through an infinite threshold.
+    A = random_pd(4, seed=3)
+    A = A / np.abs(A).max()
+    c = 2.0 ** e
+    unit = schur_check(A, arithmetic_mean())
+    got = schur_check(c * A, arithmetic_mean())
+    assert got.verdict and unit.verdict
+    np.testing.assert_array_equal(got.delta, c * unit.delta)
+    np.testing.assert_array_equal(got.diag_m, c * unit.diag_m)
+    np.testing.assert_array_equal(got.report.k_slacks, c * unit.report.k_slacks)
+    assert got.report.total_gap == c * unit.report.total_gap
+    assert got.report.threshold == c * unit.report.threshold
+
+
 # Every public function that takes ``tol``, with arguments valid otherwise.
 _A = random_pd(2, seed=0)
 _X = np.eye(4)[:, [0, 2]]
@@ -185,7 +263,6 @@ TOL_CALLS = {
     "weak_supermajorize": lambda tol: weak_supermajorize([2.0, 2.0], [1.0, 2.0], tol),
     "majorize": lambda tol: majorize([1.5, 1.5], [1.0, 2.0], tol),
     "intermediate_vector": lambda tol: intermediate_vector([2.0, 2.0], [1.0, 2.0], tol),
-    "horn_realize": lambda tol: horn_realize([1.5, 1.5], [1.0, 2.0], tol),
     "is_symplectic": lambda tol: is_symplectic(np.eye(4), tol),
     "check_frame": lambda tol: check_frame(_X, tol),
     "complete_to_symplectic": lambda tol: complete_to_symplectic(_X, tol),
