@@ -55,7 +55,7 @@ for mean in (harmonic_mean(), min_mean()):
     print("  witness M(%.4f, %.4f) = %.4f < sqrt(ab) = %.4f"
           % (a, b, val, geo))
 
-print("\naxiom check (10^4 samples each):")
+print("\naxiom check (10^4 grid ratios t = 2^-s, s in [0, 900], each):")
 for name in ("arithmetic", "geometric", "harmonic", "min", "max", "power:2"):
     ok = validate_mean_axioms(parse_mean(name)).passed
     print("  %-10s %s" % (name, "passed" if ok else "FAILED"))

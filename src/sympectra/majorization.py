@@ -109,10 +109,13 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
     unspent.  x is weakly supermajorized by y exactly when this z is
     majorized by y, so that one comparison decides admissibility: a
     failure raises DomainError naming the worst slack, its k and the
-    total gap.  The level, z and the comparison come from the unit pair.
+    total gap.  The level and the comparison come from the unit pair;
+    z = min(x, level) is formed in the caller's units, so a subnormal x_j
+    that the unit pair rounds is kept as it is.
     """
-    x, y, scale = _pair(x, y)
-    if not ((x > 0).all() and (y > 0).all()):
+    x0, y0 = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x, y, scale = _pair(x0, y0)
+    if not ((x0 > 0).all() and (y0 > 0).all()):
         raise DomainError("intermediate_vector needs strictly positive vectors")
     n = x.shape[0]
     target = float(y.sum())
@@ -123,16 +126,15 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
         if c <= xs[m]:
             break
         prefix += xs[m]
-    z = np.minimum(x, c)
 
-    rep = majorize(z, y, tol)
+    rep = majorize(np.minimum(x, c), y, tol)
     if not rep.verdict:
         k = int(np.argmin(rep.k_slacks)) + 1
         raise DomainError(
             "x is not weakly supermajorized by y (capped x: worst slack "
             f"{scale * float(rep.k_slacks.min()):.3e} at k={k}, "
             f"total gap {scale * rep.total_gap:.3e})")
-    return scale * z
+    return np.minimum(np.atleast_1d(x0), scale * c)
 
 
 def _horn_realize(z: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:

@@ -5,7 +5,14 @@ symmetric, positively homogeneous, monotone (non-strictly) in each
 argument, and between-valued (min(a,b) <= M(a,b) <= max(a,b), which
 forces M(a,a) = a).  Built-in instances cover the arithmetic, geometric,
 harmonic, min, max and power-mean families; arbitrary user evaluators are
-wrapped as ``custom`` means and can be vetted by randomized sampling.
+wrapped as ``custom`` means.
+
+A symmetric, homogeneous M is max(a, b) f(min / max) with f(t) = M(t, 1),
+so the axiom and dominance checks read M on one fixed grid of ratios t,
+with no randomness.  The library scores every mean on a power-of-two
+unit form, which is right only for a symmetric, homogeneous M, so it
+vets a custom mean for those two axioms once, on its first use, and
+refuses one that fails them.
 """
 
 from __future__ import annotations
@@ -37,8 +44,6 @@ __all__ = [
     "dominates_geometric",
 ]
 
-SAMPLE_RANGE = (1e-3, 1e3)
-
 
 @dataclass(frozen=True)
 class MeanSpec:
@@ -47,9 +52,11 @@ class MeanSpec:
     ``dominates_geometric_claim`` is an analytically asserted flag stating
     whether sqrt(a*b) <= M(a,b) holds for all positive a, b; ``None`` means
     unknown (typical for custom evaluators).  For an unknown claim,
-    ``schur_check`` samples the dominance once per spec and keeps the
-    verdict on it, so a spec's evaluator should not change behaviour
-    after its first ``schur_check``.
+    ``schur_check`` tests the dominance on a 2000-point grid once per spec
+    and keeps the verdict on it.  A custom spec is likewise vetted for
+    symmetry and homogeneity once, on its first library call, and the
+    verdict is kept; so a spec's evaluator should not change behaviour
+    after its first use.
     """
 
     kind: str
@@ -65,10 +72,30 @@ class MeanSpec:
 
     @cached_property
     def _dominates_geometric(self) -> bool:
-        """The claim if given, else a 2000-pair sample (seed 0), taken once."""
+        """The claim if given, else a 2000-point grid check, taken once."""
         if self.dominates_geometric_claim is not None:
             return bool(self.dominates_geometric_claim)
-        return dominates_geometric(self, sample_budget=2000, seed=0).holds
+        return dominates_geometric(self, sample_budget=2000).holds
+
+    @cached_property
+    def _refusal(self) -> Optional[str]:
+        """Why a custom evaluator is no mean, from symmetry and homogeneity
+        on a 2000-point grid, taken once; None if it passes.  Built-in
+        means hold both axioms analytically and are not evaluated."""
+        if self.kind != "custom":
+            return None
+        sym, hom, _ = _pair_axioms(self, _ratios(2000), 1e-9)
+        for what, res in (("symmetric: (a, b, M(a, b), M(b, a))", sym),
+                          ("homogeneous: (a, b, r, M(ra, rb), r M(a, b))", hom)):
+            if not res.passed:
+                return f"custom mean is not {what} = {res.witness}"
+        return None
+
+    def _vet(self) -> None:
+        """Raise DomainError if this spec is a custom evaluator that fails
+        symmetry or homogeneity."""
+        if self._refusal is not None:
+            raise DomainError(self._refusal)
 
 
 def _power_eval(p: float):
@@ -132,12 +159,20 @@ def power_mean(p: float) -> MeanSpec:
 
 def custom_mean(evaluator: Callable[[float, float], float],
                 dominates_geometric_claim: Optional[bool] = None) -> MeanSpec:
-    """Wrap a user-supplied evaluator; its axioms are NOT checked here.
+    """Wrap a user-supplied evaluator of a symmetric, homogeneous mean.
+
+    Nothing is checked here.  On the spec's first use by ``schur_check``,
+    ``symplectic_diag``, ``horn_symplectic_realize`` or a Ky Fan call,
+    symmetry and homogeneity are tested once on a 2000-point grid and the
+    verdict is kept on the spec; an evaluator that fails either raises
+    DomainError with the witness there and on every later use.
+    ``evaluate_pairs``, ``validate_mean_axioms`` and
+    ``dominates_geometric`` never vet, so they report on non-means too.
 
     The library's own calls hand the evaluator scalars or 1-D arrays, and
     fall back to one call per element as ``evaluate_pairs`` describes.
 
-    Without a ``dominates_geometric_claim``, ``schur_check`` samples the
+    Without a ``dominates_geometric_claim``, ``schur_check`` tests the
     dominance of the geometric mean on its first call with the returned
     spec and keeps that verdict on the spec for later calls.
     """
@@ -212,7 +247,13 @@ class AxiomResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-axiom sampling verdicts; witnesses hold the first counterexample."""
+    """Per-axiom grid verdicts; witnesses hold the first counterexample.
+
+    Witness shapes: symmetry ``(a, b, M(a, b), M(b, a))``; homogeneity
+    ``(a, b, r, M(ra, rb), r M(a, b))``; monotonicity ``(a, b, up,
+    M(a, b))`` with M(up a, b) < M(a, b) for that up > 1; betweenness
+    ``(a, b, M(a, b))``.  ``samples`` is the grid size.
+    """
 
     symmetry: AxiomResult
     homogeneity: AxiomResult
@@ -228,94 +269,92 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """Did sqrt(a*b) <= M(a,b) + tol hold over all sampled pairs."""
+    """Did sqrt(t) <= M(t, 1) + tol sqrt(t) hold at every grid ratio t."""
 
     holds: bool
     witness: Optional[tuple] = None
     samples: int = 0
 
 
-def _log_uniform(rng, size):
-    lo, hi = np.log10(SAMPLE_RANGE[0]), np.log10(SAMPLE_RANGE[1])
-    return 10.0 ** rng.uniform(lo, hi, size=size)
+# Factors r for the pairs (r t, r): powers of two, the library's own
+# scaling, and factors that are not; every r t on the grid stays normal.
+_FACTORS = np.array([2.0 ** -60, 1.0 / 3.0, 3.0, 2.0 ** 60])
 
 
-def _first_violation(mask, *columns):
-    idx = int(np.argmax(mask))
-    return tuple(float(c[idx]) for c in columns)
+def _ratios(sample_budget: int) -> np.ndarray:
+    """The grid t = 2^-s, s evenly spaced over [0, 900], t = 1 first."""
+    if sample_budget < 1:
+        raise DomainError("sample_budget must be >= 1")
+    return 2.0 ** -np.linspace(0.0, 900.0, sample_budget)
+
+
+def _result(bad, *columns) -> AxiomResult:
+    """Passed when no entry is ``bad``, else the columns at the first one.
+
+    Masks are phrased as "not ok", so a NaN value counts as a violation."""
+    if not bad.any():
+        return AxiomResult(True)
+    i = int(np.argmax(bad))
+    return AxiomResult(False, tuple(float(c[i]) for c in columns))
+
+
+def _pair_axioms(mean: MeanSpec, t: np.ndarray, tol: float):
+    """Symmetry M(rt, r) = M(r, rt) and homogeneity M(rt, r) = r f(t) on
+    the grid t, r cycling over ``_FACTORS``; also the profile f = M(t, 1)."""
+    r = np.resize(_FACTORS, t.shape)
+    f = evaluate_pairs(mean, t, 1.0)
+    m_lo = evaluate_pairs(mean, r * t, r)
+    m_hi = evaluate_pairs(mean, r, r * t)
+    # |x - y| <= tol |y|, with equal infinities close and NaN never.
+    sym = _result(~np.isclose(m_hi, m_lo, rtol=tol, atol=0.0),
+                  r * t, r, m_lo, m_hi)
+    hom = _result(~np.isclose(m_lo, r * f, rtol=tol, atol=0.0),
+                  t, np.ones_like(t), r, m_lo, r * f)
+    return sym, hom, f
 
 
 def validate_mean_axioms(mean: MeanSpec, sample_budget: int = 10_000,
-                         seed: int = 0, tol: float = 1e-9) -> ValidationReport:
-    """Check the four mean axioms on log-uniform random samples.
+                         tol: float = 1e-9) -> ValidationReport:
+    """Check the four mean axioms on ``sample_budget`` >= 1 grid ratios t.
 
-    Each sampled triple (a, b, r) in [1e-3, 1e3]^3 is used in all four
-    checks: symmetry M(a,b) = M(b,a), homogeneity M(ra,rb) = r*M(a,b),
-    non-strict monotonicity against a shifted copy of each argument, and
-    betweenness min <= M <= max (including equal-argument pairs, which
-    forces M(a,a) = a).  Violations are reported, never raised.
-    ``sample_budget`` >= 1 triples are drawn from ``seed``; ``tol`` is the
+    The grid is t = 2^-s, s evenly spaced over [0, 900], t = 1 first.
+    Symmetry and homogeneity are tested on the pairs (r t, r), r cycling
+    over 2^-60, 1/3, 3 and 2^60.  Given those two, M(a, b) = max(a, b)
+    f(min / max) with f(t) = M(t, 1) (Bullen, Handbook of Means and Their
+    Inequalities, 2003, ch. II), so betweenness is t <= f(t) <= 1 and
+    monotonicity is f nondecreasing and f(t) / t nonincreasing along the
+    grid.  Violations are reported, never raised; ``tol`` is the
     comparison slack relative to the values compared.
     """
     _check_tol(tol)
-    if sample_budget < 1:
-        raise DomainError("sample_budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    a = _log_uniform(rng, sample_budget)
-    b = _log_uniform(rng, sample_budget)
-    r = _log_uniform(rng, sample_budget)
-    # A slice of exact-tie pairs exercises the forced identity M(a,a) = a.
-    n_eq = max(1, sample_budget // 16)
-    b[:n_eq] = a[:n_eq]
-
-    m_ab = evaluate_pairs(mean, a, b)
-    m_ba = evaluate_pairs(mean, b, a)
-    m_r = evaluate_pairs(mean, r * a, r * b)
-    up = 1.0 + rng.uniform(0.1, 2.0, size=sample_budget)
-    m_up_a = evaluate_pairs(mean, a * up, b)
-    m_up_b = evaluate_pairs(mean, a, b * up)
-
-    scale = np.abs(m_ab)
-
-    # Each mask is "not ok", so a NaN value counts as a violation.
-    sym_bad = ~(np.abs(m_ab - m_ba) <= tol * scale)
-    hom_bad = ~(np.abs(m_r - r * m_ab) <= tol * np.abs(r * m_ab))
-    mono_bad = ~((m_up_a >= m_ab - tol * scale)
-                 & (m_up_b >= m_ab - tol * scale))
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    btw_bad = ~((m_ab >= lo - tol * scale) & (m_ab <= hi + tol * scale))
-
-    def result(mask, *cols):
-        if not mask.any():
-            return AxiomResult(True)
-        return AxiomResult(False, _first_violation(mask, *cols))
-
-    return ValidationReport(
-        symmetry=result(sym_bad, a, b, m_ab, m_ba),
-        homogeneity=result(hom_bad, a, b, r, m_r, r * m_ab),
-        monotonicity=result(mono_bad, a, b, up, m_ab),
-        betweenness=result(btw_bad, a, b, m_ab),
-        samples=sample_budget,
-    )
+    t = _ratios(sample_budget)
+    sym, hom, f = _pair_axioms(mean, t, tol)
+    btw = _result(~((f >= t - tol * t) & (f <= 1.0 + tol)),
+                  t, np.ones_like(t), f)
+    # M(up a, 1) >= M(a, 1) for up = t_i / t_{i+1} > 1: at a = t_{i+1} this
+    # is f's step, at a = 1 / t_i the step of M(1 / t, 1) = f(t) / t.
+    q = f / t
+    a = np.concatenate([t[1:], 1.0 / t[:-1]])
+    lo = np.concatenate([f[1:], q[:-1]])
+    hi = np.concatenate([f[:-1], q[1:]])
+    mono = _result(~(hi >= lo * (1.0 - tol)), a, np.ones_like(a),
+                   np.tile(t[:-1] / t[1:], 2), lo)
+    return ValidationReport(symmetry=sym, homogeneity=hom, monotonicity=mono,
+                            betweenness=btw, samples=sample_budget)
 
 
 def dominates_geometric(mean: MeanSpec, sample_budget: int = 10_000,
-                        seed: int = 0, tol: float = 1e-12) -> DominanceReport:
-    """Sample pairs and test sqrt(a*b) <= M(a,b) + tol sqrt(a*b) on every one.
+                        tol: float = 1e-12) -> DominanceReport:
+    """Test sqrt(t) <= f(t) + tol sqrt(t) for f(t) = M(t, 1) on the grid
+    of ``validate_mean_axioms``.
 
-    The witness, when present, is ``(a, b, sqrt(a*b), M(a,b))`` for the
-    first sampled violation.
+    For a symmetric, homogeneous M this is sqrt(ab) <= M(a, b) at every
+    pair whose ratio min / max lies on the grid.  The witness, when
+    present, is ``(t, 1, sqrt(t), f(t))`` for the first violation.
     """
     _check_tol(tol)
-    if sample_budget < 1:
-        raise DomainError("sample_budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    a = _log_uniform(rng, sample_budget)
-    b = _log_uniform(rng, sample_budget)
-    m = evaluate_pairs(mean, a, b)
-    g = np.sqrt(a * b)
-    bad = ~(g <= m + tol * g)  # NaN counts as a violation
-    if not bad.any():
-        return DominanceReport(True, None, sample_budget)
-    return DominanceReport(False, _first_violation(bad, a, b, g, m),
-                           sample_budget)
+    t = _ratios(sample_budget)
+    f = evaluate_pairs(mean, t, 1.0)
+    g = np.sqrt(t)
+    res = _result(~(g <= f + tol * g), t, np.ones_like(t), g, f)
+    return DominanceReport(res.passed, res.witness, sample_budget)

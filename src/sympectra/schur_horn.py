@@ -72,8 +72,9 @@ def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport
     """Compare the mean-indexed diagonal of A against delta(A) under <=^w.
 
     ``mean_dominates_geometric`` is the mean's analytic claim when it has
-    one; otherwise a 2000-pair ``dominates_geometric`` sample (seed 0),
-    taken on the first call with that ``MeanSpec`` and kept on it.
+    one; otherwise ``dominates_geometric`` on its 2000-point grid of
+    ratios, taken on the first call with that ``MeanSpec`` and kept on it.
+    A custom mean that fails symmetry or homogeneity raises DomainError.
     """
     U, c, delta = _delta(A, tol)
     delta = _in_units(c, delta)

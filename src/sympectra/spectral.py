@@ -218,7 +218,9 @@ def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
 
     diag(A) for the Schur check, diag(X^T A X) for every Ky Fan frame,
     a batch of frames in kyfan_search.  The mean's evaluator receives the
-    pairs as 1-D arrays whatever the batch shape."""
+    pairs as 1-D arrays whatever the batch shape.  Every library call
+    evaluates means here, so a custom mean is vetted here, once per spec."""
+    mean._vet()
     m = d.shape[-1] // 2
     out = evaluate_pairs(mean, d[..., :m].ravel(), d[..., m:].ravel())
     return out.reshape(d.shape[:-1] + (m,))

@@ -72,8 +72,9 @@ def test_schur_check_non_dominating_mean_well_formed():
 
 
 def test_schur_check_samples_custom_dominance_once():
-    # Each call evaluates the n = 1 diagonal pair; the 2000-pair dominance
-    # sample runs on the first call only and is kept on the spec.
+    # Each call evaluates the n = 1 diagonal pair.  The first call also
+    # vets the mean (three evaluations on the 2000-point grid) and tests
+    # its dominance on that grid; both verdicts are kept on the spec.
     evaluated = []
 
     def heronian(a, b):
@@ -82,8 +83,12 @@ def test_schur_check_samples_custom_dominance_once():
 
     mean = custom_mean(heronian)
     A = random_pd(1, seed=2)
-    reports = [schur_check(A, mean) for _ in range(3)]
-    assert sum(evaluated) == 2000 + 3
+    reports = [schur_check(A, mean)]
+    assert sum(evaluated) == 3 * 2000 + 2000 + 1
+    for _ in range(2):
+        before = sum(evaluated)
+        reports.append(schur_check(A, mean))
+        assert sum(evaluated) == before + 1
     assert all(rep.mean_dominates_geometric for rep in reports)
 
 
@@ -295,9 +300,10 @@ def test_kyfan_minimizer_frame_is_columns_of_inverse_transpose():
 
 
 def test_realize_rejects_nan_valued_mean():
+    # A NaN-valued evaluator is no mean: vetting refuses it as input.
     nan_mean = custom_mean(lambda a, b: float("nan"),
                            dominates_geometric_claim=True)
-    with pytest.raises(NumericalError, match="^stage 'diag'"):
+    with pytest.raises(DomainError, match="custom mean is not symmetric"):
         horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], nan_mean)
 
 
@@ -305,12 +311,42 @@ def test_kyfan_calls_reject_nan_valued_mean():
     nan_mean = custom_mean(lambda a, b: float("nan"),
                            dominates_geometric_claim=True)
     A = random_pd(2, seed=1)
-    with pytest.raises(NumericalError, match="not finite"):
+    with pytest.raises(DomainError, match="custom mean is not symmetric"):
         kyfan_search(A, 1, nan_mean, budget=8)
-    with pytest.raises(NumericalError, match="not finite"):
+    with pytest.raises(DomainError, match="custom mean is not symmetric"):
         kyfan_minimizer(A, 1, nan_mean)
-    with pytest.raises(NumericalError, match="not finite"):
+    with pytest.raises(DomainError, match="custom mean is not symmetric"):
         kyfan_objective(A, np.eye(4)[:, [0, 2]], nan_mean)
+
+
+def test_non_mean_is_refused_by_every_entry_point():
+    # M = (a + b) / 2 + 1 is symmetric but not homogeneous.  Scored on A's
+    # power-of-two unit form it would jump at each power of two: at the
+    # parent, kyfan_objective read 1.982, 2.983 and 5.966 at s = 1.999, 2
+    # and 4, where the direct sum of M(b) is 1.982, 1.983 and 2.966.
+    evaluated = []
+
+    def affine(a, b):
+        evaluated.append(np.size(a))
+        return 0.5 * a + 0.5 * b + 1.0
+
+    mean = custom_mean(affine)
+    A0 = random_pd(2, seed=0)
+    A0 = A0 / np.abs(A0).max()
+    X = kyfan_minimizer(A0, 1, geometric_mean()).minimizer
+    calls = (lambda A: kyfan_objective(A, X, mean),
+             lambda A: kyfan_minimizer(A, 1, mean),
+             lambda A: kyfan_search(A, 1, mean, budget=8),
+             lambda A: schur_check(A, mean),
+             lambda A: symplectic_diag(A, mean),
+             lambda A: horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean))
+    for s in (1.999, 2.0, 4.0):
+        for call in calls:
+            with pytest.raises(DomainError,
+                               match="custom mean is not homogeneous"):
+                call(s * A0)
+    # Vetted once, on three 2000-point grid evaluations; the refusal is kept.
+    assert evaluated == [2000] * 3
 
 
 def test_kyfan_objective_out_of_range_raises():
@@ -325,12 +361,18 @@ def test_kyfan_objective_out_of_range_raises():
 @pytest.mark.parametrize("name", ["arithmetic", "geometric", "harmonic", "min",
                                   "max", "power:2", "custom"])
 def test_kyfan_calls_score_frames_one_way(name):
-    # The custom mean is not homogeneous, so it tells scoring on A from
-    # scoring on A's unit form: every call must use the same one.
-    mean = (custom_mean(lambda a, b: 0.5 * a + 0.5 * b + 1.0,
-                        dominates_geometric_claim=True)
-            if name == "custom" else parse_mean(name))
+    # Every call scores frames on A's unit form, which is right only for a
+    # homogeneous mean; the custom evaluator is not one, so it is refused.
     A = 8.0 * random_pd(4, seed=0)
+    if name == "custom":
+        mean = custom_mean(lambda a, b: 0.5 * a + 0.5 * b + 1.0,
+                           dominates_geometric_claim=True)
+        with pytest.raises(DomainError, match="not homogeneous"):
+            kyfan_search(A, 2, mean, budget=400)
+        with pytest.raises(DomainError, match="not homogeneous"):
+            kyfan_minimizer(A, 2, mean)
+        return
+    mean = parse_mean(name)
     rep = kyfan_search(A, 2, mean, budget=400)
     assert rep.best_value == kyfan_objective(A, rep.best_frame, mean)
     res = kyfan_minimizer(A, 2, mean)
