@@ -20,8 +20,8 @@ from .schur_horn import (KyFanResult, KyFanSearchReport, SchurCheckReport,
 from .spectral import (WilliamsonFactorization, symplectic_diag,
                        symplectic_eigenvalues, williamson)
 from .symplectic import (DEFAULT_TOL, SymplecticCheck, complete_to_symplectic,
-                         expanding_sum, frame_residual, is_symplectic,
-                         random_pd, random_symplectic, s_pinching, standard_J)
+                         expanding_sum, is_symplectic, random_pd,
+                         random_symplectic, s_pinching, standard_J)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "evaluate_pairs", "validate_mean_axioms",
     "dominates_geometric", "ValidationReport", "DominanceReport",
     "DEFAULT_TOL", "standard_J", "is_symplectic", "expanding_sum",
-    "s_pinching", "frame_residual", "complete_to_symplectic",
+    "s_pinching", "complete_to_symplectic",
     "random_symplectic", "random_pd", "SymplecticCheck",
     "WilliamsonFactorization", "symplectic_eigenvalues", "williamson",
     "symplectic_diag",

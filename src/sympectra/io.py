@@ -6,10 +6,10 @@ field.  Every input is read by one grammar (``_read``): a JSON array, a
 JSON object whose "rows" is a non-empty list of lists, or whitespace
 text with one row per line (commas count as blanks, and a single line
 is a 1-d array).  A vector's text may break its numbers over lines.
-What a matrix or a frame is (shape, finite entries) is the library's
-own check; a vector must be 1-d, non-empty and finite.  Floats are
-emitted with 17 significant digits so parse(emit(x)) restores x bit for
-bit, and emission is byte deterministic for fixed inputs.
+What a matrix, a frame or a vector is (shape, finite entries) is the
+library's own check, the one its functions apply.  Floats are emitted
+with 17 significant digits so parse(emit(x)) restores x bit for bit,
+and emission is byte deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError
-from .symplectic import _as_frame, _as_square_even
+from .symplectic import _as_frame, _as_square_even, _as_vector
 
 __all__ = [
     "fmt_float",
@@ -131,11 +131,7 @@ def parse_frame(text: str) -> np.ndarray:
 
 def parse_vector(text: str) -> np.ndarray:
     """Non-empty finite 1-d vector: a JSON array, or numbers in any layout."""
-    v = _read(text.replace("\n", " "), "vector")
-    if v.ndim != 1 or not v.size or not np.isfinite(v).all():
-        raise DomainError(
-            "vector must be a non-empty array, 1-d with finite entries")
-    return v
+    return _as_vector(_read(text.replace("\n", " "), "vector"))
 
 
 def _text_value(v) -> str:

@@ -23,14 +23,13 @@ realization.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, _check_tol
-from .symplectic import _pow2_scale, _scaled
+from .symplectic import _as_vector, _pow2_scale, _scaled
 
 __all__ = [
     "MAJORIZATION_TOL",
@@ -44,19 +43,11 @@ MAJORIZATION_TOL = 1e-10
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
-    """The unit pair (x / c, y / c) of two finite 1-d vectors, and c."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.ndim != 1 or y.ndim != 1:
-        raise DomainError("majorization comparisons need 1-d vectors")
+    """The unit pair (x / c, y / c) of two vectors of one length, and c."""
+    x, y = _as_vector(x), _as_vector(y)
     if x.shape != y.shape:
         raise DomainError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] == 0:
-        raise DomainError("majorization comparisons need n >= 1")
-    amax = float(np.abs(np.concatenate((x, y))).max())  # NaN stays NaN
-    if not math.isfinite(amax):
-        raise DomainError("vectors must be finite")
-    c = _pow2_scale(amax)
+    c = _pow2_scale(np.concatenate((x, y)))
     return x / c, y / c, c
 
 
@@ -168,10 +159,7 @@ def _horn_realize(z: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
         # already-realized inputs come back as the identity; clamp into
         # range when roundoff pushes d past an end.
         left = bisect_left(vals, d)
-        if left < len(vals) and vals[left] == d:
-            i = left
-        else:
-            i = bisect_right(vals, d) - 1
+        i = left if left < len(vals) and vals[left] == d else left - 1
         i = min(max(i, 0), len(vals) - 2)
         lam_p, lam_q = vals[i], vals[i + 1]
         p, q = slots[i], slots[i + 1]

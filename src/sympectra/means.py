@@ -11,8 +11,8 @@ A symmetric, homogeneous M is max(a, b) f(min / max) with f(t) = M(t, 1),
 so the axiom and dominance checks read M on one fixed grid of ratios t,
 with no randomness.  The library scores every mean on a power-of-two
 unit form, which is right only for a symmetric, homogeneous M, so it
-vets a custom mean for those two axioms once, on its first use, and
-refuses one that fails them.
+vets a custom mean for those two axioms and for finite values once, on
+its first use, and refuses one that fails them.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ class MeanSpec:
     unknown (typical for custom evaluators).  For an unknown claim,
     ``schur_check`` tests the dominance on a 2000-point grid once per spec
     and keeps the verdict on it.  A custom spec is likewise vetted for
-    symmetry and homogeneity once, on its first library call, and the
-    verdict is kept; so a spec's evaluator should not change behaviour
-    after its first use.
+    symmetry, homogeneity and finite values once, on its first library
+    call, and the verdict is kept; so a spec's evaluator should not
+    change behaviour after its first use.
     """
 
     kind: str
@@ -79,21 +79,25 @@ class MeanSpec:
 
     @cached_property
     def _refusal(self) -> Optional[str]:
-        """Why a custom evaluator is no mean, from symmetry and homogeneity
-        on a 2000-point grid, taken once; None if it passes.  Built-in
-        means hold both axioms analytically and are not evaluated."""
+        """Why a custom evaluator is no mean, from symmetry, homogeneity
+        and finite values f(t) = M(t, 1) on a 2000-point grid, taken once;
+        None if it passes.  Built-in means hold all three analytically and
+        are not evaluated."""
         if self.kind != "custom":
             return None
-        sym, hom, _ = _pair_axioms(self, _ratios(2000), 1e-9)
+        t = _ratios(2000)
+        sym, hom, f = _pair_axioms(self, t, 1e-9)
+        fin = _result(~np.isfinite(f), t, np.ones_like(t), f)
         for what, res in (("symmetric: (a, b, M(a, b), M(b, a))", sym),
-                          ("homogeneous: (a, b, r, M(ra, rb), r M(a, b))", hom)):
+                          ("homogeneous: (a, b, r, M(ra, rb), r M(a, b))", hom),
+                          ("finite: (a, b, M(a, b))", fin)):
             if not res.passed:
                 return f"custom mean is not {what} = {res.witness}"
         return None
 
     def _vet(self) -> None:
-        """Raise DomainError if this spec is a custom evaluator that fails
-        symmetry or homogeneity."""
+        """Raise DomainError if this spec is a custom evaluator that
+        ``_refusal`` refuses."""
         if self._refusal is not None:
             raise DomainError(self._refusal)
 
@@ -163,9 +167,10 @@ def custom_mean(evaluator: Callable[[float, float], float],
 
     Nothing is checked here.  On the spec's first use by ``schur_check``,
     ``symplectic_diag``, ``horn_symplectic_realize`` or a Ky Fan call,
-    symmetry and homogeneity are tested once on a 2000-point grid and the
-    verdict is kept on the spec; an evaluator that fails either raises
-    DomainError with the witness there and on every later use.
+    symmetry, homogeneity and finite values are tested once on a
+    2000-point grid and the verdict is kept on the spec; an evaluator that
+    fails any of them raises DomainError with the witness there and on
+    every later use.
     ``evaluate_pairs``, ``validate_mean_axioms`` and
     ``dominates_geometric`` never vet, so they report on non-means too.
 
@@ -349,12 +354,14 @@ def dominates_geometric(mean: MeanSpec, sample_budget: int = 10_000,
     of ``validate_mean_axioms``.
 
     For a symmetric, homogeneous M this is sqrt(ab) <= M(a, b) at every
-    pair whose ratio min / max lies on the grid.  The witness, when
-    present, is ``(t, 1, sqrt(t), f(t))`` for the first violation.
+    pair whose ratio min / max lies on the grid.  A non-finite f(t) is a
+    violation.  The witness, when present, is ``(t, 1, sqrt(t), f(t))``
+    for the first violation.
     """
     _check_tol(tol)
     t = _ratios(sample_budget)
     f = evaluate_pairs(mean, t, 1.0)
     g = np.sqrt(t)
-    res = _result(~(g <= f + tol * g), t, np.ones_like(t), g, f)
+    res = _result(~(np.isfinite(f) & (g <= f + tol * g)), t, np.ones_like(t),
+                  g, f)
     return DominanceReport(res.passed, res.witness, sample_budget)

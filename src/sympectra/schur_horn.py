@@ -74,7 +74,8 @@ def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport
     ``mean_dominates_geometric`` is the mean's analytic claim when it has
     one; otherwise ``dominates_geometric`` on its 2000-point grid of
     ratios, taken on the first call with that ``MeanSpec`` and kept on it.
-    A custom mean that fails symmetry or homogeneity raises DomainError.
+    A custom mean that fails symmetry, homogeneity or finite values
+    raises DomainError.
     """
     U, c, delta = _delta(A, tol)
     delta = _in_units(c, delta)

@@ -5,7 +5,9 @@ Conventions: the ambient order is 2n with the split (block) layout
 W is symplectic when ``W^T J W = J``.  A 2n-by-2k matrix X is a symplectic
 frame when ``X^T J_{2n} X = J_{2k}``; its columns split as ``[X1 X2]`` with
 X1, X2 of width k.  Predicates report raw Frobenius residuals so callers
-can re-threshold.
+can re-threshold.  What a matrix, a frame and a vector are (shape and
+finite entries) is decided here, by ``_as_square_even``, ``_as_frame``
+and ``_as_vector``, for the whole library and its command line.
 
 One construction turns a basis into a symplectic one: the Hermitian
 eigensolve of i R^T J R (``_skew_eigh``) and the scaling of its
@@ -30,7 +32,6 @@ __all__ = [
     "is_symplectic",
     "expanding_sum",
     "s_pinching",
-    "frame_residual",
     "check_frame",
     "complete_to_symplectic",
     "random_symplectic",
@@ -48,6 +49,28 @@ def _as_square_even(M, what: str = "matrix") -> tuple[np.ndarray, int]:
     if not np.isfinite(M).all():
         raise DomainError(f"{what} has non-finite entries")
     return M, M.shape[0] // 2
+
+
+def _as_frame(X) -> np.ndarray:
+    """X as a float array, checked to be finite and 2n-by-2k, 1 <= k <= n."""
+    X = np.asarray(X, dtype=float)
+    if (X.ndim != 2 or X.shape[0] % 2 or X.shape[1] % 2
+            or not 0 < X.shape[1] <= X.shape[0]):
+        raise DomainError(
+            f"frame must be 2n-by-2k with 1 <= k <= n, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise DomainError("frame has non-finite entries")
+    return X
+
+
+def _as_vector(v) -> np.ndarray:
+    """v as a non-empty, finite 1-d float array (a scalar reads as a
+    1-vector), else DomainError."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.ndim != 1 or not v.size or not np.isfinite(v).all():
+        raise DomainError(
+            "vector must be a non-empty array, 1-d with finite entries")
+    return v
 
 
 def standard_J(n: int) -> np.ndarray:
@@ -152,18 +175,19 @@ class SymplecticCheck(NamedTuple):
     residual: float
 
 
-def is_symplectic(W, tol: float = DEFAULT_TOL) -> SymplecticCheck:
-    """Test W^T J W = J; the raw Frobenius residual is always returned.
+def is_symplectic(X, tol: float = DEFAULT_TOL) -> SymplecticCheck:
+    """Test the frame relation X^T J_{2n} X = J_{2k} for a 2n-by-2k X,
+    1 <= k <= n; a square X (k = n) is a symplectic matrix.  The raw
+    Frobenius residual is always returned.
 
-    W^T J W is formed as G - G^T for G = W_1^T W_2, the product of W's
+    X^T J X is formed as G - G^T for G = X_1^T X_2, the product of X's
     row halves, so J is applied as a block swap and never multiplied.
-    The verdict compares the residual against ``tol * max(1, ||W||_F^2)``,
-    matching the quadratic scaling of the defect in W; it is taken after
+    The verdict compares the residual against ``tol * max(1, ||X||_F^2)``,
+    matching the quadratic scaling of the defect in X; it is taken after
     an exact power-of-two rescaling, so it holds past the overflow of
-    ||W||_F^2.  A W with a non-finite entry raises DomainError.
+    ||X||_F^2.  Any other shape, or a non-finite entry, raises DomainError.
     """
-    W, _ = _as_square_even(W)
-    ok, residual, _ = _form_check(W, tol)
+    ok, residual, _ = _form_check(_as_frame(X), tol)
     return SymplecticCheck(ok, residual)
 
 
@@ -203,26 +227,6 @@ def s_pinching(A, partition: Sequence[int]) -> np.ndarray:
             f"partition {sizes} must have positive parts summing to {n}")
     mask = expanding_sum([np.ones((2 * m, 2 * m)) for m in sizes])
     return np.where(mask != 0, A, 0.0)
-
-
-def _as_frame(X) -> np.ndarray:
-    """X as a float array, checked to be finite and 2n-by-2k, 1 <= k <= n."""
-    X = np.asarray(X, dtype=float)
-    if (X.ndim != 2 or X.shape[0] % 2 or X.shape[1] % 2
-            or not 0 < X.shape[1] <= X.shape[0]):
-        raise DomainError(
-            f"frame must be 2n-by-2k with 1 <= k <= n, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise DomainError("frame has non-finite entries")
-    return X
-
-
-def frame_residual(X) -> float:
-    """Frobenius norm of X^T J_{2n} X - J_{2k} for a 2n-by-2k matrix.
-
-    A non-finite X raises DomainError.
-    """
-    return _form_check(_as_frame(X), DEFAULT_TOL)[1]
 
 
 def check_frame(X, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -1,12 +1,18 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympectra import DomainError, NumericalError
+from sympectra.io import parse_vector
 from sympectra.majorization import (MAJORIZATION_TOL, _horn_realize, _pair,
                                     intermediate_vector, majorize,
                                     weak_supermajorize)
+from sympectra.means import geometric_mean
+from sympectra.schur_horn import horn_symplectic_realize
 
 
 def givens_chain(z, y, tol=MAJORIZATION_TOL):
@@ -249,3 +255,27 @@ def test_horn_realize_verification_raises():
                        match="diagonal realization failed verification"):
         givens_chain([1.5, 1.5], [1.0, 2.0], tol=1e-300)
 
+
+
+_VECTOR_MESSAGE = "vector must be a non-empty array, 1-d with finite entries"
+_GOOD = [2.0, 2.0], [1.0, 2.0]
+
+VECTOR_CALLS = {
+    "weak_supermajorize": weak_supermajorize,
+    "majorize": majorize,
+    "intermediate_vector": intermediate_vector,
+    "horn_symplectic_realize": lambda x, y: horn_symplectic_realize(
+        x, y, geometric_mean()),
+    "parse_vector": lambda x, y: (parse_vector(json.dumps(x)),
+                                  parse_vector(json.dumps(y))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_CALLS))
+def test_every_public_vector_entry_applies_the_one_rule(name):
+    call = VECTOR_CALLS[name]
+    call(*_GOOD)
+    for bad in ([[1.0, 2.0]], [], [1.0, np.nan], [1.0, np.inf]):
+        for args in ((bad, _GOOD[1]), (_GOOD[0], bad)):
+            with pytest.raises(DomainError, match=re.escape(_VECTOR_MESSAGE)):
+                call(*args)

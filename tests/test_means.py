@@ -285,3 +285,11 @@ def test_validate_axioms_counts_nan_as_violation():
     for axiom in (rep.symmetry, rep.homogeneity, rep.monotonicity,
                   rep.betweenness):
         assert not axiom.passed and axiom.witness is not None
+
+
+def test_dominance_counts_infinity_as_violation():
+    # sqrt(t) <= inf holds, but an infinite M(t, 1) is no mean value.
+    rep = dominates_geometric(
+        custom_mean(lambda a, b: np.full(np.shape(a), np.inf)), 50)
+    assert not rep.holds
+    assert rep.witness == (1.0, 1.0, 1.0, np.inf)

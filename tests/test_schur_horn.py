@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from sympectra.means import (arithmetic_mean, custom_mean, geometric_mean,
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_objective, kyfan_search, schur_check)
 from sympectra.spectral import symplectic_diag, symplectic_eigenvalues, williamson
-from sympectra.symplectic import (check_frame, frame_residual, random_pd,
+from sympectra.symplectic import (check_frame, is_symplectic, random_pd,
                                   random_symplectic, standard_J)
 
 DOMINATING = [arithmetic_mean(), geometric_mean(), parse_mean("power:2"),
@@ -283,7 +285,7 @@ def test_kyfan_minimizer_matches_partial_sums():
             for mean in (geometric_mean(), harmonic_mean(), max_mean()):
                 res = kyfan_minimizer(A, k, mean)
                 assert abs(res.min_value - delta[:k].sum()) <= 1e-8
-                assert frame_residual(res.minimizer) <= 1e-8
+                assert is_symplectic(res.minimizer).residual <= 1e-8
 
 
 def test_kyfan_minimizer_frame_is_columns_of_inverse_transpose():
@@ -319,6 +321,21 @@ def test_kyfan_calls_reject_nan_valued_mean():
         kyfan_objective(A, np.eye(4)[:, [0, 2]], nan_mean)
 
 
+_A0 = random_pd(2, seed=0)
+_A0 = _A0 / np.abs(_A0).max()
+
+
+def _mean_entry_points(mean):
+    """Every library call that takes a mean, as a function of A."""
+    X = kyfan_minimizer(_A0, 1, geometric_mean()).minimizer
+    return (lambda A: kyfan_objective(A, X, mean),
+            lambda A: kyfan_minimizer(A, 1, mean),
+            lambda A: kyfan_search(A, 1, mean, budget=8),
+            lambda A: schur_check(A, mean),
+            lambda A: symplectic_diag(A, mean),
+            lambda A: horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean))
+
+
 def test_non_mean_is_refused_by_every_entry_point():
     # M = (a + b) / 2 + 1 is symmetric but not homogeneous.  Scored on A's
     # power-of-two unit form it would jump at each power of two: at the
@@ -330,30 +347,32 @@ def test_non_mean_is_refused_by_every_entry_point():
         evaluated.append(np.size(a))
         return 0.5 * a + 0.5 * b + 1.0
 
-    mean = custom_mean(affine)
-    A0 = random_pd(2, seed=0)
-    A0 = A0 / np.abs(A0).max()
-    X = kyfan_minimizer(A0, 1, geometric_mean()).minimizer
-    calls = (lambda A: kyfan_objective(A, X, mean),
-             lambda A: kyfan_minimizer(A, 1, mean),
-             lambda A: kyfan_search(A, 1, mean, budget=8),
-             lambda A: schur_check(A, mean),
-             lambda A: symplectic_diag(A, mean),
-             lambda A: horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean))
+    calls = _mean_entry_points(custom_mean(affine))
     for s in (1.999, 2.0, 4.0):
         for call in calls:
             with pytest.raises(DomainError,
                                match="custom mean is not homogeneous"):
-                call(s * A0)
+                call(s * _A0)
     # Vetted once, on three 2000-point grid evaluations; the refusal is kept.
     assert evaluated == [2000] * 3
+
+
+def test_infinite_mean_is_refused_by_every_entry_point():
+    # Equal infinities compare close, so an evaluator answering +inf passes
+    # symmetry and homogeneity; its non-finite values are refused as input
+    # rather than surfacing later as a non-finite answer or a failed stage.
+    mean = custom_mean(lambda a, b: np.full(np.shape(a), np.inf))
+    for call in _mean_entry_points(mean):
+        with pytest.raises(DomainError, match=re.escape(
+                "custom mean is not finite: (a, b, M(a, b)) = (1.0, 1.0, inf)")):
+            call(_A0)
 
 
 def test_kyfan_objective_out_of_range_raises():
     # A valid frame whose b_11 = 1e320 a_11 overflows.
     X = np.zeros((4, 2))
     X[0, 0], X[2, 1] = 1e160, 1e-160
-    assert frame_residual(X) == 0.0
+    assert is_symplectic(X).residual == 0.0
     with pytest.raises(NumericalError, match="not finite"):
         kyfan_objective(random_pd(2, seed=1), X, geometric_mean())
 

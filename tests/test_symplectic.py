@@ -7,9 +7,8 @@ from sympectra.means import geometric_mean
 from sympectra.schur_horn import kyfan_minimizer
 from sympectra.symplectic import (DEFAULT_TOL, check_frame,
                                   complete_to_symplectic,
-                                  expanding_sum, frame_residual,
-                                  is_symplectic, random_pd, random_symplectic,
-                                  s_pinching, standard_J)
+                                  expanding_sum, is_symplectic, random_pd,
+                                  random_symplectic, s_pinching, standard_J)
 
 
 def test_standard_J_identities():
@@ -53,8 +52,8 @@ def test_is_symplectic_verdict_past_norm_overflow():
 def test_is_symplectic_rejects_odd_shapes():
     with pytest.raises(DomainError):
         is_symplectic(np.eye(3))
-    with pytest.raises(DomainError):
-        is_symplectic(np.ones((4, 2)))
+    # A 4-by-2 matrix is a frame: its columns are isotropic, not a pair.
+    assert is_symplectic(np.ones((4, 2))) == (False, np.sqrt(2.0))
     with pytest.raises(DomainError, match="non-finite"):
         is_symplectic(np.diag([1.0, np.nan, 1.0, 1.0]))
 
@@ -157,12 +156,12 @@ def test_pinching_rejects_bad_partitions(bad):
 
 def test_frame_residual_shape_validation():
     with pytest.raises(DomainError):
-        frame_residual(np.ones((5, 2)))
+        is_symplectic(np.ones((5, 2)))
     with pytest.raises(DomainError):
-        frame_residual(np.ones((4, 6)))  # k > n
+        is_symplectic(np.ones((4, 6)))  # k > n
     X = np.eye(4)[:, [0, 2]]
     X[1, 0] = np.nan
-    for call in (frame_residual, check_frame):
+    for call in (is_symplectic, check_frame):
         with pytest.raises(DomainError, match="non-finite"):
             call(X)
 
@@ -173,7 +172,7 @@ def test_frame_residual_past_norm_overflow():
     X[0, 0] += 1e-3
     want = 1e200 * np.linalg.norm(X.T @ standard_J(3) @ X
                                   - 1e-200 * standard_J(1))
-    assert frame_residual(1e100 * X) == pytest.approx(want, rel=1e-12)
+    assert is_symplectic(1e100 * X).residual == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [1e100, 1e160, 1e300])
@@ -181,11 +180,11 @@ def test_frame_residual_keeps_J_past_square_overflow(a):
     # Isotropic columns: X^T J X = 0, so the residual is ||J_2||_F.
     X = np.zeros((4, 2))
     X[0, 0] = X[1, 1] = a
-    assert frame_residual(X) == np.sqrt(2.0)
+    assert is_symplectic(X).residual == np.sqrt(2.0)
     # A genuine frame with columns of size a and 1/a.
     X = np.zeros((4, 2))
     X[0, 0], X[2, 1] = a, 1.0 / a
-    assert frame_residual(X) <= 1e-15
+    assert is_symplectic(X).residual <= 1e-15
     np.testing.assert_array_equal(check_frame(X), X)
     assert is_symplectic(np.diag([a, 1.0 / a])).ok
 
@@ -217,13 +216,11 @@ def test_form_check_matches_dense_product(n):
     for X in _form_cases(n):
         want, ok = _dense_form_check(X)
         bound = 8 * eps * max(1.0, np.linalg.norm(X) ** 2)
-        assert abs(frame_residual(X) - want) <= bound
-        assert (frame_residual(X) <= DEFAULT_TOL * max(
+        got = is_symplectic(X)
+        assert abs(got.residual - want) <= bound
+        assert (got.residual <= DEFAULT_TOL * max(
             1.0, np.linalg.norm(X) ** 2)) == ok
-        if X.shape[0] == X.shape[1]:
-            got = is_symplectic(X)
-            assert abs(got.residual - want) <= bound
-            assert got.ok == ok
+        assert got.ok == ok
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -234,19 +231,17 @@ def test_form_check_matches_dense_past_2_240(n):
     for X in _form_cases(n):
         X = np.ldexp(X, 250)
         want, ok = _dense_form_check(X)
-        assert abs(frame_residual(X) - want) <= 8 * eps * np.linalg.norm(X) ** 2
-        if X.shape[0] == X.shape[1]:
-            assert is_symplectic(X).ok == ok
-        else:
-            assert (frame_residual(X) <= DEFAULT_TOL * np.linalg.norm(X) ** 2
-                    ) == ok
+        got = is_symplectic(X)
+        assert abs(got.residual - want) <= 8 * eps * np.linalg.norm(X) ** 2
+        assert (got.residual <= DEFAULT_TOL * np.linalg.norm(X) ** 2) == ok
+        assert got.ok == ok
 
 
 @pytest.mark.parametrize("a", [1.0, 1e5, 2.0 ** 239, 2.0 ** 241, 1e300])
 def test_isotropic_frame_residual_is_exactly_sqrt2(a):
     X = np.zeros((4, 2))
     X[0, 0] = X[1, 1] = a  # X^T J X = 0, so the residual is ||J_2||_F
-    assert frame_residual(X) == np.sqrt(2.0)
+    assert is_symplectic(X).residual == np.sqrt(2.0)
 
 
 def test_completion_identity_frame():
