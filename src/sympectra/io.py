@@ -6,10 +6,11 @@ field.  Every input is read by one grammar (``_read``): a JSON array, a
 JSON object whose "rows" is a non-empty list of lists, or whitespace
 text with one row per line (commas count as blanks, and a single line
 is a 1-d array).  A vector's text may break its numbers over lines.
-What a matrix, a frame or a vector is (shape, finite entries) is the
-library's own check, the one its functions apply.  Floats are emitted
-with 17 significant digits so parse(emit(x)) restores x bit for bit,
-and emission is byte deterministic for fixed inputs.
+What a matrix, a frame or a vector is (real numbers, shape, finite
+entries) is the library's own check, the one its functions apply.
+Floats are emitted with 17 significant digits so parse(emit(x))
+restores x bit for bit, and emission is byte deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ def frame_obj(X) -> dict:
     return {"n": X.shape[0] // 2, "k": X.shape[1] // 2, "rows": X.tolist()}
 
 
-def _read(text: str, what: str) -> np.ndarray:
-    """The float array that ``text`` spells in the module's grammar.
+def _read(text: str, what: str) -> list:
+    """The nested lists that ``text`` spells in the module's grammar.
 
     An object's "rows" must number 2n when it declares "n".  The format
-    is all that is decided here: shape and finiteness are the caller's.
+    is all that is decided here: numbers, shape and finiteness are the
+    library's rule for the caller's kind.
     """
     text = text.strip()
     if not text:
@@ -111,12 +113,7 @@ def _read(text: str, what: str) -> np.ndarray:
         obj = rows
     elif not isinstance(obj, list):
         raise DomainError(f"{what} JSON must be an object or an array")
-    try:
-        return np.array(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(
-            f"{what} entries must be numbers in double range, in rows "
-            "of one length") from exc
+    return obj
 
 
 def parse_matrix(text: str) -> np.ndarray:

@@ -104,7 +104,7 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
     z = min(x, level) is formed in the caller's units, so a subnormal x_j
     that the unit pair rounds is kept as it is.
     """
-    x0, y0 = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x0, y0 = _as_vector(x), _as_vector(y)
     x, y, scale = _pair(x0, y0)
     if not ((x0 > 0).all() and (y0 > 0).all()):
         raise DomainError("intermediate_vector needs strictly positive vectors")
@@ -125,7 +125,7 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
             "x is not weakly supermajorized by y (capped x: worst slack "
             f"{scale * float(rep.k_slacks.min()):.3e} at k={k}, "
             f"total gap {scale * rep.total_gap:.3e})")
-    return np.minimum(np.atleast_1d(x0), scale * c)
+    return np.minimum(x0, scale * c)
 
 
 def _horn_realize(z: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:

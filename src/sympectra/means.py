@@ -9,10 +9,14 @@ wrapped as ``custom`` means.
 
 A symmetric, homogeneous M is max(a, b) f(min / max) with f(t) = M(t, 1),
 so the axiom and dominance checks read M on one fixed grid of ratios t,
-with no randomness.  The library scores every mean on a power-of-two
-unit form, which is right only for a symmetric, homogeneous M, so it
-vets a custom mean for those two axioms and for finite values once, on
-its first use, and refuses one that fails them.
+with no randomness.  The library's answers rest on three of the axioms:
+it scores every mean on a power-of-two unit form, which is right only
+for a symmetric, homogeneous M, and the Ky Fan minimizer and the Horn
+realization read M(a, a) = a, which betweenness forces (as it forces
+positive, finite values).  So it vets a custom mean once, on its first
+use, with ``validate_mean_axioms`` and refuses one that fails any of
+those three.  Monotonicity is reported but not required: no answer
+relies on it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, _check_tol
+from .symplectic import _as_real, _count
 
 __all__ = [
     "MeanSpec",
@@ -49,12 +54,12 @@ __all__ = [
 class MeanSpec:
     """A two-variable mean: a named kind plus its evaluator.
 
-    ``dominates_geometric_claim`` is an analytically asserted flag stating
-    whether sqrt(a*b) <= M(a,b) holds for all positive a, b; ``None`` means
-    unknown (typical for custom evaluators).  For an unknown claim,
+    ``dominates_geometric_claim`` is the analytic verdict on whether
+    sqrt(a*b) <= M(a,b) holds for all positive a, b; every built-in mean
+    carries one, and a custom mean has ``None``.  For ``None``,
     ``schur_check`` tests the dominance on a 2000-point grid once per spec
     and keeps the verdict on it.  A custom spec is likewise vetted for
-    symmetry, homogeneity and finite values once, on its first library
+    symmetry, homogeneity and betweenness once, on its first library
     call, and the verdict is kept; so a spec's evaluator should not
     change behaviour after its first use.
     """
@@ -79,27 +84,21 @@ class MeanSpec:
 
     @cached_property
     def _refusal(self) -> Optional[str]:
-        """Why a custom evaluator is no mean, from symmetry, homogeneity
-        and finite values f(t) = M(t, 1) on a 2000-point grid, taken once;
-        None if it passes.  Built-in means hold all three analytically and
-        are not evaluated."""
+        """Why a custom evaluator is no mean: the first of symmetry,
+        homogeneity and betweenness that fails in one 2000-point
+        ``validate_mean_axioms`` report, taken once; None if all three
+        hold.  Built-in means hold them analytically and are not
+        evaluated."""
         if self.kind != "custom":
             return None
-        t = _ratios(2000)
-        sym, hom, f = _pair_axioms(self, t, 1e-9)
-        fin = _result(~np.isfinite(f), t, np.ones_like(t), f)
-        for what, res in (("symmetric: (a, b, M(a, b), M(b, a))", sym),
-                          ("homogeneous: (a, b, r, M(ra, rb), r M(a, b))", hom),
-                          ("finite: (a, b, M(a, b))", fin)):
+        rep = validate_mean_axioms(self, 2000)
+        for what, res in (
+                ("symmetric: (a, b, M(a, b), M(b, a))", rep.symmetry),
+                ("homogeneous: (a, b, r, M(ra, rb), r M(a, b))", rep.homogeneity),
+                ("between-valued: (a, b, M(a, b))", rep.betweenness)):
             if not res.passed:
                 return f"custom mean is not {what} = {res.witness}"
         return None
-
-    def _vet(self) -> None:
-        """Raise DomainError if this spec is a custom evaluator that
-        ``_refusal`` refuses."""
-        if self._refusal is not None:
-            raise DomainError(self._refusal)
 
 
 def _power_eval(p: float):
@@ -161,28 +160,27 @@ def power_mean(p: float) -> MeanSpec:
                     dominates_geometric_claim=p >= 0)
 
 
-def custom_mean(evaluator: Callable[[float, float], float],
-                dominates_geometric_claim: Optional[bool] = None) -> MeanSpec:
-    """Wrap a user-supplied evaluator of a symmetric, homogeneous mean.
+def custom_mean(evaluator: Callable[[float, float], float]) -> MeanSpec:
+    """Wrap a user-supplied evaluator of a symmetric, homogeneous,
+    between-valued mean.
 
     Nothing is checked here.  On the spec's first use by ``schur_check``,
     ``symplectic_diag``, ``horn_symplectic_realize`` or a Ky Fan call,
-    symmetry, homogeneity and finite values are tested once on a
-    2000-point grid and the verdict is kept on the spec; an evaluator that
-    fails any of them raises DomainError with the witness there and on
-    every later use.
+    ``validate_mean_axioms`` tests it once on a 2000-point grid and the
+    verdict is kept on the spec; an evaluator that fails symmetry,
+    homogeneity or betweenness raises DomainError with the witness there
+    and on every later use.  A non-monotone one is admitted.
     ``evaluate_pairs``, ``validate_mean_axioms`` and
     ``dominates_geometric`` never vet, so they report on non-means too.
 
     The library's own calls hand the evaluator scalars or 1-D arrays, and
     fall back to one call per element as ``evaluate_pairs`` describes.
 
-    Without a ``dominates_geometric_claim``, ``schur_check`` tests the
-    dominance of the geometric mean on its first call with the returned
-    spec and keeps that verdict on the spec for later calls.
+    ``schur_check`` tests the dominance of the geometric mean on its
+    first call with the returned spec and keeps that verdict on the spec
+    for later calls.
     """
-    return MeanSpec("custom", evaluator,
-                    dominates_geometric_claim=dominates_geometric_claim)
+    return MeanSpec("custom", evaluator)
 
 
 _BUILTINS = {
@@ -221,8 +219,7 @@ def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
     """Elementwise M(a, b) over broadcast arrays; scalar-only evaluators (a
     wrong-shaped result, TypeError or ValueError on arrays) are called once
     per element."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _as_real(a, "mean argument"), _as_real(b, "mean argument")
     shape = a.shape
     if b.shape != shape:
         try:
@@ -288,9 +285,8 @@ _FACTORS = np.array([2.0 ** -60, 1.0 / 3.0, 3.0, 2.0 ** 60])
 
 def _ratios(sample_budget: int) -> np.ndarray:
     """The grid t = 2^-s, s evenly spaced over [0, 900], t = 1 first."""
-    if sample_budget < 1:
-        raise DomainError("sample_budget must be >= 1")
-    return 2.0 ** -np.linspace(0.0, 900.0, sample_budget)
+    return 2.0 ** -np.linspace(0.0, 900.0,
+                               _count(sample_budget, "sample_budget"))
 
 
 def _result(bad, *columns) -> AxiomResult:
@@ -301,21 +297,6 @@ def _result(bad, *columns) -> AxiomResult:
         return AxiomResult(True)
     i = int(np.argmax(bad))
     return AxiomResult(False, tuple(float(c[i]) for c in columns))
-
-
-def _pair_axioms(mean: MeanSpec, t: np.ndarray, tol: float):
-    """Symmetry M(rt, r) = M(r, rt) and homogeneity M(rt, r) = r f(t) on
-    the grid t, r cycling over ``_FACTORS``; also the profile f = M(t, 1)."""
-    r = np.resize(_FACTORS, t.shape)
-    f = evaluate_pairs(mean, t, 1.0)
-    m_lo = evaluate_pairs(mean, r * t, r)
-    m_hi = evaluate_pairs(mean, r, r * t)
-    # |x - y| <= tol |y|, with equal infinities close and NaN never.
-    sym = _result(~np.isclose(m_hi, m_lo, rtol=tol, atol=0.0),
-                  r * t, r, m_lo, m_hi)
-    hom = _result(~np.isclose(m_lo, r * f, rtol=tol, atol=0.0),
-                  t, np.ones_like(t), r, m_lo, r * f)
-    return sym, hom, f
 
 
 def validate_mean_axioms(mean: MeanSpec, sample_budget: int = 10_000,
@@ -329,23 +310,34 @@ def validate_mean_axioms(mean: MeanSpec, sample_budget: int = 10_000,
     Inequalities, 2003, ch. II), so betweenness is t <= f(t) <= 1 and
     monotonicity is f nondecreasing and f(t) / t nonincreasing along the
     grid.  Violations are reported, never raised; ``tol`` is the
-    comparison slack relative to the values compared.
+    comparison slack relative to the values compared.  Values past the
+    double range read as inf, with no overflow warning, so an evaluator
+    such as 1e300 max(a, b) fails betweenness rather than raising.
     """
     _check_tol(tol)
     t = _ratios(sample_budget)
-    sym, hom, f = _pair_axioms(mean, t, tol)
-    btw = _result(~((f >= t - tol * t) & (f <= 1.0 + tol)),
-                  t, np.ones_like(t), f)
-    # M(up a, 1) >= M(a, 1) for up = t_i / t_{i+1} > 1: at a = t_{i+1} this
-    # is f's step, at a = 1 / t_i the step of M(1 / t, 1) = f(t) / t.
-    q = f / t
-    a = np.concatenate([t[1:], 1.0 / t[:-1]])
-    lo = np.concatenate([f[1:], q[:-1]])
-    hi = np.concatenate([f[:-1], q[1:]])
-    mono = _result(~(hi >= lo * (1.0 - tol)), a, np.ones_like(a),
-                   np.tile(t[:-1] / t[1:], 2), lo)
+    r = np.resize(_FACTORS, t.shape)
+    with np.errstate(over="ignore"):
+        f = evaluate_pairs(mean, t, 1.0)
+        m_lo = evaluate_pairs(mean, r * t, r)
+        m_hi = evaluate_pairs(mean, r, r * t)
+        # |x - y| <= tol |y|, with equal infinities close and NaN never.
+        sym = _result(~np.isclose(m_hi, m_lo, rtol=tol, atol=0.0),
+                      r * t, r, m_lo, m_hi)
+        hom = _result(~np.isclose(m_lo, r * f, rtol=tol, atol=0.0),
+                      t, np.ones_like(t), r, m_lo, r * f)
+        btw = _result(~((f >= t - tol * t) & (f <= 1.0 + tol)),
+                      t, np.ones_like(t), f)
+        # M(up a, 1) >= M(a, 1) for up = t_i / t_{i+1} > 1: at a = t_{i+1}
+        # this is f's step, at a = 1 / t_i the step of M(1 / t, 1) = f(t) / t.
+        q = f / t
+        a = np.concatenate([t[1:], 1.0 / t[:-1]])
+        lo = np.concatenate([f[1:], q[:-1]])
+        hi = np.concatenate([f[:-1], q[1:]])
+        mono = _result(~(hi >= lo * (1.0 - tol)), a, np.ones_like(a),
+                       np.tile(t[:-1] / t[1:], 2), lo)
     return ValidationReport(symmetry=sym, homogeneity=hom, monotonicity=mono,
-                            betweenness=btw, samples=sample_budget)
+                            betweenness=btw, samples=t.size)
 
 
 def dominates_geometric(mean: MeanSpec, sample_budget: int = 10_000,
@@ -364,4 +356,4 @@ def dominates_geometric(mean: MeanSpec, sample_budget: int = 10_000,
     g = np.sqrt(t)
     res = _result(~(np.isfinite(f) & (g <= f + tol * g)), t, np.ones_like(t),
                   g, f)
-    return DominanceReport(res.passed, res.witness, sample_budget)
+    return DominanceReport(res.passed, res.witness, t.size)

@@ -30,7 +30,8 @@ from .majorization import (MAJORIZATION_TOL, MajorizationReport,
 from .means import MeanSpec
 from .spectral import (_check_definite, _delta, _diag_m, _symmetrized,
                        _williamson)
-from .symplectic import DEFAULT_TOL, _euler_frames, _in_units, check_frame
+from .symplectic import (DEFAULT_TOL, _count, _euler_frames, _in_units,
+                         check_frame)
 
 __all__ = [
     "SchurCheckReport",
@@ -71,11 +72,11 @@ class SchurCheckReport:
 def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport:
     """Compare the mean-indexed diagonal of A against delta(A) under <=^w.
 
-    ``mean_dominates_geometric`` is the mean's analytic claim when it has
-    one; otherwise ``dominates_geometric`` on its 2000-point grid of
+    ``mean_dominates_geometric`` is a built-in mean's analytic claim; for
+    a custom mean it is ``dominates_geometric`` on its 2000-point grid of
     ratios, taken on the first call with that ``MeanSpec`` and kept on it.
-    A custom mean that fails symmetry, homogeneity or finite values
-    raises DomainError.
+    A custom mean that fails symmetry, homogeneity or betweenness raises
+    DomainError.
     """
     U, c, delta = _delta(A, tol)
     delta = _in_units(c, delta)
@@ -102,7 +103,8 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
        [rp^T o C, (rr^T + ss^T) o C]] (o the entrywise product), formed
        directly and exactly symmetric.  Congruence preserves delta, and
        each diagonal pair becomes (t_j z_j, t_j z_j) = (x_j, x_j), so
-       diag_M(A) = x for every mean through M(a, a) = a.
+       diag_M(A) = x for every mean through M(a, a) = a, which the vet
+       of a custom mean checks (betweenness forces it).
 
     x keeps its original coordinate order end to end.  Admissibility is
     the one check of ``intermediate_vector`` (DomainError).  Steps 2 and
@@ -221,8 +223,7 @@ def kyfan_minimizer(A, k: int, mean: MeanSpec,
     """
     U, c, fact = _williamson(A, tol)
     n = fact.n
-    if not 1 <= k <= n:
-        raise DomainError(f"k must be in 1..{n}, got {k}")
+    k = _count(k, "k", n)
     W = fact.W
     X = np.empty((2 * n, 2 * k))
     X[:n, :k], X[:n, k:] = W[n:, n:n + k], -W[n:, :k]
@@ -266,10 +267,8 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     """
     U, c, delta = _delta(A, tol)
     n = delta.shape[0]
-    if not 1 <= k <= n:
-        raise DomainError(f"k must be in 1..{n}, got {k}")
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
+    k = _count(k, "k", n)
+    budget = _count(budget, "budget")
     target = float(np.sum(delta[:k]))
     threshold = tol * target
 

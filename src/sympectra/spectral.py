@@ -220,7 +220,8 @@ def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
     a batch of frames in kyfan_search.  The mean's evaluator receives the
     pairs as 1-D arrays whatever the batch shape.  Every library call
     evaluates means here, so a custom mean is vetted here, once per spec."""
-    mean._vet()
+    if mean._refusal is not None:
+        raise DomainError(mean._refusal)
     m = d.shape[-1] // 2
     out = evaluate_pairs(mean, d[..., :m].ravel(), d[..., m:].ravel())
     return out.reshape(d.shape[:-1] + (m,))

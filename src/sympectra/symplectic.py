@@ -5,9 +5,12 @@ Conventions: the ambient order is 2n with the split (block) layout
 W is symplectic when ``W^T J W = J``.  A 2n-by-2k matrix X is a symplectic
 frame when ``X^T J_{2n} X = J_{2k}``; its columns split as ``[X1 X2]`` with
 X1, X2 of width k.  Predicates report raw Frobenius residuals so callers
-can re-threshold.  What a matrix, a frame and a vector are (shape and
-finite entries) is decided here, by ``_as_square_even``, ``_as_frame``
-and ``_as_vector``, for the whole library and its command line.
+can re-threshold.  What a matrix, a frame and a vector are (real
+numbers, shape and finite entries) is decided here, by
+``_as_square_even``, ``_as_frame`` and ``_as_vector``, which convert
+through the one ``_as_real``, for the whole library and its command
+line; every count (an order, k, a budget, a partition part) is read by
+``_count``.
 
 One construction turns a basis into a symplectic one: the Hermitian
 eigensolve of i R^T J R (``_skew_eigh``) and the scaling of its
@@ -19,6 +22,7 @@ it to an orthonormal basis of a frame's J-orthogonal complement, and
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,9 +45,21 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 
 
+def _as_real(a, what: str) -> np.ndarray:
+    """a as a float array; DomainError for complex entries, or for entries
+    numpy cannot convert (ragged rows, text, ints past the double range)."""
+    try:
+        if not np.iscomplexobj(a):
+            return np.asarray(a, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} entries must be numbers in double range, "
+                          "in rows of one length") from exc
+    raise DomainError(f"{what} has complex entries")
+
+
 def _as_square_even(M, what: str = "matrix") -> tuple[np.ndarray, int]:
     """(M, n) for M square of order 2n >= 2 and finite, else DomainError."""
-    M = np.asarray(M, dtype=float)
+    M = _as_real(M, what)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 or not M.size:
         raise DomainError(f"{what} must be square of even order, got shape {M.shape}")
     if not np.isfinite(M).all():
@@ -53,7 +69,7 @@ def _as_square_even(M, what: str = "matrix") -> tuple[np.ndarray, int]:
 
 def _as_frame(X) -> np.ndarray:
     """X as a float array, checked to be finite and 2n-by-2k, 1 <= k <= n."""
-    X = np.asarray(X, dtype=float)
+    X = _as_real(X, "frame")
     if (X.ndim != 2 or X.shape[0] % 2 or X.shape[1] % 2
             or not 0 < X.shape[1] <= X.shape[0]):
         raise DomainError(
@@ -66,11 +82,25 @@ def _as_frame(X) -> np.ndarray:
 def _as_vector(v) -> np.ndarray:
     """v as a non-empty, finite 1-d float array (a scalar reads as a
     1-vector), else DomainError."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    v = np.atleast_1d(_as_real(v, "vector"))
     if v.ndim != 1 or not v.size or not np.isfinite(v).all():
         raise DomainError(
             "vector must be a non-empty array, 1-d with finite entries")
     return v
+
+
+def _count(value, what: str, hi: float = math.inf, lo: float = 1) -> int:
+    """value read with ``operator.index``, so 1.5 and "2" are refused
+    rather than truncated or parsed, and checked to lie in lo..hi;
+    DomainError otherwise."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if not lo <= k <= hi:
+        raise DomainError(f"{what} must be >= {lo}" if hi == math.inf
+                          else f"{what} must be in {lo}..{hi}, got {k}")
+    return k
 
 
 def standard_J(n: int) -> np.ndarray:
@@ -80,8 +110,7 @@ def standard_J(n: int) -> np.ndarray:
     J of order 2(m+n) is the expanding sum of the order-2m and order-2n
     forms.
     """
-    if n < 1:
-        raise DomainError("half-order n must be >= 1")
+    n = _count(n, "half-order n")
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = np.eye(n)
     J[n:, :n] = -np.eye(n)
@@ -109,10 +138,9 @@ def _scaled(c: float, x, what: str):
 
 def _in_units(c: float, x, what: str = "symplectic spectrum"):
     """``_scaled``, and NumericalError where c min |x| falls below the
-    normal range.  A zero answer is exact and kept (x is positive or a
-    scalar)."""
-    lo = float(np.abs(x).min())
-    if lo and c * lo < np.finfo(float).tiny:
+    normal range; x is positive (or a positive scalar), as every answer
+    of a positive definite matrix and an admitted mean is."""
+    if c * float(np.abs(x).min()) < np.finfo(float).tiny:
         raise NumericalError(
             f"{what} is out of range: it underflows at the input's scale")
     return _scaled(c, x, what)
@@ -221,7 +249,8 @@ def s_pinching(A, partition: Sequence[int]) -> np.ndarray:
     definiteness is preserved.
     """
     A, n = _as_square_even(A)
-    sizes = [int(m) for m in partition]
+    # Each part is read as an integer; their range is the partition's check.
+    sizes = [_count(m, "partition part", lo=-math.inf) for m in partition]
     if any(m < 1 for m in sizes) or sum(sizes) != n:
         raise DomainError(
             f"partition {sizes} must have positive parts summing to {n}")
@@ -356,8 +385,7 @@ def random_symplectic(n: int, seed=0, spread: float = 1.0) -> np.ndarray:
     up to rounding, so they pair up at every spread; spread -> 0
     collapses to the identity.
     """
-    if n < 1:
-        raise DomainError("half-order n must be >= 1")
+    n = _count(n, "half-order n")
     if not spread > 0:
         raise DomainError("spread must be positive")
     return _euler_frames(np.random.default_rng(seed), 1, n, n, spread)[0]
@@ -369,8 +397,7 @@ def random_pd(n: int, seed=0, spread: float = 1.0) -> np.ndarray:
     Eigenvalues are log-uniform in [exp(-spread), exp(spread)] with a Haar
     orthogonal eigenbasis, so ``spread`` directly controls conditioning.
     """
-    if n < 1:
-        raise DomainError("half-order n must be >= 1")
+    n = _count(n, "half-order n")
     if not spread > 0:
         raise DomainError("spread must be positive")
     rng = np.random.default_rng(seed)

@@ -8,7 +8,8 @@ import sympectra.schur_horn
 from sympectra import DomainError, NumericalError
 from sympectra.majorization import weak_supermajorize
 from sympectra.means import (arithmetic_mean, custom_mean, geometric_mean,
-                             harmonic_mean, max_mean, min_mean, parse_mean)
+                             harmonic_mean, max_mean, min_mean, parse_mean,
+                             validate_mean_axioms)
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_objective, kyfan_search, schur_check)
 from sympectra.spectral import symplectic_diag, symplectic_eigenvalues, williamson
@@ -154,9 +155,10 @@ def test_realize_works_for_custom_mean():
 
 
 def test_realize_flags_mean_violating_idempotence():
-    # M(a, a) = 2a breaks the construction; the diagonal stage catches it.
+    # M(a, a) = 2a breaks the construction, which needs M(a, a) = a; the
+    # vet refuses it as input, as no mean.
     broken = custom_mean(lambda a, b: a + b)
-    with pytest.raises(NumericalError, match="stage 'diag'"):
+    with pytest.raises(DomainError, match="custom mean is not between-valued"):
         horn_symplectic_realize([2.0, 2.0], [1.0, 2.0], broken)
 
 
@@ -303,15 +305,13 @@ def test_kyfan_minimizer_frame_is_columns_of_inverse_transpose():
 
 def test_realize_rejects_nan_valued_mean():
     # A NaN-valued evaluator is no mean: vetting refuses it as input.
-    nan_mean = custom_mean(lambda a, b: float("nan"),
-                           dominates_geometric_claim=True)
+    nan_mean = custom_mean(lambda a, b: float("nan"))
     with pytest.raises(DomainError, match="custom mean is not symmetric"):
         horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], nan_mean)
 
 
 def test_kyfan_calls_reject_nan_valued_mean():
-    nan_mean = custom_mean(lambda a, b: float("nan"),
-                           dominates_geometric_claim=True)
+    nan_mean = custom_mean(lambda a, b: float("nan"))
     A = random_pd(2, seed=1)
     with pytest.raises(DomainError, match="custom mean is not symmetric"):
         kyfan_search(A, 1, nan_mean, budget=8)
@@ -359,13 +359,56 @@ def test_non_mean_is_refused_by_every_entry_point():
 
 def test_infinite_mean_is_refused_by_every_entry_point():
     # Equal infinities compare close, so an evaluator answering +inf passes
-    # symmetry and homogeneity; its non-finite values are refused as input
+    # symmetry and homogeneity; it fails betweenness and is refused as input
     # rather than surfacing later as a non-finite answer or a failed stage.
     mean = custom_mean(lambda a, b: np.full(np.shape(a), np.inf))
     for call in _mean_entry_points(mean):
         with pytest.raises(DomainError, match=re.escape(
-                "custom mean is not finite: (a, b, M(a, b)) = (1.0, 1.0, inf)")):
+                "custom mean is not between-valued: (a, b, M(a, b)) = "
+                "(1.0, 1.0, inf)")):
             call(_A0)
+
+
+# Symmetric, homogeneous evaluators that are not between-valued: each
+# breaks M(a, a) = a, which the minimizer and the realization read, or the
+# positive, finite values every answer needs.
+NOT_BETWEEN = {
+    "a + b": lambda a, b: a + b,
+    "2 sqrt(a) sqrt(b)": lambda a, b: 2.0 * np.sqrt(a) * np.sqrt(b),
+    "-(a + b) / 2": lambda a, b: -(a + b) / 2.0,
+    "0 a": lambda a, b: 0.0 * a,
+    # Overflows at the vet's pairs (2^60 t, 2^60); it must not warn.
+    "1e300 max(a, b)": lambda a, b: 1e300 * np.maximum(a, b),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(NOT_BETWEEN))
+def test_non_between_mean_is_refused_by_every_entry_point(name):
+    # At the parent, a + b gave kyfan_minimizer a min_value twice the
+    # partial sum, and 1e300 max(a, b) raised an overflow warning.
+    evaluator = NOT_BETWEEN[name]
+    witness = (1.0, 1.0, float(evaluator(1.0, 1.0)))
+    mean = custom_mean(evaluator)
+    for call in _mean_entry_points(mean):
+        with pytest.raises(DomainError, match=re.escape(
+                "custom mean is not between-valued: (a, b, M(a, b)) = "
+                f"{witness}")):
+            call(_A0)
+
+
+def test_non_monotone_mean_is_admitted():
+    # The contraharmonic mean (a^2 + b^2) / (a + b) is not monotone, but no
+    # answer rests on monotonicity: its minimum is the partial sum, and
+    # the search finds no frame below it.
+    mean = custom_mean(lambda a, b: (a * a + b * b) / (a + b))
+    assert not validate_mean_axioms(mean, 2000).monotonicity.passed
+    A = random_pd(3, seed=0)
+    for k in (1, 2, 3):
+        res = kyfan_minimizer(A, k, mean)
+        np.testing.assert_allclose(res.min_value, res.delta_partial_sum,
+                                   rtol=1e-12)
+        assert kyfan_search(A, k, mean, budget=400).violations == 0
 
 
 def test_kyfan_objective_out_of_range_raises():
@@ -384,8 +427,7 @@ def test_kyfan_calls_score_frames_one_way(name):
     # homogeneous mean; the custom evaluator is not one, so it is refused.
     A = 8.0 * random_pd(4, seed=0)
     if name == "custom":
-        mean = custom_mean(lambda a, b: 0.5 * a + 0.5 * b + 1.0,
-                           dominates_geometric_claim=True)
+        mean = custom_mean(lambda a, b: 0.5 * a + 0.5 * b + 1.0)
         with pytest.raises(DomainError, match="not homogeneous"):
             kyfan_search(A, 2, mean, budget=400)
         with pytest.raises(DomainError, match="not homogeneous"):

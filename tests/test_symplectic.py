@@ -1,10 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from sympectra import DomainError, NumericalError, symplectic
-from sympectra.means import geometric_mean
-from sympectra.schur_horn import kyfan_minimizer
+from sympectra.majorization import (intermediate_vector, majorize,
+                                    weak_supermajorize)
+from sympectra.means import (dominates_geometric, evaluate_pairs,
+                             geometric_mean, validate_mean_axioms)
+from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
+                                  kyfan_objective, kyfan_search, schur_check)
+from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
+                                validate_pd, williamson)
 from sympectra.symplectic import (DEFAULT_TOL, check_frame,
                                   complete_to_symplectic,
                                   expanding_sum, is_symplectic, random_pd,
@@ -371,3 +379,96 @@ def test_random_pd_spread_controls_conditioning():
     wide = np.linalg.cond(random_pd(4, seed=3, spread=3.0))
     assert tight <= np.exp(0.2) + 1e-9
     assert wide > tight
+
+
+# Every public entry that takes an array, as a function of that array
+# (every other argument valid), by the kind of array it reads.
+_G = geometric_mean()
+_A2 = random_pd(2, seed=0)
+_F = np.eye(4)[:, [0, 2]]
+ARRAY_CALLS = {
+    "matrix": {
+        "symplectic_eigenvalues": symplectic_eigenvalues,
+        "williamson": williamson,
+        "validate_pd": validate_pd,
+        "symplectic_diag": lambda A: symplectic_diag(A, _G),
+        "schur_check": lambda A: schur_check(A, _G),
+        "kyfan_minimizer": lambda A: kyfan_minimizer(A, 1, _G),
+        "kyfan_search": lambda A: kyfan_search(A, 1, _G, budget=8),
+        "kyfan_objective": lambda A: kyfan_objective(A, _F, _G),
+        "expanding_sum": lambda A: expanding_sum([A]),
+        "s_pinching": lambda A: s_pinching(A, [1, 1]),
+    },
+    "frame": {
+        "is_symplectic": is_symplectic,
+        "check_frame": check_frame,
+        "complete_to_symplectic": complete_to_symplectic,
+        "kyfan_objective": lambda X: kyfan_objective(_A2, X, _G),
+    },
+    "vector": {
+        "weak_supermajorize": lambda x: weak_supermajorize(x, [1.0, 2.0]),
+        "majorize": lambda x: majorize(x, [1.0, 2.0]),
+        "intermediate_vector": lambda x: intermediate_vector(x, [1.0, 2.0]),
+        "horn_symplectic_realize": lambda x: horn_symplectic_realize(
+            x, [1.0, 2.0], _G),
+    },
+    "mean argument": {
+        "evaluate_pairs": lambda a: evaluate_pairs(_G, a, 1.0),
+    },
+}
+_GOOD_ARRAYS = {"matrix": _A2, "frame": _F, "vector": [2.0, 2.0],
+                "mean argument": [2.0, 2.0]}
+_BAD_ARRAYS = {
+    "matrix": ([[1.0, 0.0], [0.0]], [[1.0, "a"], [0.0, 1.0]]),
+    "frame": ([[1.0, 0.0], [0.0]], [[1.0, "a"], [0.0, 1.0]]),
+    "vector": ([[2.0], [2.0, 1.0]], [2.0, "a"]),
+    "mean argument": ([[2.0], [2.0, 1.0]], [2.0, "a"]),
+}
+
+
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind in ARRAY_CALLS
+                                       for name in sorted(ARRAY_CALLS[kind])])
+def test_every_public_array_entry_reads_real_numbers(kind, name):
+    # At the parent a complex matrix lost its imaginary part with only a
+    # ComplexWarning, and ragged or text entries raised numpy's ValueError.
+    call, good = ARRAY_CALLS[kind][name], _GOOD_ARRAYS[kind]
+    call(good)
+    with pytest.raises(DomainError, match="has complex entries$"):
+        call(np.asarray(good) + 1e-3j)
+    for bad in _BAD_ARRAYS[kind]:
+        with pytest.raises(DomainError, match=re.escape(
+                "entries must be numbers in double range, in rows of one "
+                "length")):
+            call(bad)
+
+
+# Every count argument of a public call, as a function of that count; each
+# call is valid at 2.
+_A3 = random_pd(3, seed=0)
+COUNT_CALLS = {
+    "standard_J": standard_J,
+    "random_pd": random_pd,
+    "random_symplectic": random_symplectic,
+    "kyfan_minimizer": lambda k: kyfan_minimizer(_A2, k, _G),
+    "kyfan_search k": lambda k: kyfan_search(_A2, k, _G, budget=8),
+    "kyfan_search budget": lambda b: kyfan_search(_A2, 1, _G, budget=b),
+    "validate_mean_axioms": lambda b: validate_mean_axioms(_G, b),
+    "dominates_geometric": lambda b: dominates_geometric(_G, b),
+    "s_pinching": lambda m: s_pinching(_A3, [m, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_every_count_is_an_integer(name):
+    # At the parent 1.5 raised numpy's TypeError, and the partition read
+    # [2.7, 1] as [2, 1] and "2" as 2, and pinched.
+    COUNT_CALLS[name](2)
+    for bad in (1.5, 2.7, "2"):
+        with pytest.raises(DomainError, match="must be an integer, got"):
+            COUNT_CALLS[name](bad)
+
+
+def test_pinching_reads_no_text_partition():
+    # At the parent "1" was read as the partition [1].
+    with pytest.raises(DomainError, match="partition part must be an integer"):
+        s_pinching(random_pd(1, seed=0), "1")
