@@ -42,12 +42,18 @@ __all__ = [
 MAJORIZATION_TOL = 1e-10
 
 
-def _pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
-    """The unit pair (x / c, y / c) of two vectors of one length, and c."""
+def _read_pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
+    """Two vectors of one length as ``_as_vector`` reads them, and the
+    power of two c of the pair."""
     x, y = _as_vector(x), _as_vector(y)
     if x.shape != y.shape:
         raise DomainError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    c = _pow2_scale(np.concatenate((x, y)))
+    return x, y, _pow2_scale(np.concatenate((x, y)))
+
+
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
+    """The unit pair (x / c, y / c) of two vectors of one length, and c."""
+    x, y, c = _read_pair(x, y)
     return x / c, y / c, c
 
 
@@ -67,18 +73,30 @@ class MajorizationReport:
     threshold: float
 
 
-def _compare(kind: str, x, y, tol: float) -> MajorizationReport:
-    """Prefix-sum comparison of x against y on their unit pair; ``kind``
-    "majorize" also holds the total gap to the threshold."""
-    _check_tol(tol)
-    x, y, c = _pair(x, y)
+def _prefix_compare(kind: str, x: np.ndarray, y: np.ndarray, tol: float):
+    """(slacks, threshold, verdict) of x against y, a unit pair: ascending
+    prefix sums held to tol (||x||_1 + ||y||_1); ``kind`` "majorize" also
+    holds the total gap to the threshold."""
     slacks = np.cumsum(np.sort(x)) - np.cumsum(np.sort(y))
     threshold = tol * float(np.abs(x).sum() + np.abs(y).sum())
     verdict = bool((slacks >= -threshold).all()) and (
         kind != "majorize" or abs(float(slacks[-1])) <= threshold)
+    return slacks, threshold, verdict
+
+
+def _report(kind: str, x: np.ndarray, y: np.ndarray, c: float,
+            tol: float) -> MajorizationReport:
+    """The report on c x against c y, decided on their unit pair x, y."""
+    slacks, threshold, verdict = _prefix_compare(kind, x, y, tol)
     slacks = _scaled(c, slacks, "partial-sum slack")
     return MajorizationReport(kind, slacks, float(slacks[-1]), verdict,
                               c * threshold)
+
+
+def _compare(kind: str, x, y, tol: float) -> MajorizationReport:
+    """Prefix-sum comparison of x against y on their unit pair."""
+    _check_tol(tol)
+    return _report(kind, *_pair(x, y), tol)
 
 
 def weak_supermajorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationReport:
@@ -104,10 +122,15 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
     z = min(x, level) is formed in the caller's units, so a subnormal x_j
     that the unit pair rounds is kept as it is.
     """
-    x0, y0 = _as_vector(x), _as_vector(y)
-    x, y, scale = _pair(x0, y0)
+    return _intermediate(*_read_pair(x, y), tol)
+
+
+def _intermediate(x0: np.ndarray, y0: np.ndarray, scale: float,
+                  tol: float) -> np.ndarray:
+    """``intermediate_vector`` of the vectors and scale ``_read_pair`` read."""
     if not ((x0 > 0).all() and (y0 > 0).all()):
         raise DomainError("intermediate_vector needs strictly positive vectors")
+    x, y = x0 / scale, y0 / scale
     n = x.shape[0]
     target = float(y.sum())
     xs = np.sort(x).tolist()
@@ -118,13 +141,14 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
             break
         prefix += xs[m]
 
-    rep = majorize(np.minimum(x, c), y, tol)
-    if not rep.verdict:
-        k = int(np.argmin(rep.k_slacks)) + 1
+    _check_tol(tol)
+    slacks, _, verdict = _prefix_compare("majorize", np.minimum(x, c), y, tol)
+    if not verdict:
+        k = int(np.argmin(slacks)) + 1
         raise DomainError(
             "x is not weakly supermajorized by y (capped x: worst slack "
-            f"{scale * float(rep.k_slacks.min()):.3e} at k={k}, "
-            f"total gap {scale * rep.total_gap:.3e})")
+            f"{scale * float(slacks.min()):.3e} at k={k}, "
+            f"total gap {scale * float(slacks[-1]):.3e})")
     return np.minimum(x0, scale * c)
 
 

@@ -171,7 +171,9 @@ def custom_mean(evaluator: Callable[[float, float], float]) -> MeanSpec:
     homogeneity or betweenness raises DomainError with the witness there
     and on every later use.  A non-monotone one is admitted.
     ``evaluate_pairs``, ``validate_mean_axioms`` and
-    ``dominates_geometric`` never vet, so they report on non-means too.
+    ``dominates_geometric`` never vet, so they report on non-means too;
+    but all of them, and so every entry point, refuse complex values with
+    DomainError ("mean value has complex entries").
 
     The library's own calls hand the evaluator scalars or 1-D arrays, and
     fall back to one call per element as ``evaluate_pairs`` describes.
@@ -218,7 +220,9 @@ def parse_mean(spec: str) -> MeanSpec:
 def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
     """Elementwise M(a, b) over broadcast arrays; scalar-only evaluators (a
     wrong-shaped result, TypeError or ValueError on arrays) are called once
-    per element."""
+    per element.  Values are read as real numbers: a complex one raises
+    DomainError ("mean value has complex entries") on either path, rather
+    than losing its imaginary part."""
     a, b = _as_real(a, "mean argument"), _as_real(b, "mean argument")
     shape = a.shape
     if b.shape != shape:
@@ -231,14 +235,17 @@ def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
     if not ((a > 0).all() and (b > 0).all()):
         raise DomainError("mean arguments must be strictly positive")
     try:
-        out = np.asarray(mean.evaluator(a, b), dtype=float)
-        if out.shape == shape:
-            return out
+        out = mean.evaluator(a, b)
     except (TypeError, ValueError):
         pass
+    else:
+        out = _as_real(out, "mean value")
+        if out.shape == shape:
+            return out
     af, bf = np.broadcast_arrays(a, b)
-    return np.array([mean.evaluator(float(x), float(y))
-                     for x, y in zip(af.ravel(), bf.ravel())]).reshape(af.shape)
+    return _as_real([mean.evaluator(float(x), float(y))
+                     for x, y in zip(af.ravel(), bf.ravel())],
+                    "mean value").reshape(af.shape)
 
 
 @dataclass(frozen=True)
@@ -312,7 +319,10 @@ def validate_mean_axioms(mean: MeanSpec, sample_budget: int = 10_000,
     grid.  Violations are reported, never raised; ``tol`` is the
     comparison slack relative to the values compared.  Values past the
     double range read as inf, with no overflow warning, so an evaluator
-    such as 1e300 max(a, b) fails betweenness rather than raising.
+    such as 1e300 max(a, b) fails betweenness rather than raising.  A
+    complex value is not a violation but a value of the wrong type: it
+    raises DomainError ("mean value has complex entries"), as in
+    ``evaluate_pairs``.
     """
     _check_tol(tol)
     t = _ratios(sample_budget)
@@ -348,7 +358,9 @@ def dominates_geometric(mean: MeanSpec, sample_budget: int = 10_000,
     For a symmetric, homogeneous M this is sqrt(ab) <= M(a, b) at every
     pair whose ratio min / max lies on the grid.  A non-finite f(t) is a
     violation.  The witness, when present, is ``(t, 1, sqrt(t), f(t))``
-    for the first violation.
+    for the first violation.  A complex f(t) raises DomainError ("mean
+    value has complex entries"), as in ``evaluate_pairs``: it is a value
+    of the wrong type, not a violation.
     """
     _check_tol(tol)
     t = _ratios(sample_budget)

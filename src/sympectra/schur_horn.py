@@ -25,13 +25,13 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, _check_tol
 from .majorization import (MAJORIZATION_TOL, MajorizationReport,
-                           _horn_realize, _pair, intermediate_vector,
-                           weak_supermajorize)
+                           _horn_realize, _intermediate, _read_pair,
+                           _report)
 from .means import MeanSpec
-from .spectral import (_check_definite, _delta, _diag_m, _symmetrized,
-                       _williamson)
-from .symplectic import (DEFAULT_TOL, _count, _euler_frames, _in_units,
-                         check_frame)
+from .spectral import (_built_delta, _check_definite, _delta, _diag_m,
+                       _symmetrized, _williamson)
+from .symplectic import (DEFAULT_TOL, _as_vector, _count, _euler_frames,
+                         _in_units, _require_frame, check_frame)
 
 __all__ = [
     "SchurCheckReport",
@@ -76,13 +76,16 @@ def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport
     a custom mean it is ``dominates_geometric`` on its 2000-point grid of
     ratios, taken on the first call with that ``MeanSpec`` and kept on it.
     A custom mean that fails symmetry, homogeneity or betweenness raises
-    DomainError.
+    DomainError.  The comparison is ``weak_supermajorize``'s, decided on
+    diag_M / c and U's delta, the unit pair in A's scale c.
     """
     U, c, delta = _delta(A, tol)
-    delta = _in_units(c, delta)
+    delta_a = _in_units(c, delta)
     dm = _diag_m(c * np.diag(U), mean)  # A's own diagonal
-    rep = weak_supermajorize(dm, delta, tol)
-    return SchurCheckReport(diag_m=dm, delta=delta, report=rep,
+    if not np.isfinite(dm).all():  # a custom mean past the double range
+        _as_vector(dm)  # raises the vector rule's DomainError
+    rep = _report("weak_super", dm / c, delta, c, tol)
+    return SchurCheckReport(diag_m=dm, delta=delta_a, report=rep,
                             mean_dominates_geometric=mean._dominates_geometric)
 
 
@@ -122,11 +125,12 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     miss y by 1.1e-4, 5.4e-5 of max y.
     """
     _check_tol(tol)
-    z = intermediate_vector(x, y, MAJORIZATION_TOL)
+    x, y, c = _read_pair(x, y)
+    z = _intermediate(x, y, c, MAJORIZATION_TOL)
     # The rest runs on the unit pair of x and y, whose scale c also gave z.
     # z / c is exact unless z is subnormal, and then so is A's diagonal (an
     # uncapped z_j = x_j) or its spectrum (a capped z_j >= min y).
-    x, y, c = _pair(x, y)
+    x, y = x / c, y / c
     z = _in_units(1.0, z, "stage 'assemble': realized matrix") / c
     # The private form skips only its precondition: z majorized by y is the
     # intermediate vector's own admissibility check.
@@ -152,7 +156,7 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
 
     # A is exactly symmetric (T and C are), so it is the matrix verified.
     try:
-        _, a, got_d = _delta(A, tol, "realized matrix")
+        a, got_d = _built_delta(A, tol, "realized matrix")
         got_d = _in_units(a, got_d)
     except DomainError as exc:
         raise NumericalError(f"stage 'assemble': {exc}") from exc
@@ -228,7 +232,7 @@ def kyfan_minimizer(A, k: int, mean: MeanSpec,
     X = np.empty((2 * n, 2 * k))
     X[:n, :k], X[:n, k:] = W[n:, n:n + k], -W[n:, :k]
     X[n:, :k], X[n:, k:] = -W[:n, n:n + k], W[:n, :k]
-    X = check_frame(X, tol)
+    _require_frame(X, tol)
     value = float(_in_units(c, _objective(U, X, mean), "Ky Fan value"))
     return KyFanResult(k=k, minimizer=X, min_value=value,
                        delta_partial_sum=float(fact.delta[:k].sum()))

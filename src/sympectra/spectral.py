@@ -8,14 +8,17 @@ congruence and additive (as multisets) over the expanding sum.
 
 Every call works on the unit form U = A / c, c the largest power of two
 <= max |a_ij|; delta(A) = c delta(U) and W is U's.  The numerical route
-is one Cholesky factorization U = R R^T and one Hermitian eigensolve per
-call: K = R^T J R is exactly skew-symmetric and similar to the
-non-normal J U, so the Hermitian matrix iK has the real eigenvalues
-+-delta_j, and its eigenvectors for +delta give W.  The definiteness
-floor needs no eigensolve of U on that route: Ky Fan's minimum principle
-at k = 1 bounds lambda_min / lambda_max below by delta_1^2 / ||U||_F^2,
-so a delta_1 well clear of the floor certifies it.  Only inputs whose
-delta_1 fails that test run the exact eigvalsh check.
+is one Cholesky factorization U = R R^T and one solve of K = R^T J R per
+call.  K is exactly skew-symmetric and similar to the non-normal J U, so
+its singular values are the delta_j, each twice, and the Hermitian
+matrix iK has the real eigenvalues +-delta_j.  Calls that need delta
+alone take the real singular values of K; the Williamson factor takes
+the complex Hermitian eigensolve of iK, whose eigenvectors for +delta
+give W.  The definiteness floor needs no eigensolve of U on that route:
+Ky Fan's minimum principle at k = 1 bounds lambda_min / lambda_max below
+by delta_1^2 / ||U||_F^2, so a delta_1 well clear of the floor certifies
+it.  Only inputs whose delta_1 fails that test run the exact check on
+U's eigenvalues.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, _check_tol
 from .means import MeanSpec, evaluate_pairs
 from .symplectic import (DEFAULT_TOL, _as_square_even, _form_check,
-                         _in_units, _pow2_scale, _skew_eigh,
+                         _in_units, _pow2_scale, _skew, _skew_eigh,
                          _symplectic_basis)
 
 __all__ = [
@@ -91,67 +94,95 @@ def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:
     return c * U, U.shape[0] // 2
 
 
-def _factor(A, tol: float, vectors: bool, what: str = "matrix"):
-    """Validate A and factor its unit form: (U, c, delta ascending, R, V).
+def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool,
+            what: str):
+    """Factor a unit form U = A / c with ||U||_F = fro: (delta ascending, R, V).
 
-    A = c U as in ``_symmetrized``; U = R R^T, and K = R^T J R is skew
-    and similar to J U, so iK is Hermitian with eigenvalues +-delta; V
-    (only if ``vectors``) holds its unit eigenvectors for +delta.
+    U = R R^T, and K = R^T J R is skew and similar to J U.  Without
+    ``vectors`` delta comes from K's singular values, sorted descending:
+    each adjacent pair holds one delta_j twice, and delta_j is the pair's
+    mean.  With ``vectors`` the Hermitian iK is solved instead: its
+    eigenvalues are +-delta, and V holds its unit eigenvectors for +delta.
 
     Input checks and verdicts are those of ``validate_pd``, but the
     definiteness floor is usually certified by delta_1 instead of an
-    eigvalsh of U.  Ky Fan's minimum principle at k = 1 with the geometric
-    mean, over the frame [u, -Ju] for the unit eigenvector u of lambda_min,
-    gives delta_1 <= sqrt(lambda_min (Ju)^T U (Ju)) <= sqrt(lambda_min
-    lambda_max), so lambda_min / lambda_max >= delta_1^2 / ||U||_F^2.
-    delta_1 > sqrt(100 * 1e-13) ||U||_F therefore clears the floor
-    with a factor 100 to spare for rounding.  Only when that test fails
-    (delta_1 tiny or negative), or when Cholesky fails, does the
-    exact floor check run, before any NumericalError, so every input is
-    rejected by the same rule with the same message as ``validate_pd``.
-    U's entries are below 2 in magnitude, so R and the spectrum are
-    finite, or numpy raises LinAlgError.
+    eigensolve of U.  Ky Fan's minimum principle at k = 1 with the
+    geometric mean, over the frame [u, -Ju] for the unit eigenvector u of
+    lambda_min, gives delta_1 <= sqrt(lambda_min (Ju)^T U (Ju)) <=
+    sqrt(lambda_min lambda_max), so lambda_min / lambda_max >= delta_1^2 /
+    ||U||_F^2.  delta_1 > sqrt(100 * 1e-13) ||U||_F therefore clears the
+    floor with a factor 100 to spare for rounding; delta_1 is the smaller
+    member of the smallest singular-value pair, or the smallest
+    eigenvalue of the +delta half.  Only when that test fails (delta_1
+    tiny, or negative in the Hermitian half), or when Cholesky fails,
+    does the exact floor check run, before any NumericalError, so every
+    input is rejected by the same rule with the same message as
+    ``validate_pd``.  U's entries are below 2 in magnitude, so R and the
+    spectrum are finite, or numpy raises LinAlgError.
     Raises NumericalError when the spectrum fails to pair up: delta_1 <=
-    1e3 eps delta_n, or +- halves more than tol delta_n apart.
+    1e3 eps delta_n, or the two members of some pair (the +delta half and
+    the mirrored -delta half) more than tol delta_n apart.
     """
     _check_tol(tol)
-    U, c, fro = _symmetrized(A, what)
     n = U.shape[0] // 2
     try:
         R = np.linalg.cholesky(U)
     except np.linalg.LinAlgError as exc:
         _check_definite(U, c, what)
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
-    ev, V = _skew_eigh(R, vectors)
+    if vectors:
+        ev, V = _skew_eigh(R)
+        # K is normal, so ||K||_2 is its largest eigenvalue modulus, delta_n.
+        delta, low, scale = ev[n:], ev[n], float(ev[-1])
+        mirror = float(np.abs(ev[n:] + ev[n - 1::-1]).max())
+    else:
+        V = None
+        sv = np.linalg.svd(_skew(R), compute_uv=False)
+        # ||K||_2 is its largest singular value, delta_n.
+        low, scale = sv[-1], float(sv[0])
+        delta = 0.5 * (sv[-1::-2] + sv[-2::-2])
+        mirror = float(np.abs(sv[::2] - sv[1::2]).max())
     # delta_1 itself, not its square, so a negative value falls through.
-    if not ev[n] > _CERT_FLOOR * fro:
+    if not low > _CERT_FLOOR * fro:
         _check_definite(U, c, what)
-    # K is normal, so ||K||_2 is its largest eigenvalue modulus, delta_n.
-    scale = float(ev[-1])
     pair_floor = 1e3 * np.finfo(float).eps
-    if ev[n] <= pair_floor * scale:
+    if low <= pair_floor * scale:
         raise NumericalError(
-            f"eigenvalue pairing failure: delta_1 / delta_n = {ev[n] / scale:.3e}"
+            f"eigenvalue pairing failure: delta_1 / delta_n = {low / scale:.3e}"
             f" is below {pair_floor:.3e} (matrix numerically singular?)")
-    mirror = float(np.abs(ev[n:] + ev[n - 1::-1]).max())
     if mirror > tol * scale:
         raise NumericalError(f"eigenvalue pairing failure: +- halves differ by "
                              f"{mirror / scale:.3e} delta_n, exceeding {tol:.1e}")
-    return U, c, ev[n:], R, V
+    return delta, R, V
 
 
 def _delta(A, tol: float, what: str = "matrix"):
     """A's unit form U, its scale c and U's symplectic eigenvalues."""
-    U, c, delta, _, _ = _factor(A, tol, vectors=False, what=what)
-    return U, c, delta
+    U, c, fro = _symmetrized(A, what)
+    return U, c, _factor(U, c, fro, tol, False, what)[0]
+
+
+def _built_delta(A: np.ndarray, tol: float, what: str):
+    """The scale c of A's unit form and its symplectic eigenvalues, for a
+    matrix the library assembled square and exactly symmetric.
+
+    ``validate_pd``'s finiteness and definiteness rules and messages hold;
+    its symmetry test and re-symmetrization cannot fire on A and are
+    skipped."""
+    if not np.isfinite(A).all():
+        raise DomainError(f"{what} has non-finite entries")
+    c = _pow2_scale(A)
+    U = A / c
+    return c, _factor(U, c, float(np.linalg.norm(U)), tol, False, what)[0]
 
 
 def symplectic_eigenvalues(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ascending symplectic eigenvalues of a positive definite matrix.
 
     These are the moduli of the eigenvalues of J A, one per conjugate
-    pair +-i delta_j; computed as c times the positive eigenvalues of the
-    Hermitian iK for K = R^T J R and the Cholesky factor A / c = R R^T.
+    pair +-i delta_j; computed as c times the singular values of the real
+    skew K = R^T J R for the Cholesky factor A / c = R R^T, which come in
+    equal pairs, one pair per delta_j.
     """
     _, c, delta = _delta(A, tol)
     return _in_units(c, delta)
@@ -187,7 +218,8 @@ def _reconstruct(W: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def _williamson(A, tol: float):
     """U, c and A's Williamson factorization: W is U's, delta is c D."""
-    U, c, delta, R, V = _factor(A, tol, vectors=True)
+    U, c, fro = _symmetrized(A, "matrix")
+    delta, R, V = _factor(U, c, fro, tol, True, "matrix")
     W = _symplectic_basis(R, V, delta)
     rec = float(np.linalg.norm(U - _reconstruct(W, delta)) / np.linalg.norm(U))
     if not rec <= tol:

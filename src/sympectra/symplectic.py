@@ -265,25 +265,28 @@ def check_frame(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``is_symplectic``.
     """
     X = _as_frame(X)
+    _require_frame(X, tol)
+    return X
+
+
+def _require_frame(X: np.ndarray, tol: float) -> None:
+    """``check_frame``'s verdict on a finite float 2n-by-2k X."""
     ok, res, rel = _form_check(X, tol)
     if not ok:
         raise DomainError(
             f"not a symplectic frame: residual {res:.3e}, relative to "
             f"max(1, ||X||_F^2) {rel:.3e} > {tol:.1e}")
-    return X
 
 
-def _skew_eigh(R: np.ndarray, vectors: bool):
+def _skew_eigh(R: np.ndarray):
     """Ascending spectrum of the Hermitian i R^T J R, and its eigenvectors.
 
-    R has 2n rows; the skew R^T J R is ``_skew(R)``.  Its spectrum pairs up as
-    +-delta.  V (only if ``vectors``, else None) holds the unit
-    eigenvectors for the upper half of the spectrum, the +delta half.
+    R has 2n rows; the skew R^T J R is ``_skew(R)``.  Its spectrum pairs
+    up as +-delta, and V holds the unit eigenvectors for the upper half of
+    the spectrum, the +delta half.  Calls that need delta alone take the
+    real singular values of ``_skew(R)`` instead (``spectral._factor``).
     """
-    H = 1j * _skew(R)
-    if not vectors:
-        return np.linalg.eigvalsh(H), None
-    ev, V = np.linalg.eigh(H)
+    ev, V = np.linalg.eigh(1j * _skew(R))
     return ev, V[:, R.shape[1] // 2:]
 
 
@@ -291,7 +294,7 @@ def _symplectic_basis(R: np.ndarray, V: np.ndarray,
                       delta: np.ndarray) -> np.ndarray:
     """R L (D^{-1/2} oplus D^{-1/2}) for L = sqrt(2) [Im V, Re V].
 
-    With V and delta from ``_skew_eigh(R, True)``, L is orthogonal and
+    With V and delta from ``_skew_eigh(R)``, L is orthogonal and
     L^T (R^T J R) L = [[0, D], [-D, 0]], so the result Y spans the range
     of R and satisfies Y^T J Y = J.
     """
@@ -330,7 +333,7 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     M = np.hstack([-X[:, k:], X[:, :k]]) @ X.T
     Q = np.eye(2 * n) + np.hstack([-M[:, n:], M[:, :n]])
     B = np.linalg.svd(Q)[0][:, :2 * m]
-    ev, V = _skew_eigh(B, vectors=True)
+    ev, V = _skew_eigh(B)
     Y = _symplectic_basis(B, V, ev[m:])
     W = np.hstack([X[:, :k], Y[:, :m], X[:, k:], Y[:, m:]])
     ok, res, _ = _form_check(W, tol)

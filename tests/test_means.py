@@ -1,12 +1,15 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympectra import DomainError, random_pd, schur_check
+from sympectra import (DomainError, horn_symplectic_realize, kyfan_minimizer,
+                       kyfan_objective, kyfan_search, random_pd, schur_check,
+                       symplectic_diag)
 from sympectra.means import (arithmetic_mean, custom_mean, dominates_geometric,
                              evaluate_pairs, geometric_mean,
                              harmonic_mean, max_mean, min_mean, parse_mean,
@@ -293,3 +296,30 @@ def test_dominance_counts_infinity_as_violation():
         custom_mean(lambda a, b: np.full(np.shape(a), np.inf)), 50)
     assert not rep.holds
     assert rep.witness == (1.0, 1.0, 1.0, np.inf)
+
+
+@pytest.mark.parametrize("evaluator", [
+    lambda a, b: np.sqrt(a * b + 0j) + 1e-3j,   # array path
+    lambda a, b: complex(math.sqrt(a * b), 1e-3),  # per-element fallback
+], ids=["arrays", "scalars"])
+def test_complex_mean_values_are_refused(evaluator):
+    # The real part is the geometric mean, so only the type is wrong: every
+    # entry point refuses it with one DomainError and no ComplexWarning,
+    # and so do the two checks, for which it is no axiom violation.
+    A = random_pd(2, seed=0)
+    X = kyfan_minimizer(A, 1, geometric_mean()).minimizer
+    mean = custom_mean(evaluator)
+    calls = [lambda: kyfan_objective(A, X, mean),
+             lambda: kyfan_minimizer(A, 1, mean),
+             lambda: kyfan_search(A, 1, mean, budget=8),
+             lambda: schur_check(A, mean),
+             lambda: symplectic_diag(A, mean),
+             lambda: horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean),
+             lambda: validate_mean_axioms(mean, 16),
+             lambda: dominates_geometric(mean, 16)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError,
+                               match="^mean value has complex entries$"):
+                call()

@@ -9,8 +9,9 @@ from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_search, schur_check)
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
                                 validate_pd, williamson)
-from sympectra.symplectic import (expanding_sum, is_symplectic, random_pd,
-                                  random_symplectic, standard_J)
+from sympectra.symplectic import (complete_to_symplectic, expanding_sum,
+                                  is_symplectic, random_pd, random_symplectic,
+                                  standard_J)
 
 # Reference values computed with the generic nonsymmetric eigensolver on
 # J @ A (positive imaginary parts, sorted), independently of the
@@ -320,13 +321,13 @@ def test_realization_rejects_as_validate_pd(monkeypatch):
     # The verification step sees the realized matrix; a spy hands the same
     # matrix to validate_pd, whose message the 'assemble' stage must carry.
     seen = []
-    delta = schur_horn._delta
+    delta = schur_horn._built_delta
 
-    def spy(A, tol, what="matrix"):
+    def spy(A, tol, what):
         seen.append(np.array(A))
         return delta(A, tol, what)
 
-    monkeypatch.setattr(schur_horn, "_delta", spy)
+    monkeypatch.setattr(schur_horn, "_built_delta", spy)
     outcomes = set()
     for k in range(4, 16):
         for t in (1.0, 1e3):
@@ -435,6 +436,100 @@ def test_pairing_checks_raise():
         horn_symplectic_realize([1.0, 1.5e-13], [1.0, 1.5e-13], geometric_mean())
     with pytest.raises(NumericalError, match=r"\+- halves differ"):
         symplectic_eigenvalues(random_pd(2, seed=0), tol=1e-300)
+
+
+def _kernel_calls(monkeypatch):
+    """Counts of complex eigvalsh, complex eigh and values-only svd calls.
+
+    complete_to_symplectic's orthonormal basis comes from an svd with
+    vectors; that is not the singular-value solve for delta, so only
+    ``compute_uv=False`` calls are counted."""
+    calls = {"eigvalsh": 0, "eigh": 0, "svd": 0}
+    kernels = {name: getattr(np.linalg, name) for name in calls}
+
+    def counting(name):
+        def wrapped(a, *args, **kwargs):
+            if name == "svd":
+                calls[name] += kwargs.get("compute_uv") is False
+            else:
+                calls[name] += np.iscomplexobj(a)
+            return kernels[name](a, *args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
+
+
+def test_delta_only_calls_take_one_real_svd(monkeypatch):
+    A = random_pd(4, seed=9)
+    mean = geometric_mean()
+    calls = _kernel_calls(monkeypatch)
+    for call in (lambda: symplectic_eigenvalues(A),
+                 lambda: schur_check(A, mean),
+                 lambda: kyfan_search(A, 2, mean, budget=8),
+                 lambda: horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean)):
+        calls.update(dict.fromkeys(calls, 0))
+        call()
+        assert calls == {"eigvalsh": 0, "eigh": 0, "svd": 1}
+    X = kyfan_minimizer(A, 2, mean).minimizer
+    for call in (lambda: williamson(A),
+                 lambda: kyfan_minimizer(A, 2, mean),
+                 lambda: complete_to_symplectic(X)):
+        calls.update(dict.fromkeys(calls, 0))
+        call()
+        assert calls == {"eigvalsh": 0, "eigh": 1, "svd": 0}
+
+
+def _hermitian_delta(A):
+    """The complex Hermitian route, formed here: the positive eigenvalues
+    of iK for the library's K = G - G^T, G = R_1^T R_2, on A's unit form."""
+    n = A.shape[0] // 2
+    c = 2.0 ** (np.frexp(np.abs(A).max())[1] - 1)
+    R = np.linalg.cholesky(A / c)
+    G = R[:n].T @ R[n:]
+    return c * np.linalg.eigvalsh(1j * (G - G.T))[n:]
+
+
+def _congruent(delta, seed, spread):
+    W = random_symplectic(len(delta), seed=seed, spread=spread)
+    A = (W * np.concatenate([delta, delta])) @ W.T
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize("family", ["random_pd", "degenerate", "geomspace"])
+def test_svd_delta_matches_the_hermitian_eigensolve(family):
+    eps = np.finfo(float).eps
+    if family == "random_pd":
+        cases = [random_pd(n, seed=s) for n in (1, 2, 4, 16, 64)
+                 for s in range(3)]
+    elif family == "degenerate":
+        cases = [_congruent(np.repeat([0.5, 2.0], n), s, 0.5)
+                 for n in (1, 2, 4, 8) for s in range(3)]
+        cases += [_congruent(np.full(n, 3.0), s, 0.5)
+                  for n in (2, 4, 8) for s in range(3)]
+    else:
+        cases = [_congruent(np.geomspace(1e-5, 1e5, n), s, 0.3)
+                 for n in (2, 4, 8) for s in range(3)]
+    for A in cases:
+        n = A.shape[0] // 2
+        want = _hermitian_delta(A)
+        got = symplectic_eigenvalues(A)
+        assert np.abs(got - want).max() <= 10 * n * eps * want[-1]
+
+
+def test_unpaired_singular_values_raise(monkeypatch):
+    svd = np.linalg.svd
+
+    def unpaired(a, *args, **kwargs):
+        s = svd(a, *args, **kwargs)
+        s[1::2] *= 1.0 - 1e-6   # each pair's second member moves
+        return s
+
+    monkeypatch.setattr(np.linalg, "svd", unpaired)
+    with pytest.raises(NumericalError,
+                       match=r"^eigenvalue pairing failure: \+- halves differ"):
+        symplectic_eigenvalues(random_pd(2, seed=0))
 
 
 def test_cholesky_failure_past_the_definiteness_floor_raises(monkeypatch):
