@@ -7,13 +7,12 @@ comparisons are permutation invariant and hold the partial sums against
 tol * (||x||_1 + ||y||_1), a tolerance relative to the vectors compared.
 
 Scaling x and y by one factor changes neither relation, so every call
-runs on the unit pair x / c, y / c, c the largest power of two <= the
-largest |x_i|, |y_i|.  Dividing by c is exact and nothing summed from
-the pair overflows.  Verdicts are decided on the unit pair; slacks and
-vectors are reported as c times the unit ones, and a slack whose c
-multiple overflows raises NumericalError.  A subnormal slack is kept:
-it is rounding around a verdict already decided, and the reported
-``threshold`` is a tolerance, not an answer, so it is not checked.
+runs on the unit pair x / c, y / c, c the power of two of the largest
+|x_i|, |y_i| (the unit-form rule of ``symplectic``), where nothing summed
+overflows.  A slack whose c multiple overflows raises NumericalError,
+but a subnormal slack is kept: it is rounding around a verdict already
+decided, and the reported ``threshold`` is a tolerance, not an answer,
+so it is not checked.
 
 ``intermediate_vector`` interpolates a majorized vector below x, and
 ``_horn_realize`` builds the orthogonal U that puts a prescribed

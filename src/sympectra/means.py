@@ -10,13 +10,13 @@ wrapped as ``custom`` means.
 A symmetric, homogeneous M is max(a, b) f(min / max) with f(t) = M(t, 1),
 so the axiom and dominance checks read M on one fixed grid of ratios t,
 with no randomness.  The library's answers rest on three of the axioms:
-it scores every mean on a power-of-two unit form, which is right only
-for a symmetric, homogeneous M, and the Ky Fan minimizer and the Horn
-realization read M(a, a) = a, which betweenness forces (as it forces
-positive, finite values).  So it vets a custom mean once, on its first
-use, with ``validate_mean_axioms`` and refuses one that fails any of
-those three.  Monotonicity is reported but not required: no answer
-relies on it.
+it scores every mean on a unit form (the rule is in ``symplectic``),
+which is right only for a symmetric, homogeneous M, and the Ky Fan
+minimizer and the Horn realization read M(a, a) = a, which betweenness
+forces (as it forces positive, finite values).  So it vets a custom mean
+once, on its first use, with ``validate_mean_axioms`` and refuses one
+that fails any of those three.  Monotonicity is reported but not
+required: no answer relies on it.
 """
 
 from __future__ import annotations

@@ -28,10 +28,10 @@ from .majorization import (MAJORIZATION_TOL, MajorizationReport,
                            _horn_realize, _intermediate, _read_pair,
                            _report)
 from .means import MeanSpec
-from .spectral import (_built_delta, _check_definite, _delta, _diag_m,
-                       _symmetrized, _williamson)
-from .symplectic import (DEFAULT_TOL, _as_vector, _count, _euler_frames,
-                         _in_units, _require_frame, check_frame)
+from .spectral import (_check_definite, _delta, _diag_m, _symmetrized,
+                       _williamson)
+from .symplectic import (DEFAULT_TOL, _as_frame, _count, _euler_frames,
+                         _in_units, _require_frame)
 
 __all__ = [
     "SchurCheckReport",
@@ -77,15 +77,14 @@ def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport
     ratios, taken on the first call with that ``MeanSpec`` and kept on it.
     A custom mean that fails symmetry, homogeneity or betweenness raises
     DomainError.  The comparison is ``weak_supermajorize``'s, decided on
-    diag_M / c and U's delta, the unit pair in A's scale c.
+    the unit form's diag_M and delta.
     """
     U, c, delta = _delta(A, tol)
     delta_a = _in_units(c, delta)
-    dm = _diag_m(c * np.diag(U), mean)  # A's own diagonal
-    if not np.isfinite(dm).all():  # a custom mean past the double range
-        _as_vector(dm)  # raises the vector rule's DomainError
-    rep = _report("weak_super", dm / c, delta, c, tol)
-    return SchurCheckReport(diag_m=dm, delta=delta_a, report=rep,
+    dm = _diag_m(np.diag(U), mean)
+    dm_a = _in_units(c, dm, "symplectic diagonal")
+    return SchurCheckReport(diag_m=dm_a, delta=delta_a,
+                            report=_report("weak_super", dm, delta, c, tol),
                             mean_dominates_geometric=mean._dominates_geometric)
 
 
@@ -156,7 +155,7 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
 
     # A is exactly symmetric (T and C are), so it is the matrix verified.
     try:
-        a, got_d = _built_delta(A, tol, "realized matrix")
+        _, a, got_d = _delta(A, tol, "realized matrix")
         got_d = _in_units(a, got_d)
     except DomainError as exc:
         raise NumericalError(f"stage 'assemble': {exc}") from exc
@@ -191,14 +190,13 @@ class KyFanResult:
 def kyfan_objective(A, X, mean: MeanSpec) -> float:
     """sum_{j<=k} M(b_jj, b_{k+j,k+j}) for B = X^T A X over a frame X.
 
-    Scored as c times the sum for the unit form U = A / c of
-    ``validate_pd``, c a power of two, which equals the sum for A itself
-    for every homogeneous mean.  ``kyfan_minimizer`` and ``kyfan_search``
-    score frames the same way.  A NaN or out-of-range value raises
-    NumericalError."""
+    Scored on A's unit form, as every mean-indexed diagonal is; A has
+    no spectrum here to certify definiteness, so the exact floor check
+    runs.  A NaN or out-of-range value raises NumericalError."""
     U, c, _ = _symmetrized(A, "matrix")
     _check_definite(U, c, "matrix")
-    X = check_frame(X)
+    X = _as_frame(X)
+    _require_frame(X, DEFAULT_TOL)
     if X.shape[0] != U.shape[0]:
         raise DomainError(f"frame has {X.shape[0]} rows, expected {U.shape[0]}")
     return float(_in_units(c, _objective(U, X, mean), "Ky Fan value"))
@@ -221,9 +219,8 @@ def kyfan_minimizer(A, k: int, mean: MeanSpec,
     form a frame whose objective is sum_{j<=k} M(delta_j, delta_j),
     which every mean collapses to the partial eigenvalue sum.  For
     W = [[W11, W12], [W21, W22]], V = [[W22, -W21], [-W12, W11]] exactly,
-    so the frame is read off W's quadrants.  W is that of A's unit form,
-    so the frame is the same for every power-of-two multiple of A, and the
-    value is scored as in ``kyfan_objective``.
+    so the frame is read off W's quadrants.  Frame and value are taken on
+    A's unit form (see ``symplectic``).
     """
     U, c, fact = _williamson(A, tol)
     n = fact.n
@@ -264,10 +261,9 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     the sampler behind ``random_symplectic``, and is scored with
     ``kyfan_objective``'s formula.  The spread of U, V and r sweeps over
     quartiles of the budget, covering near-identity and far-field frames.
-    Frames are drawn and compared on A's unit form, so the frames are the
-    same for every power-of-two multiple of A; only the reported values
-    are scaled back.  ``threshold`` is a tolerance, not an answer, so it is
-    c times the unit one with no range check.  Deterministic in ``seed``.
+    Frames are drawn and compared on A's unit form (see ``symplectic``).
+    ``threshold`` is a tolerance, not an answer, so it is c times the
+    unit one with no range check.  Deterministic in ``seed``.
     """
     U, c, delta = _delta(A, tol)
     n = delta.shape[0]

@@ -6,15 +6,14 @@ symplectic eigenvalues: the moduli of the eigenvalues of J A, which come
 in conjugate pairs +-i delta_j.  They are invariant under symplectic
 congruence and additive (as multisets) over the expanding sum.
 
-Every call works on the unit form U = A / c, c the largest power of two
-<= max |a_ij|; delta(A) = c delta(U) and W is U's.  The numerical route
-is one Cholesky factorization U = R R^T and one solve of K = R^T J R per
-call.  K is exactly skew-symmetric and similar to the non-normal J U, so
-its singular values are the delta_j, each twice, and the Hermitian
-matrix iK has the real eigenvalues +-delta_j.  Calls that need delta
-alone take the real singular values of K; the Williamson factor takes
-the complex Hermitian eigensolve of iK, whose eigenvectors for +delta
-give W.  The definiteness floor needs no eigensolve of U on that route:
+Every call works on A's unit form U = A / c (see ``symplectic``):
+delta(A) = c delta(U) and W is U's.  The numerical route is one Cholesky
+factorization U = R R^T and one solve of K = R^T J R per call.  K is
+exactly skew-symmetric and similar to the non-normal J U, so its singular
+values are the delta_j, each twice, and the Hermitian matrix iK has the
+real eigenvalues +-delta_j.  Calls that need delta alone take the real
+singular values of K; the Williamson factor takes the complex Hermitian
+eigensolve of iK, whose eigenvectors for +delta give W.  The definiteness floor needs no eigensolve of U on that route:
 Ky Fan's minimum principle at k = 1 bounds lambda_min / lambda_max below
 by delta_1^2 / ||U||_F^2, so a delta_1 well clear of the floor certifies
 it.  Only inputs whose delta_1 fails that test run the exact check on
@@ -36,7 +35,6 @@ from .symplectic import (DEFAULT_TOL, _as_square_even, _form_check,
 
 __all__ = [
     "WilliamsonFactorization",
-    "validate_pd",
     "symplectic_eigenvalues",
     "williamson",
     "symplectic_diag",
@@ -52,12 +50,12 @@ _CERT_FLOOR = math.sqrt(100.0 * _PD_TOL)
 
 
 def _symmetrized(A, what: str) -> tuple[np.ndarray, float, float]:
-    """The shape, finiteness and symmetry checks of ``validate_pd``.
+    """A read as a finite, square matrix of even order, and symmetrized.
 
-    Returns the unit form U = sym(A) / c for the largest power of two
-    c <= max |a_ij| (1 for A = 0), c and ||A / c||_F.  Dividing by c is
-    exact, so U is the same for every power-of-two multiple of A, and
-    nothing computed from it overflows.
+    Inputs within relative asymmetry 1e-8 are symmetrized (measurement
+    noise); anything worse is rejected as a wrong-domain input rather
+    than silently averaged.  Returns the unit form U = sym(A) / c of
+    ``symplectic``, c and ||A / c||_F.
     """
     A, _ = _as_square_even(A, what)
     c = _pow2_scale(A)
@@ -79,21 +77,6 @@ def _check_definite(U: np.ndarray, c: float, what: str) -> None:
             f"[{float(evals[0]) * c:.3e}, {float(evals[-1]) * c:.3e}])")
 
 
-def validate_pd(A, what: str = "matrix") -> tuple[np.ndarray, int]:
-    """Check A is symmetric positive definite of even order; symmetrize.
-
-    Inputs within relative asymmetry 1e-8 are symmetrized (measurement
-    noise); anything worse is rejected as a wrong-domain input rather
-    than silently averaged.  Definiteness is the relative floor
-    lambda_min > 1e-13 lambda_max on the eigenvalues of A.
-
-    Returns the symmetrized array and the half-order n.
-    """
-    U, c, _ = _symmetrized(A, what)
-    _check_definite(U, c, what)
-    return c * U, U.shape[0] // 2
-
-
 def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool,
             what: str):
     """Factor a unit form U = A / c with ||U||_F = fro: (delta ascending, R, V).
@@ -104,10 +87,9 @@ def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool,
     mean.  With ``vectors`` the Hermitian iK is solved instead: its
     eigenvalues are +-delta, and V holds its unit eigenvectors for +delta.
 
-    Input checks and verdicts are those of ``validate_pd``, but the
-    definiteness floor is usually certified by delta_1 instead of an
-    eigensolve of U.  Ky Fan's minimum principle at k = 1 with the
-    geometric mean, over the frame [u, -Ju] for the unit eigenvector u of
+    The definiteness floor is ``_check_definite``'s, but it is usually
+    certified by delta_1 instead of an eigensolve of U.  Ky Fan's minimum
+    principle at k = 1 with the geometric mean, over the frame [u, -Ju] for the unit eigenvector u of
     lambda_min, gives delta_1 <= sqrt(lambda_min (Ju)^T U (Ju)) <=
     sqrt(lambda_min lambda_max), so lambda_min / lambda_max >= delta_1^2 /
     ||U||_F^2.  delta_1 > sqrt(100 * 1e-13) ||U||_F therefore clears the
@@ -117,8 +99,9 @@ def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool,
     tiny, or negative in the Hermitian half), or when Cholesky fails,
     does the exact floor check run, before any NumericalError, so every
     input is rejected by the same rule with the same message as
-    ``validate_pd``.  U's entries are below 2 in magnitude, so R and the
-    spectrum are finite, or numpy raises LinAlgError.
+    ``symplectic_diag``, which always runs it.  U's entries are below 2
+    in magnitude, so R and the spectrum are finite, or numpy raises
+    LinAlgError.
     Raises NumericalError when the spectrum fails to pair up: delta_1 <=
     1e3 eps delta_n, or the two members of some pair (the +delta half and
     the mirrored -delta half) more than tol delta_n apart.
@@ -160,20 +143,6 @@ def _delta(A, tol: float, what: str = "matrix"):
     """A's unit form U, its scale c and U's symplectic eigenvalues."""
     U, c, fro = _symmetrized(A, what)
     return U, c, _factor(U, c, fro, tol, False, what)[0]
-
-
-def _built_delta(A: np.ndarray, tol: float, what: str):
-    """The scale c of A's unit form and its symplectic eigenvalues, for a
-    matrix the library assembled square and exactly symmetric.
-
-    ``validate_pd``'s finiteness and definiteness rules and messages hold;
-    its symmetry test and re-symmetrization cannot fire on A and are
-    skipped."""
-    if not np.isfinite(A).all():
-        raise DomainError(f"{what} has non-finite entries")
-    c = _pow2_scale(A)
-    U = A / c
-    return c, _factor(U, c, float(np.linalg.norm(U)), tol, False, what)[0]
 
 
 def symplectic_eigenvalues(A, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -248,10 +217,11 @@ def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
 def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
     """M(d_j, d_{m+j}), j = 1..m, over the last axis (length 2m) of d.
 
-    diag(A) for the Schur check, diag(X^T A X) for every Ky Fan frame,
-    a batch of frames in kyfan_search.  The mean's evaluator receives the
-    pairs as 1-D arrays whatever the batch shape.  Every library call
-    evaluates means here, so a custom mean is vetted here, once per spec."""
+    diag(U) for the Schur check and ``symplectic_diag``, diag(X^T U X)
+    for every Ky Fan frame, a batch of frames in kyfan_search, U a unit
+    form.  The mean's evaluator receives the pairs as 1-D arrays whatever
+    the batch shape.  Every library call evaluates means here, so a
+    custom mean is vetted here, once per spec."""
     if mean._refusal is not None:
         raise DomainError(mean._refusal)
     m = d.shape[-1] // 2
@@ -263,7 +233,10 @@ def symplectic_diag(A, mean: MeanSpec) -> np.ndarray:
     """Mean-indexed symplectic diagonal [M(a_jj, a_{n+j,n+j})]_{j=1..n}.
 
     Pairs the j-th and (n+j)-th main-diagonal entries through the mean,
-    in the original coordinate order (no sorting).
+    in the original coordinate order (no sorting); scored on A's unit
+    form.  A has no spectrum here to certify definiteness, so the exact
+    floor check runs.
     """
-    A, _ = validate_pd(A)
-    return _diag_m(np.diag(A), mean)
+    U, c, _ = _symmetrized(A, "matrix")
+    _check_definite(U, c, "matrix")
+    return _in_units(c, _diag_m(np.diag(U), mean), "symplectic diagonal")

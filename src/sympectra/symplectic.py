@@ -12,6 +12,16 @@ through the one ``_as_real``, for the whole library and its command
 line; every count (an order, k, a budget, a partition part) is read by
 ``_count``.
 
+The unit-form rule, for the whole library: a matrix A is divided by the
+power of two c = ``_pow2_scale(A)`` <= max |a_ij|, which is exact.  W and
+the Ky Fan frames are U = A / c's own; every value (delta, a Ky Fan
+value, a mean-indexed diagonal) is computed on U and reported as c times
+U's through ``_in_units``, which raises NumericalError where that
+overflows or is subnormal.  So a mean is scored as c M(diag U), which is
+M(diag A) for the symmetric, homogeneous means the vet admits, and is
+never evaluated outside the range U spans (max |u_ij| in [1, 2)).  The
+vector layer does the same on the unit pair (x / c, y / c).
+
 One construction turns a basis into a symplectic one: the Hermitian
 eigensolve of i R^T J R (``_skew_eigh``) and the scaling of its
 eigenvectors (``_symplectic_basis``).  ``complete_to_symplectic`` applies
@@ -36,7 +46,6 @@ __all__ = [
     "is_symplectic",
     "expanding_sum",
     "s_pinching",
-    "check_frame",
     "complete_to_symplectic",
     "random_symplectic",
     "random_pd",
@@ -258,19 +267,9 @@ def s_pinching(A, partition: Sequence[int]) -> np.ndarray:
     return np.where(mask != 0, A, 0.0)
 
 
-def check_frame(X, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate the frame relation and return X as a float array.
-
-    The residual is held against ``tol * max(1, ||X||_F^2)``, as in
-    ``is_symplectic``.
-    """
-    X = _as_frame(X)
-    _require_frame(X, tol)
-    return X
-
-
 def _require_frame(X: np.ndarray, tol: float) -> None:
-    """``check_frame``'s verdict on a finite float 2n-by-2k X."""
+    """``is_symplectic``'s verdict on a finite float 2n-by-2k X, raised as
+    DomainError."""
     ok, res, rel = _form_check(X, tol)
     if not ok:
         raise DomainError(
@@ -323,7 +322,8 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
         If the assembled W fails its own symplecticity check (a skew form
         numerically degenerate on the complement ends there too).
     """
-    X = check_frame(X, tol)
+    X = _as_frame(X)
+    _require_frame(X, tol)
     n, k = X.shape[0] // 2, X.shape[1] // 2
     if k == n:
         return X.copy()

@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from sympectra.means import (arithmetic_mean, custom_mean, geometric_mean,
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_objective, kyfan_search, schur_check)
 from sympectra.spectral import symplectic_diag, symplectic_eigenvalues, williamson
-from sympectra.symplectic import (check_frame, is_symplectic, random_pd,
-                                  random_symplectic, standard_J)
+from sympectra.symplectic import (complete_to_symplectic, is_symplectic,
+                                  random_pd, random_symplectic, standard_J)
 
 DOMINATING = [arithmetic_mean(), geometric_mean(), parse_mean("power:2"),
               max_mean()]
@@ -496,8 +498,9 @@ def test_kyfan_objective_rejects_non_frame():
 def test_frame_checks_reject_non_frames_past_norm_overflow():
     # ||X||_F^2 overflows here; X^T J X = 1e320 J is no frame at any scale.
     X = 1e160 * np.eye(4)[:, [0, 2]]
-    with pytest.raises(DomainError):
-        check_frame(X)
+    assert not is_symplectic(X).ok
+    with pytest.raises(DomainError, match="not a symplectic frame"):
+        complete_to_symplectic(X)
     with pytest.raises(DomainError):
         kyfan_objective(random_pd(2), X, geometric_mean())
 
@@ -595,3 +598,33 @@ def test_geometric_mean_paths_past_product_overflow():
     B = horn_symplectic_realize([2e200, 3e200], [1e200, 2e200], g)
     np.testing.assert_allclose(symplectic_diag(B, g), [2e200, 3e200],
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("e", [0, 900, -900])
+def test_custom_mean_scores_on_the_unit_form(e):
+    # M dominates the geometric mean, but a * b overflows at 2^900 A and
+    # underflows at 2^-900 A.  Scored on A's own diagonal, symplectic_diag
+    # read [inf, inf], schur_check raised a DomainError naming no mean at
+    # 2^900 and answered a silent False at 2^-900.  Scored on the unit
+    # form, every answer is exactly 2^e times the one at scale 1.
+    M = custom_mean(lambda a, b: (a + math.sqrt(a * b) + b) / 3.0)
+    A, c = random_pd(3, seed=0), 2.0 ** e
+
+    def answers(B):
+        res = kyfan_minimizer(B, 2, M)
+        return (symplectic_diag(B, M), schur_check(B, M), res,
+                kyfan_objective(B, res.minimizer, M),
+                kyfan_search(B, 2, M, budget=64))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag, rep, res, obj, search = answers(c * A)
+        unit = answers(A)
+    assert rep.verdict and unit[1].verdict
+    for got, want in ((diag, unit[0]), (rep.diag_m, unit[1].diag_m),
+                      (rep.report.k_slacks, unit[1].report.k_slacks),
+                      (res.min_value, unit[2].min_value), (obj, unit[3]),
+                      (search.best_value, unit[4].best_value)):
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(got, c * want)
+    assert search.violations == unit[4].violations == 0

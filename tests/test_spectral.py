@@ -8,7 +8,7 @@ from sympectra.means import arithmetic_mean, geometric_mean, max_mean, parse_mea
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_search, schur_check)
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
-                                validate_pd, williamson)
+                                williamson)
 from sympectra.symplectic import (complete_to_symplectic, expanding_sum,
                                   is_symplectic, random_pd, random_symplectic,
                                   standard_J)
@@ -144,34 +144,40 @@ def test_williamson_clustered_spectrum():
     assert is_symplectic(f.W, 1e-8).ok
 
 
+# The input rules of every matrix entry point, checked through
+# symplectic_diag, which always runs the exact definiteness floor, and
+# symplectic_eigenvalues, which certifies it from delta_1.
 def test_validate_pd_symmetrizes_mild_noise():
     A = random_pd(2, seed=0)
     A[0, 1] += 1e-12
-    B, n = validate_pd(A)
-    assert n == 2
-    np.testing.assert_array_equal(B, B.T)
+    S = 0.5 * (A + A.T)
+    np.testing.assert_array_equal(symplectic_eigenvalues(A),
+                                  symplectic_eigenvalues(S))
+    np.testing.assert_array_equal(symplectic_diag(A, geometric_mean()),
+                                  symplectic_diag(S, geometric_mean()))
 
 
 def test_validate_pd_rejections():
-    with pytest.raises(DomainError):
-        validate_pd(np.eye(3))                       # odd order
-    with pytest.raises(DomainError):
-        validate_pd(np.array([[1.0, 0.5], [-0.5, 1.0]]))   # asymmetric
-    with pytest.raises(DomainError):
-        validate_pd(np.diag([1.0, -2.0]))            # indefinite
-    with pytest.raises(DomainError):
-        validate_pd(np.diag([1.0, 0.0]))             # singular
     A = np.eye(2)
     A[0, 0] = np.nan
-    with pytest.raises(DomainError):
-        validate_pd(A)
+    for bad, match in ((np.eye(3), "square of even order"),
+                       (np.array([[1.0, 0.5], [-0.5, 1.0]]), "not symmetric"),
+                       (np.diag([1.0, -2.0]), "not positive definite"),
+                       (np.diag([1.0, 0.0]), "not positive definite"),
+                       (A, "non-finite")):
+        for call in (lambda M: symplectic_diag(M, geometric_mean()),
+                     symplectic_eigenvalues):
+            with pytest.raises(DomainError, match=match):
+                call(bad)
 
 
 def test_validate_pd_asymmetry_bound_is_relative():
     B = 1e-10 * np.array([[1.0, 0.5], [-0.5, 1.0]])
     for c in (1.0, 1e6, 1e10):
-        with pytest.raises(DomainError):
-            validate_pd(c * B)
+        for call in (lambda M: symplectic_diag(M, geometric_mean()),
+                     symplectic_eigenvalues):
+            with pytest.raises(DomainError, match="not symmetric"):
+                call(c * B)
 
 
 @pytest.mark.parametrize("c", [1e160, 1e200, 1.5e308])
@@ -299,6 +305,8 @@ def _domain_message(f):
 
 
 def test_certified_entry_points_reject_as_validate_pd():
+    # symplectic_diag has no spectrum to certify from and always runs the
+    # exact floor check: the reference message.
     mean = arithmetic_mean()
     entries = [
         lambda A: symplectic_eigenvalues(A),
@@ -310,7 +318,7 @@ def test_certified_entry_points_reject_as_validate_pd():
     cases = _certificate_sweep()
     rejected = 0
     for A in cases:
-        expected = _domain_message(lambda: validate_pd(A))
+        expected = _domain_message(lambda: symplectic_diag(A, mean))
         rejected += expected is not None
         for entry in entries:
             assert _domain_message(lambda: entry(A)) == expected
@@ -319,15 +327,16 @@ def test_certified_entry_points_reject_as_validate_pd():
 
 def test_realization_rejects_as_validate_pd(monkeypatch):
     # The verification step sees the realized matrix; a spy hands the same
-    # matrix to validate_pd, whose message the 'assemble' stage must carry.
+    # matrix to the exact check of symplectic_diag, whose message the
+    # 'assemble' stage must carry.
     seen = []
-    delta = schur_horn._built_delta
+    delta = schur_horn._delta
 
     def spy(A, tol, what):
         seen.append(np.array(A))
         return delta(A, tol, what)
 
-    monkeypatch.setattr(schur_horn, "_built_delta", spy)
+    monkeypatch.setattr(schur_horn, "_delta", spy)
     outcomes = set()
     for k in range(4, 16):
         for t in (1.0, 1e3):
@@ -339,10 +348,11 @@ def test_realization_rejects_as_validate_pd(monkeypatch):
             except NumericalError as exc:
                 got = str(exc)
             expected = _domain_message(
-                lambda: validate_pd(seen[0], "realized matrix"))
+                lambda: symplectic_diag(seen[0], geometric_mean()))
             if expected is None:
                 assert got is None or "'assemble'" not in got
             else:
+                expected = expected.replace("matrix", "realized matrix", 1)
                 assert got == f"stage 'assemble': {expected}"
             outcomes.add(expected is None)
     assert outcomes == {True, False}
@@ -372,7 +382,7 @@ def test_certificate_skips_eigvalsh_of_a(monkeypatch):
     kyfan_search(A, 2, mean, budget=8)
     horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean)
     assert calls == []
-    validate_pd(A)
+    symplectic_diag(A, mean)
     assert calls == [(8, 8)]
 
 

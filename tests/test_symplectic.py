@@ -12,9 +12,8 @@ from sympectra.means import (dominates_geometric, evaluate_pairs,
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_objective, kyfan_search, schur_check)
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
-                                validate_pd, williamson)
-from sympectra.symplectic import (DEFAULT_TOL, check_frame,
-                                  complete_to_symplectic,
+                                williamson)
+from sympectra.symplectic import (DEFAULT_TOL, complete_to_symplectic,
                                   expanding_sum, is_symplectic, random_pd,
                                   random_symplectic, s_pinching, standard_J)
 
@@ -169,7 +168,7 @@ def test_frame_residual_shape_validation():
         is_symplectic(np.ones((4, 6)))  # k > n
     X = np.eye(4)[:, [0, 2]]
     X[1, 0] = np.nan
-    for call in (is_symplectic, check_frame):
+    for call in (is_symplectic, complete_to_symplectic):
         with pytest.raises(DomainError, match="non-finite"):
             call(X)
 
@@ -193,7 +192,8 @@ def test_frame_residual_keeps_J_past_square_overflow(a):
     X = np.zeros((4, 2))
     X[0, 0], X[2, 1] = a, 1.0 / a
     assert is_symplectic(X).residual <= 1e-15
-    np.testing.assert_array_equal(check_frame(X), X)
+    assert is_symplectic(X).ok
+    np.testing.assert_array_equal(complete_to_symplectic(X)[:, [0, 2]], X)
     assert is_symplectic(np.diag([a, 1.0 / a])).ok
 
 
@@ -390,7 +390,6 @@ ARRAY_CALLS = {
     "matrix": {
         "symplectic_eigenvalues": symplectic_eigenvalues,
         "williamson": williamson,
-        "validate_pd": validate_pd,
         "symplectic_diag": lambda A: symplectic_diag(A, _G),
         "schur_check": lambda A: schur_check(A, _G),
         "kyfan_minimizer": lambda A: kyfan_minimizer(A, 1, _G),
@@ -401,7 +400,6 @@ ARRAY_CALLS = {
     },
     "frame": {
         "is_symplectic": is_symplectic,
-        "check_frame": check_frame,
         "complete_to_symplectic": complete_to_symplectic,
         "kyfan_objective": lambda X: kyfan_objective(_A2, X, _G),
     },

@@ -20,8 +20,8 @@ from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_search, schur_check)
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
                                 williamson)
-from sympectra.symplectic import (check_frame, complete_to_symplectic,
-                                  is_symplectic, random_pd)
+from sympectra.symplectic import (complete_to_symplectic, is_symplectic,
+                                  random_pd)
 
 SCALES = [2.0 ** 1000, 2.0 ** -1000, 1e200, 1e-200]
 # Exponents e of the exact cases c = 2^e.
@@ -137,11 +137,26 @@ def test_out_of_range_answers_raise():
     for A in (2.0 ** -1074 * np.diag([3.0, 1.0, 1.0, 1.0]),
               2.0 ** -1060 * random_pd(2, seed=0)):
         for call in (symplectic_eigenvalues, williamson,
+                     lambda A: symplectic_diag(A, arithmetic_mean()),
                      lambda A: schur_check(A, arithmetic_mean()),
                      lambda A: kyfan_minimizer(A, 2, arithmetic_mean())):
             with pytest.raises(NumericalError,
                                match="is out of range: it underflows"):
                 call(A)
+    # The diagonal is scored on the unit form and range-checked like
+    # delta: a subnormal diag_M raises rather than returning short of bits.
+    A = 2.0 ** -1060 * np.diag([1.0, 3.0])
+    with pytest.raises(NumericalError, match="symplectic diagonal is out of "
+                       "range: it underflows"):
+        symplectic_diag(A, geometric_mean())
+    with pytest.raises(NumericalError, match="symplectic spectrum is out of "
+                       "range: it underflows"):
+        schur_check(A, geometric_mean())
+    # delta = 2^-1015 is normal, but the min mean's diagonal is not.
+    A = 2.0 ** -1015 * np.diag([1e-6, 1e6])
+    with pytest.raises(NumericalError, match="symplectic diagonal is out of "
+                       "range: it underflows"):
+        schur_check(A, min_mean())
     # A zero-valued evaluator is no mean, so no zero answer reaches the
     # range check: the vet refuses it as input.
     zero = custom_mean(lambda a, b: 0.0 * a)
@@ -266,7 +281,6 @@ TOL_CALLS = {
     "majorize": lambda tol: majorize([1.5, 1.5], [1.0, 2.0], tol),
     "intermediate_vector": lambda tol: intermediate_vector([2.0, 2.0], [1.0, 2.0], tol),
     "is_symplectic": lambda tol: is_symplectic(np.eye(4), tol),
-    "check_frame": lambda tol: check_frame(_X, tol),
     "complete_to_symplectic": lambda tol: complete_to_symplectic(_X, tol),
     "validate_mean_axioms": lambda tol: validate_mean_axioms(
         geometric_mean(), 50, tol=tol),
