@@ -24,7 +24,6 @@ from .errors import DomainError
 from .symplectic import _as_frame, _as_square_even, _as_vector
 
 __all__ = [
-    "fmt_float",
     "dumps",
     "matrix_obj",
     "frame_obj",
@@ -37,7 +36,7 @@ __all__ = [
 ]
 
 
-def fmt_float(x) -> str:
+def _fmt_float(x) -> str:
     """17 significant digits (%.17g), which round-trips IEEE doubles.
 
     Not the shortest round-tripping decimal: 0.1 is 0.10000000000000001.
@@ -51,7 +50,7 @@ def _emit(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt_float(obj)
+        return _fmt_float(obj)
     if isinstance(obj, np.ndarray):
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -84,7 +83,8 @@ def frame_obj(X) -> dict:
 def _read(text: str, what: str) -> list:
     """The nested lists that ``text`` spells in the module's grammar.
 
-    An object's "rows" must number 2n when it declares "n".  The format
+    An object's "rows" must number 2n when it declares "n", and its first
+    row must hold 2k entries when it declares "k".  The format
     is all that is decided here: numbers, shape and finiteness are the
     library's rule for the caller's kind.
     """
@@ -110,6 +110,9 @@ def _read(text: str, what: str) -> list:
         if "n" in obj and obj["n"] != len(rows) / 2:
             raise DomainError(
                 f"{what} declares n={obj['n']} but has {len(rows)} rows")
+        if "k" in obj and obj["k"] != len(rows[0]) / 2:
+            raise DomainError(
+                f"{what} declares k={obj['k']} but has {len(rows[0])} columns")
         obj = rows
     elif not isinstance(obj, list):
         raise DomainError(f"{what} JSON must be an object or an array")
@@ -136,9 +139,9 @@ def _text_value(v) -> str:
         return _emit(v)  # scalars are spelled as in JSON
     a = np.asarray(v)
     if a.ndim == 1:
-        return " ".join(fmt_float(x) for x in a)
+        return " ".join(_fmt_float(x) for x in a)
     if a.ndim == 2:
-        return "\n".join("  ".join(fmt_float(x) for x in row) for row in a)
+        return "\n".join("  ".join(_fmt_float(x) for x in row) for row in a)
     raise TypeError(f"cannot render {type(v).__name__} as text")
 
 

@@ -50,12 +50,6 @@ def _read_pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
     return x, y, _pow2_scale(np.concatenate((x, y)))
 
 
-def _pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
-    """The unit pair (x / c, y / c) of two vectors of one length, and c."""
-    x, y, c = _read_pair(x, y)
-    return x / c, y / c, c
-
-
 @dataclass(frozen=True)
 class MajorizationReport:
     """Outcome of a partial-sum comparison.
@@ -76,6 +70,7 @@ def _prefix_compare(kind: str, x: np.ndarray, y: np.ndarray, tol: float):
     """(slacks, threshold, verdict) of x against y, a unit pair: ascending
     prefix sums held to tol (||x||_1 + ||y||_1); ``kind`` "majorize" also
     holds the total gap to the threshold."""
+    _check_tol(tol)
     slacks = np.cumsum(np.sort(x)) - np.cumsum(np.sort(y))
     threshold = tol * float(np.abs(x).sum() + np.abs(y).sum())
     verdict = bool((slacks >= -threshold).all()) and (
@@ -92,20 +87,16 @@ def _report(kind: str, x: np.ndarray, y: np.ndarray, c: float,
                               c * threshold)
 
 
-def _compare(kind: str, x, y, tol: float) -> MajorizationReport:
-    """Prefix-sum comparison of x against y on their unit pair."""
-    _check_tol(tol)
-    return _report(kind, *_pair(x, y), tol)
-
-
 def weak_supermajorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationReport:
     """Test x weakly supermajorized by y (ascending prefix dominance)."""
-    return _compare("weak_super", x, y, tol)
+    x, y, c = _read_pair(x, y)
+    return _report("weak_super", x / c, y / c, c, tol)
 
 
 def majorize(x, y, tol: float = MAJORIZATION_TOL) -> MajorizationReport:
     """Test x majorized by y: prefix dominance plus equal totals."""
-    return _compare("majorize", x, y, tol)
+    x, y, c = _read_pair(x, y)
+    return _report("majorize", x / c, y / c, c, tol)
 
 
 def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
@@ -140,7 +131,6 @@ def _intermediate(x0: np.ndarray, y0: np.ndarray, scale: float,
             break
         prefix += xs[m]
 
-    _check_tol(tol)
     slacks, _, verdict = _prefix_compare("majorize", np.minimum(x, c), y, tol)
     if not verdict:
         k = int(np.argmin(slacks)) + 1

@@ -31,7 +31,7 @@ from .means import MeanSpec
 from .spectral import (_check_definite, _delta, _diag_m, _symmetrized,
                        _williamson)
 from .symplectic import (DEFAULT_TOL, _as_frame, _count, _euler_frames,
-                         _in_units, _require_frame)
+                         _in_units, _require_frame, _rng)
 
 __all__ = [
     "SchurCheckReport",
@@ -272,19 +272,17 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     target = float(np.sum(delta[:k]))
     threshold = tol * target
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     counts = [budget // 4 + (i < budget % 4) for i in range(4)]
 
     best_value = np.inf
     best_frame = None
     violations = 0
-    total = 0
     for spread, count in zip(_SEARCH_SPREADS, counts):
         if count == 0:
             continue
         Xs = _euler_frames(rng, count, n, k, spread)
         objectives = _objective(U, Xs, mean)
-        total += count
         violations += int(np.sum(objectives < target - threshold))
         i = int(np.argmin(objectives))
         if objectives[i] < best_value:
@@ -293,5 +291,5 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
 
     return KyFanSearchReport(k=k, best_value=_in_units(c, best_value, "Ky Fan value"),
                              best_frame=best_frame, violations=violations,
-                             n_samples=total, delta_partial_sum=_in_units(c, target),
+                             n_samples=budget, delta_partial_sum=_in_units(c, target),
                              threshold=c * threshold)

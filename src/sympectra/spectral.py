@@ -13,9 +13,11 @@ exactly skew-symmetric and similar to the non-normal J U, so its singular
 values are the delta_j, each twice, and the Hermitian matrix iK has the
 real eigenvalues +-delta_j.  Calls that need delta alone take the real
 singular values of K; the Williamson factor takes the complex Hermitian
-eigensolve of iK, whose eigenvectors for +delta give W.  The definiteness floor needs no eigensolve of U on that route:
-Ky Fan's minimum principle at k = 1 bounds lambda_min / lambda_max below
-by delta_1^2 / ||U||_F^2, so a delta_1 well clear of the floor certifies
+eigensolve of iK, whose eigenvectors for +delta give W.
+
+The definiteness floor needs no eigensolve of U on either route: Ky
+Fan's minimum principle at k = 1 bounds lambda_min / lambda_max below by
+delta_1^2 / ||U||_F^2, so a delta_1 well clear of the floor certifies
 it.  Only inputs whose delta_1 fails that test run the exact check on
 U's eigenvalues.
 """
@@ -89,19 +91,20 @@ def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool,
 
     The definiteness floor is ``_check_definite``'s, but it is usually
     certified by delta_1 instead of an eigensolve of U.  Ky Fan's minimum
-    principle at k = 1 with the geometric mean, over the frame [u, -Ju] for the unit eigenvector u of
-    lambda_min, gives delta_1 <= sqrt(lambda_min (Ju)^T U (Ju)) <=
-    sqrt(lambda_min lambda_max), so lambda_min / lambda_max >= delta_1^2 /
-    ||U||_F^2.  delta_1 > sqrt(100 * 1e-13) ||U||_F therefore clears the
-    floor with a factor 100 to spare for rounding; delta_1 is the smaller
-    member of the smallest singular-value pair, or the smallest
-    eigenvalue of the +delta half.  Only when that test fails (delta_1
-    tiny, or negative in the Hermitian half), or when Cholesky fails,
-    does the exact floor check run, before any NumericalError, so every
-    input is rejected by the same rule with the same message as
-    ``symplectic_diag``, which always runs it.  U's entries are below 2
-    in magnitude, so R and the spectrum are finite, or numpy raises
+    principle at k = 1 with the geometric mean, over the frame [u, -Ju] for
+    the unit eigenvector u of lambda_min, gives delta_1 <= sqrt(lambda_min
+    (Ju)^T U (Ju)) <= sqrt(lambda_min lambda_max), so lambda_min /
+    lambda_max >= delta_1^2 / ||U||_F^2.  delta_1 > sqrt(100 * 1e-13) ||U||_F
+    therefore clears the floor with a factor 100 to spare for rounding;
+    delta_1 is the smaller member of the smallest singular-value pair, or
+    the smallest eigenvalue of the +delta half.  Only when that test fails
+    (delta_1 tiny, or negative in the Hermitian half), or when Cholesky
+    fails, does the exact floor check run, before any NumericalError, so
+    every input is rejected by the same rule with the same message as
+    ``symplectic_diag``, which always runs it.  U's entries are below 2 in
+    magnitude, so R and the spectrum are finite, or numpy raises
     LinAlgError.
+
     Raises NumericalError when the spectrum fails to pair up: delta_1 <=
     1e3 eps delta_n, or the two members of some pair (the +delta half and
     the mirrored -delta half) more than tol delta_n apart.
@@ -175,22 +178,14 @@ class WilliamsonFactorization:
     def n(self) -> int:
         return self.delta.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        return _reconstruct(self.W, self.delta)
-
-
-def _reconstruct(W: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """W (D oplus D) W^T."""
-    d = np.concatenate([delta, delta])
-    return (W * d) @ W.T
-
 
 def _williamson(A, tol: float):
     """U, c and A's Williamson factorization: W is U's, delta is c D."""
     U, c, fro = _symmetrized(A, "matrix")
     delta, R, V = _factor(U, c, fro, tol, True, "matrix")
     W = _symplectic_basis(R, V, delta)
-    rec = float(np.linalg.norm(U - _reconstruct(W, delta)) / np.linalg.norm(U))
+    d = np.concatenate([delta, delta])
+    rec = float(np.linalg.norm(U - (W * d) @ W.T) / np.linalg.norm(U))
     if not rec <= tol:
         raise NumericalError(
             f"Williamson reconstruction residual {rec:.3e} exceeds {tol:.1e}")

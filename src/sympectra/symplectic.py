@@ -10,7 +10,7 @@ numbers, shape and finite entries) is decided here, by
 ``_as_square_even``, ``_as_frame`` and ``_as_vector``, which convert
 through the one ``_as_real``, for the whole library and its command
 line; every count (an order, k, a budget, a partition part) is read by
-``_count``.
+``_count``, and every seed by ``_rng``.
 
 The unit-form rule, for the whole library: a matrix A is divided by the
 power of two c = ``_pow2_scale(A)`` <= max |a_ij|, which is exact.  W and
@@ -110,6 +110,29 @@ def _count(value, what: str, hi: float = math.inf, lo: float = 1) -> int:
         raise DomainError(f"{what} must be >= {lo}" if hi == math.inf
                           else f"{what} must be in {lo}..{hi}, got {k}")
     return k
+
+
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator for ``seed``; DomainError for a seed numpy refuses
+    (a negative or non-integer one) rather than its untyped error."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise DomainError("seed must be a non-negative integer (or a "
+                          f"sequence of them), got {seed!r}") from None
+
+
+def _sample(draw, seed, spread) -> np.ndarray:
+    """draw(rng), a sampler's matrix at ``spread`` from the generator of
+    ``seed``; DomainError unless the spread is positive and finite and the
+    draw's entries are finite, so an overflowing draw is refused."""
+    if 0 < spread < math.inf:
+        with np.errstate(all="ignore"):
+            M = draw(_rng(seed))
+        if np.isfinite(M).all():
+            return M
+    raise DomainError("spread must be positive and small enough for a "
+                      f"finite draw, got {spread}")
 
 
 def standard_J(n: int) -> np.ndarray:
@@ -389,9 +412,8 @@ def random_symplectic(n: int, seed=0, spread: float = 1.0) -> np.ndarray:
     collapses to the identity.
     """
     n = _count(n, "half-order n")
-    if not spread > 0:
-        raise DomainError("spread must be positive")
-    return _euler_frames(np.random.default_rng(seed), 1, n, n, spread)[0]
+    return _sample(lambda rng: _euler_frames(rng, 1, n, n, spread)[0],
+                   seed, spread)
 
 
 def random_pd(n: int, seed=0, spread: float = 1.0) -> np.ndarray:
@@ -401,12 +423,12 @@ def random_pd(n: int, seed=0, spread: float = 1.0) -> np.ndarray:
     orthogonal eigenbasis, so ``spread`` directly controls conditioning.
     """
     n = _count(n, "half-order n")
-    if not spread > 0:
-        raise DomainError("spread must be positive")
-    rng = np.random.default_rng(seed)
-    G = rng.normal(size=(2 * n, 2 * n))
-    Q, R = np.linalg.qr(G)
-    Q = Q * np.sign(np.diag(R))
-    lam = np.exp(rng.uniform(-spread, spread, size=2 * n))
-    A = (Q * lam) @ Q.T
-    return 0.5 * (A + A.T)
+
+    def draw(rng):
+        G = rng.normal(size=(2 * n, 2 * n))
+        Q, R = np.linalg.qr(G)
+        Q = Q * np.sign(np.diag(R))
+        lam = np.exp(rng.uniform(-spread, spread, size=2 * n))
+        A = (Q * lam) @ Q.T
+        return 0.5 * (A + A.T)
+    return _sample(draw, seed, spread)

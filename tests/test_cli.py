@@ -144,6 +144,14 @@ def test_kyfan_search_deterministic_bytes(tmp_path, capsys):
     assert obj["violations"] == 0 and obj["n_samples"] == 400
 
 
+def test_kyfan_search_bad_seed_exit_2(tmp_path, capsys):
+    # A refused seed is invalid input, not a found violation (exit 1).
+    p = write_matrix(tmp_path, "a.json", random_pd(2, seed=8))
+    code, out, err = run(capsys, "kyfan-search", "--in", p, "--k", "1",
+                         "--budget", "8", "--seed", "-1")
+    assert code == 2 and out == "" and "seed must be a non-negative" in err
+
+
 def test_kyfan_search_out_of_range_exit_3(tmp_path, capsys):
     # Its values overflow in A's units: no "inf" on stdout, which JSON lacks.
     p = write_matrix(tmp_path, "a.json", 2.0 ** 1023 * random_pd(2, seed=0))
@@ -404,6 +412,15 @@ def test_cli_import_does_not_load_scipy():
     (("random-pd", "--n", "-2"), "n must be >= 1"),
     (("random-symplectic", "--n", "-2"), "n must be >= 1"),
     (("random-pd", "--n", "2", "--spread", "nan"), "spread must be positive"),
+    (("random-pd", "--n", "2", "--spread", "inf"), "spread must be positive"),
+    (("random-pd", "--n", "2", "--spread", "1e3"), "spread must be positive"),
+    (("random-symplectic", "--n", "2", "--spread", "1e3"),
+     "spread must be positive"),
+    (("random-symplectic", "--n", "2", "--spread", "inf"),
+     "spread must be positive"),
+    (("random-pd", "--n", "2", "--seed", "-1"), "seed must be a non-negative"),
+    (("random-symplectic", "--n", "2", "--seed", "-1"),
+     "seed must be a non-negative"),
 ])
 def test_random_generators_reject_bad_arguments(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -1,10 +1,12 @@
 import io
+import json
+import re
 
 import numpy as np
 import pytest
 
 from sympectra import DomainError
-from sympectra.io import (dumps, fmt_float, frame_obj, matrix_obj,
+from sympectra.io import (_fmt_float, dumps, frame_obj, matrix_obj,
                           parse_frame, parse_matrix, parse_vector,
                           read_input, render_text, write_output)
 from sympectra.symplectic import random_pd, random_symplectic
@@ -13,9 +15,9 @@ from sympectra.symplectic import random_pd, random_symplectic
 def test_fmt_float_round_trips_exactly():
     rng = np.random.default_rng(0)
     for x in rng.standard_normal(200):
-        assert float(fmt_float(float(x))) == x
-    assert fmt_float(1.0) == "1"
-    assert fmt_float(0.5) == "0.5"
+        assert float(_fmt_float(float(x))) == x
+    assert _fmt_float(1.0) == "1"
+    assert _fmt_float(0.5) == "0.5"
 
 
 def test_matrix_json_round_trip_bit_exact():
@@ -81,6 +83,18 @@ def test_parse_matrix_rejects_garbage():
             parse_matrix(text)
     with pytest.raises(DomainError, match="frame must be 2n-by-2k"):
         parse_frame("[[1, 0, 0], [0, 1, 0]]")
+
+
+def test_parse_frame_checks_declared_k():
+    rows = np.eye(4)[:, [0, 2]].tolist()
+    for k, message in [(7, "frame declares k=7 but has 2 columns"),
+                       (2, "frame declares k=2 but has 2 columns"),
+                       (None, "frame declares k=None")]:
+        text = json.dumps({"n": 2, "k": k, "rows": rows})
+        with pytest.raises(DomainError, match=re.escape(message)):
+            parse_frame(text)
+    X = parse_frame(json.dumps({"n": 2, "k": 1, "rows": rows}))
+    np.testing.assert_array_equal(X, np.eye(4)[:, [0, 2]])
 
 
 def test_parse_vector():

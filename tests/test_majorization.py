@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from sympectra import DomainError, NumericalError
 from sympectra.io import parse_vector
-from sympectra.majorization import (MAJORIZATION_TOL, _horn_realize, _pair,
-                                    intermediate_vector, majorize,
-                                    weak_supermajorize)
+from sympectra.majorization import (MAJORIZATION_TOL, _horn_realize,
+                                    _read_pair, intermediate_vector,
+                                    majorize, weak_supermajorize)
 from sympectra.means import geometric_mean
 from sympectra.schur_horn import horn_symplectic_realize
 
@@ -18,8 +18,8 @@ from sympectra.schur_horn import horn_symplectic_realize
 def givens_chain(z, y, tol=MAJORIZATION_TOL):
     """The realization's Givens chain, run as the realization runs it: on
     the unit pair of z and y.  U is orthogonal, so it has no units."""
-    z, y, _ = _pair(z, y)
-    return _horn_realize(z, y, tol)
+    z, y, c = _read_pair(z, y)
+    return _horn_realize(z / c, y / c, tol)
 
 
 def admissible_pair(rng, n, noise=1.0):

@@ -367,6 +367,36 @@ def test_random_symplectic_rejects_nonpositive_spread():
         random_symplectic(2, seed=0, spread=0.0)
 
 
+@pytest.mark.parametrize("sampler", [random_pd, random_symplectic])
+@pytest.mark.parametrize("spread", [np.inf, -np.inf, np.nan, 1e3, 1e300])
+def test_samplers_refuse_a_spread_they_cannot_draw(sampler, spread):
+    # An infinite spread, or a draw whose entries overflow, is refused with
+    # no RuntimeWarning (warnings are errors here) and no non-finite rows.
+    with pytest.raises(DomainError, match="^spread must be positive"):
+        sampler(2, seed=0, spread=spread)
+
+
+@pytest.mark.parametrize("sampler", [random_pd, random_symplectic])
+def test_samplers_keep_finite_draws_at_large_spreads(sampler):
+    # The largest spreads whose draws stay finite still return them.
+    for spread in (5.0, 50.0):
+        M = sampler(2, seed=1, spread=spread)
+        assert np.isfinite(M).all()
+        np.testing.assert_array_equal(M, sampler(2, seed=1, spread=spread))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", [1, -2]])
+def test_seeded_entry_points_refuse_a_bad_seed(seed):
+    A = random_pd(2, seed=0)
+    calls = (lambda: random_pd(2, seed=seed),
+             lambda: random_symplectic(2, seed=seed),
+             lambda: kyfan_search(A, 1, geometric_mean(), budget=8, seed=seed))
+    message = "^seed must be .*" + re.escape(repr(seed))
+    for call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
 def test_random_pd_properties():
     A = random_pd(3, seed=9)
     np.testing.assert_array_equal(A, A.T)
