@@ -10,8 +10,7 @@ spectra, and the Ky Fan minimum principle over symplectic frames.
 from .errors import DomainError, NumericalError, SympectraError
 from .majorization import (MAJORIZATION_TOL, MajorizationReport,
                            intermediate_vector, majorize, weak_supermajorize)
-from .means import (DominanceReport, MeanSpec, ValidationReport,
-                    arithmetic_mean, custom_mean, dominates_geometric,
+from .means import (MeanSpec, ValidationReport, arithmetic_mean, custom_mean,
                     evaluate_pairs, geometric_mean, harmonic_mean, max_mean,
                     min_mean, parse_mean, power_mean, validate_mean_axioms)
 from .schur_horn import (KyFanResult, KyFanSearchReport, SchurCheckReport,
@@ -30,8 +29,7 @@ __all__ = [
     "SympectraError", "DomainError", "NumericalError",
     "MeanSpec", "arithmetic_mean", "geometric_mean", "harmonic_mean",
     "min_mean", "max_mean", "power_mean", "custom_mean", "parse_mean",
-    "evaluate_pairs", "validate_mean_axioms",
-    "dominates_geometric", "ValidationReport", "DominanceReport",
+    "evaluate_pairs", "validate_mean_axioms", "ValidationReport",
     "DEFAULT_TOL", "standard_J", "is_symplectic", "expanding_sum",
     "s_pinching", "complete_to_symplectic",
     "random_symplectic", "random_pd", "SymplecticCheck",

@@ -8,15 +8,14 @@ harmonic, min, max and power-mean families; arbitrary user evaluators are
 wrapped as ``custom`` means.
 
 A symmetric, homogeneous M is max(a, b) f(min / max) with f(t) = M(t, 1),
-so the axiom and dominance checks read M on one fixed grid of ratios t,
-with no randomness.  The library's answers rest on three of the axioms:
-it scores every mean on a unit form (the rule is in ``symplectic``),
-which is right only for a symmetric, homogeneous M, and the Ky Fan
-minimizer and the Horn realization read M(a, a) = a, which betweenness
-forces (as it forces positive, finite values).  So it vets a custom mean
-once, on its first use, with ``validate_mean_axioms`` and refuses one
-that fails any of those three.  Monotonicity is reported but not
-required: no answer relies on it.
+so ``validate_mean_axioms`` decides the axioms and the dominance of the
+geometric mean on one fixed grid of ratios t, with no randomness.  The
+library's answers rest on three of the axioms: it scores every mean on a
+unit form (the rule is in ``symplectic``), which is right only for a
+symmetric, homogeneous M, and the Ky Fan minimizer and the Horn
+realization read M(a, a) = a, which betweenness forces (as it forces
+positive, finite values).  Monotonicity is reported but not required: no
+answer relies on it.  ``MeanSpec`` says which specs are vetted, and when.
 """
 
 from __future__ import annotations
@@ -28,14 +27,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, _check_tol
-from .symplectic import _as_real, _count
+from .errors import DomainError
+from .symplectic import _as_real
 
 __all__ = [
     "MeanSpec",
     "AxiomResult",
     "ValidationReport",
-    "DominanceReport",
     "arithmetic_mean",
     "geometric_mean",
     "harmonic_mean",
@@ -46,7 +44,6 @@ __all__ = [
     "parse_mean",
     "evaluate_pairs",
     "validate_mean_axioms",
-    "dominates_geometric",
 ]
 
 
@@ -54,20 +51,24 @@ __all__ = [
 class MeanSpec:
     """A two-variable mean: a named kind plus its evaluator.
 
-    ``dominates_geometric_claim`` is the analytic verdict on whether
-    sqrt(a*b) <= M(a,b) holds for all positive a, b; every built-in mean
-    carries one, and a custom mean has ``None``.  For ``None``,
-    ``schur_check`` tests the dominance on a 2000-point grid once per spec
-    and keeps the verdict on it.  A custom spec is likewise vetted for
-    symmetry, homogeneity and betweenness once, on its first library
-    call, and the verdict is kept; so a spec's evaluator should not
-    change behaviour after its first use.
+    The factories (the ``*_mean`` functions but ``custom_mean``, and
+    ``parse_mean``) return means by construction, each with an analytic
+    ``dominates_geometric_claim``: whether sqrt(a*b) <= M(a,b) holds for
+    all positive a, b.  Any other spec, from ``custom_mean`` or built
+    directly whatever its ``kind``, claims None and is vetted: on its
+    first library call, ``validate_mean_axioms`` reports on it once and
+    the report is kept on the spec.  If symmetry, homogeneity or
+    betweenness fails there, every entry point raises DomainError ("custom
+    mean is not ...") with the first failure's witness, on that call and
+    every later one; a non-monotone spec is admitted.  ``schur_check``
+    reads the same report's ``dominates_geometric`` as
+    ``mean_dominates_geometric``.  So a spec's evaluator should not change
+    behaviour after its first use.
     """
 
     kind: str
     evaluator: Callable[[float, float], float]
     exponent: Optional[float] = None
-    dominates_geometric_claim: Optional[bool] = None
 
     @property
     def name(self) -> str:
@@ -75,23 +76,28 @@ class MeanSpec:
             return f"power:{self.exponent:g}"
         return self.kind
 
+    @property
+    def dominates_geometric_claim(self) -> Optional[bool]:
+        """A factory spec's analytic dominance verdict; None otherwise."""
+        return None
+
     @cached_property
+    def _vet(self) -> ValidationReport:
+        return validate_mean_axioms(self)
+
+    @property
     def _dominates_geometric(self) -> bool:
-        """The claim if given, else a 2000-point grid check, taken once."""
-        if self.dominates_geometric_claim is not None:
-            return bool(self.dominates_geometric_claim)
-        return dominates_geometric(self, sample_budget=2000).holds
+        claim = self.dominates_geometric_claim
+        return self._vet.dominates_geometric.passed if claim is None else claim
 
     @cached_property
     def _refusal(self) -> Optional[str]:
-        """Why a custom evaluator is no mean: the first of symmetry,
-        homogeneity and betweenness that fails in one 2000-point
-        ``validate_mean_axioms`` report, taken once; None if all three
-        hold.  Built-in means hold them analytically and are not
-        evaluated."""
-        if self.kind != "custom":
+        """Why a vetted spec is no mean: the first of symmetry, homogeneity
+        and betweenness that fails in its report; None if all three hold,
+        and for a factory spec, which is not evaluated."""
+        if self.dominates_geometric_claim is not None:
             return None
-        rep = validate_mean_axioms(self, 2000)
+        rep = self._vet
         for what, res in (
                 ("symmetric: (a, b, M(a, b), M(b, a))", rep.symmetry),
                 ("homogeneous: (a, b, r, M(ra, rb), r M(a, b))", rep.homogeneity),
@@ -101,12 +107,26 @@ class MeanSpec:
         return None
 
 
+@dataclass(frozen=True)
+class _BuiltinMean(MeanSpec):
+    """A factory spec.  Its field overrides the base's property, so only
+    the factories can skip the vet."""
+
+    dominates_geometric_claim: bool = False
+
+
 def _power_eval(p: float):
-    # Factor out the dominant argument so a**p never overflows for large |p|.
+    # lead ((1 + ratio^p) / 2)^(1/p) with the dominant argument factored
+    # out, so nothing overflows for large |p|, and ratio^p - 1 taken as
+    # expm1(p ln ratio), so the value tends to the geometric mean as p -> 0
+    # instead of rounding to 1 inside the power.  An underflowed ratio's
+    # ln is -inf, and p ln ratio may pass the double range: both are exact
+    # limits here, so their warnings are off.
     def ev(a, b):
         big, small = np.maximum(a, b), np.minimum(a, b)
-        lead, ratio = (big, small / big) if p > 0 else (small, big / small)
-        return lead * ((1.0 + ratio**p) / 2.0) ** (1.0 / p)
+        with np.errstate(divide="ignore", over="ignore"):
+            lead, ratio = (big, small / big) if p > 0 else (small, big / small)
+            return lead * np.exp(np.log1p(np.expm1(p * np.log(ratio)) / 2) / p)
 
     return ev
 
@@ -124,63 +144,55 @@ def _harmonic(a, b):
 
 
 def arithmetic_mean() -> MeanSpec:
-    return MeanSpec("arithmetic", lambda a, b: 0.5 * a + 0.5 * b,
-                    dominates_geometric_claim=True)
+    return _BuiltinMean("arithmetic", lambda a, b: 0.5 * a + 0.5 * b,
+                        dominates_geometric_claim=True)
 
 
 def geometric_mean() -> MeanSpec:
-    return MeanSpec("geometric", _geometric, dominates_geometric_claim=True)
+    return _BuiltinMean("geometric", _geometric, dominates_geometric_claim=True)
 
 
 def harmonic_mean() -> MeanSpec:
-    return MeanSpec("harmonic", _harmonic, dominates_geometric_claim=False)
+    return _BuiltinMean("harmonic", _harmonic, dominates_geometric_claim=False)
 
 
 def min_mean() -> MeanSpec:
-    return MeanSpec("min", np.minimum, dominates_geometric_claim=False)
+    return _BuiltinMean("min", np.minimum, dominates_geometric_claim=False)
 
 
 def max_mean() -> MeanSpec:
-    return MeanSpec("max", np.maximum, dominates_geometric_claim=True)
+    return _BuiltinMean("max", np.maximum, dominates_geometric_claim=True)
 
 
 def power_mean(p: float) -> MeanSpec:
-    """The p-th power mean ((a^p + b^p)/2)^(1/p); p = 0 is the geometric mean.
+    """The p-th power mean ((a^p + b^p)/2)^(1/p); its limits p = 0, inf and
+    -inf are the geometric, max and min means.
 
     Power means increase with p, so the geometric mean (p = 0) is dominated
-    exactly when p >= 0.
+    exactly when p >= 0.  The value is accurate to a few ulps for every
+    normal p; a subnormal p leaves p ln(a / b) too few bits.
     """
     p = float(p)
     if math.isnan(p):
         raise DomainError("power mean exponent must not be NaN")
-    if p == 0.0:
-        return MeanSpec("power", _geometric, exponent=0.0,
-                        dominates_geometric_claim=True)
-    return MeanSpec("power", _power_eval(p), exponent=p,
-                    dominates_geometric_claim=p >= 0)
+    limits = {0.0: _geometric, math.inf: np.maximum, -math.inf: np.minimum}
+    # ``p or 0.0`` reads -0.0 as 0.0.
+    return _BuiltinMean("power", limits.get(p) or _power_eval(p),
+                        exponent=p or 0.0, dominates_geometric_claim=p >= 0)
 
 
 def custom_mean(evaluator: Callable[[float, float], float]) -> MeanSpec:
     """Wrap a user-supplied evaluator of a symmetric, homogeneous,
     between-valued mean.
 
-    Nothing is checked here.  On the spec's first use by ``schur_check``,
-    ``symplectic_diag``, ``horn_symplectic_realize`` or a Ky Fan call,
-    ``validate_mean_axioms`` tests it once on a 2000-point grid and the
-    verdict is kept on the spec; an evaluator that fails symmetry,
-    homogeneity or betweenness raises DomainError with the witness there
-    and on every later use.  A non-monotone one is admitted.
-    ``evaluate_pairs``, ``validate_mean_axioms`` and
-    ``dominates_geometric`` never vet, so they report on non-means too;
-    but all of them, and so every entry point, refuse complex values with
+    Nothing is checked here: the spec is vetted on its first library call,
+    as ``MeanSpec`` describes.  ``evaluate_pairs`` and
+    ``validate_mean_axioms`` never vet, so they report on non-means too;
+    but both, and so every entry point, refuse complex values with
     DomainError ("mean value has complex entries").
 
     The library's own calls hand the evaluator scalars or 1-D arrays, and
     fall back to one call per element as ``evaluate_pairs`` describes.
-
-    ``schur_check`` tests the dominance of the geometric mean on its
-    first call with the returned spec and keeps that verdict on the spec
-    for later calls.
     """
     return MeanSpec("custom", evaluator)
 
@@ -256,19 +268,23 @@ class AxiomResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-axiom grid verdicts; witnesses hold the first counterexample.
+    """Per-axiom grid verdicts and the dominance of the geometric mean;
+    witnesses hold the first counterexample.
 
     Witness shapes: symmetry ``(a, b, M(a, b), M(b, a))``; homogeneity
     ``(a, b, r, M(ra, rb), r M(a, b))``; monotonicity ``(a, b, up,
     M(a, b))`` with M(up a, b) < M(a, b) for that up > 1; betweenness
-    ``(a, b, M(a, b))``.  ``samples`` is the grid size.
+    ``(a, b, M(a, b))``; dominates_geometric ``(t, 1, sqrt(t), f(t))``.
+    ``samples`` is the grid size.  ``passed`` covers the four axioms:
+    dominance is a property of some means, not an axiom.
     """
 
     symmetry: AxiomResult
     homogeneity: AxiomResult
     monotonicity: AxiomResult
     betweenness: AxiomResult
-    samples: int = 0
+    dominates_geometric: AxiomResult
+    samples: int
 
     @property
     def passed(self) -> bool:
@@ -276,96 +292,72 @@ class ValidationReport:
                 and self.monotonicity.passed and self.betweenness.passed)
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    """Did sqrt(t) <= M(t, 1) + tol sqrt(t) hold at every grid ratio t."""
-
-    holds: bool
-    witness: Optional[tuple] = None
-    samples: int = 0
-
-
+# The grid's size, and the comparison slacks relative to the values
+# compared: of the axioms, and of sqrt(t) <= f(t).
+_SAMPLES = 10_000
+_AXIOM_TOL = 1e-9
+_DOMINANCE_TOL = 1e-12
 # Factors r for the pairs (r t, r): powers of two, the library's own
 # scaling, and factors that are not; every r t on the grid stays normal.
 _FACTORS = np.array([2.0 ** -60, 1.0 / 3.0, 3.0, 2.0 ** 60])
 
 
-def _ratios(sample_budget: int) -> np.ndarray:
-    """The grid t = 2^-s, s evenly spaced over [0, 900], t = 1 first."""
-    return 2.0 ** -np.linspace(0.0, 900.0,
-                               _count(sample_budget, "sample_budget"))
-
-
-def _result(bad, *columns) -> AxiomResult:
-    """Passed when no entry is ``bad``, else the columns at the first one.
+def _result(bad, witness) -> AxiomResult:
+    """Passed when no entry is ``bad``, else ``witness(i)`` at the first
+    bad entry i.
 
     Masks are phrased as "not ok", so a NaN value counts as a violation."""
     if not bad.any():
         return AxiomResult(True)
-    i = int(np.argmax(bad))
-    return AxiomResult(False, tuple(float(c[i]) for c in columns))
+    return AxiomResult(False, tuple(map(float, witness(int(np.argmax(bad))))))
 
 
-def validate_mean_axioms(mean: MeanSpec, sample_budget: int = 10_000,
-                         tol: float = 1e-9) -> ValidationReport:
-    """Check the four mean axioms on ``sample_budget`` >= 1 grid ratios t.
+def validate_mean_axioms(mean: MeanSpec) -> ValidationReport:
+    """Check the four mean axioms, and the dominance of the geometric mean,
+    on 10 000 grid ratios t.
 
     The grid is t = 2^-s, s evenly spaced over [0, 900], t = 1 first.
     Symmetry and homogeneity are tested on the pairs (r t, r), r cycling
     over 2^-60, 1/3, 3 and 2^60.  Given those two, M(a, b) = max(a, b)
     f(min / max) with f(t) = M(t, 1) (Bullen, Handbook of Means and Their
-    Inequalities, 2003, ch. II), so betweenness is t <= f(t) <= 1 and
+    Inequalities, 2003, ch. II), so betweenness is t <= f(t) <= 1,
     monotonicity is f nondecreasing and f(t) / t nonincreasing along the
-    grid.  Violations are reported, never raised; ``tol`` is the
-    comparison slack relative to the values compared.  Values past the
-    double range read as inf, with no overflow warning, so an evaluator
-    such as 1e300 max(a, b) fails betweenness rather than raising.  A
-    complex value is not a violation but a value of the wrong type: it
-    raises DomainError ("mean value has complex entries"), as in
+    grid, and sqrt(ab) <= M(a, b) is sqrt(t) <= f(t).  The axioms are
+    compared with a slack of 1e-9 relative to the values compared, the
+    dominance with 1e-12 sqrt(t).  Violations are reported, never raised.
+    Values past the double range read as inf, with no overflow warning,
+    so an evaluator such as 1e300 max(a, b) fails betweenness rather than
+    raising; a NaN or infinite f(t) also fails the dominance.  A complex
+    value is not a violation but a value of the wrong type: it raises
+    DomainError ("mean value has complex entries"), as in
     ``evaluate_pairs``.
     """
-    _check_tol(tol)
-    t = _ratios(sample_budget)
+    t = 2.0 ** -np.linspace(0.0, 900.0, _SAMPLES)
     r = np.resize(_FACTORS, t.shape)
+    n = t.size - 1
     with np.errstate(over="ignore"):
         f = evaluate_pairs(mean, t, 1.0)
         m_lo = evaluate_pairs(mean, r * t, r)
         m_hi = evaluate_pairs(mean, r, r * t)
         # |x - y| <= tol |y|, with equal infinities close and NaN never.
-        sym = _result(~np.isclose(m_hi, m_lo, rtol=tol, atol=0.0),
-                      r * t, r, m_lo, m_hi)
-        hom = _result(~np.isclose(m_lo, r * f, rtol=tol, atol=0.0),
-                      t, np.ones_like(t), r, m_lo, r * f)
-        btw = _result(~((f >= t - tol * t) & (f <= 1.0 + tol)),
-                      t, np.ones_like(t), f)
-        # M(up a, 1) >= M(a, 1) for up = t_i / t_{i+1} > 1: at a = t_{i+1}
-        # this is f's step, at a = 1 / t_i the step of M(1 / t, 1) = f(t) / t.
+        sym = _result(~np.isclose(m_hi, m_lo, rtol=_AXIOM_TOL, atol=0.0),
+                      lambda i: (r[i] * t[i], r[i], m_lo[i], m_hi[i]))
+        hom = _result(~np.isclose(m_lo, r * f, rtol=_AXIOM_TOL, atol=0.0),
+                      lambda i: (t[i], 1.0, r[i], m_lo[i], r[i] * f[i]))
+        btw = _result(~((f >= t - _AXIOM_TOL * t) & (f <= 1.0 + _AXIOM_TOL)),
+                      lambda i: (t[i], 1.0, f[i]))
+        # M(up a, 1) >= M(a, 1) for up = t_j / t_{j+1} > 1: at a = t_{j+1}
+        # this is f's step (entry j), at a = 1 / t_j the step of
+        # M(1 / t, 1) = f(t) / t (entry n + j).
         q = f / t
-        a = np.concatenate([t[1:], 1.0 / t[:-1]])
         lo = np.concatenate([f[1:], q[:-1]])
         hi = np.concatenate([f[:-1], q[1:]])
-        mono = _result(~(hi >= lo * (1.0 - tol)), a, np.ones_like(a),
-                       np.tile(t[:-1] / t[1:], 2), lo)
+        mono = _result(~(hi >= lo * (1.0 - _AXIOM_TOL)), lambda i: (
+            t[i + 1] if i < n else 1.0 / t[i - n], 1.0,
+            t[i % n] / t[i % n + 1], lo[i]))
+        g = np.sqrt(t)
+        dom = _result(~(np.isfinite(f) & (g <= f + _DOMINANCE_TOL * g)),
+                      lambda i: (t[i], 1.0, g[i], f[i]))
     return ValidationReport(symmetry=sym, homogeneity=hom, monotonicity=mono,
-                            betweenness=btw, samples=t.size)
-
-
-def dominates_geometric(mean: MeanSpec, sample_budget: int = 10_000,
-                        tol: float = 1e-12) -> DominanceReport:
-    """Test sqrt(t) <= f(t) + tol sqrt(t) for f(t) = M(t, 1) on the grid
-    of ``validate_mean_axioms``.
-
-    For a symmetric, homogeneous M this is sqrt(ab) <= M(a, b) at every
-    pair whose ratio min / max lies on the grid.  A non-finite f(t) is a
-    violation.  The witness, when present, is ``(t, 1, sqrt(t), f(t))``
-    for the first violation.  A complex f(t) raises DomainError ("mean
-    value has complex entries"), as in ``evaluate_pairs``: it is a value
-    of the wrong type, not a violation.
-    """
-    _check_tol(tol)
-    t = _ratios(sample_budget)
-    f = evaluate_pairs(mean, t, 1.0)
-    g = np.sqrt(t)
-    res = _result(~(np.isfinite(f) & (g <= f + tol * g)), t, np.ones_like(t),
-                  g, f)
-    return DominanceReport(res.passed, res.witness, t.size)
+                            betweenness=btw, dominates_geometric=dom,
+                            samples=t.size)

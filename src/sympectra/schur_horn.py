@@ -56,7 +56,8 @@ class SchurCheckReport:
 
     ``report`` holds the partial-sum slacks; ``mean_dominates_geometric``
     records whether the hypothesis of the forward theorem applies (when
-    it does, a false verdict would be a genuine numerical anomaly).
+    it does, a false verdict would be a genuine numerical anomaly): a
+    built-in mean's analytic claim, else its vet's dominance verdict.
     """
 
     diag_m: np.ndarray
@@ -72,12 +73,10 @@ class SchurCheckReport:
 def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport:
     """Compare the mean-indexed diagonal of A against delta(A) under <=^w.
 
-    ``mean_dominates_geometric`` is a built-in mean's analytic claim; for
-    a custom mean it is ``dominates_geometric`` on its 2000-point grid of
-    ratios, taken on the first call with that ``MeanSpec`` and kept on it.
-    A custom mean that fails symmetry, homogeneity or betweenness raises
-    DomainError.  The comparison is ``weak_supermajorize``'s, decided on
-    the unit form's diag_M and delta.
+    A mean that is not built in is vetted as ``MeanSpec`` describes, and
+    ``mean_dominates_geometric`` is read from the same report.  The
+    comparison is ``weak_supermajorize``'s, decided on the unit form's
+    diag_M and delta.
     """
     U, c, delta = _delta(A, tol)
     delta_a = _in_units(c, delta)

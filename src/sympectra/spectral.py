@@ -215,8 +215,8 @@ def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
     diag(U) for the Schur check and ``symplectic_diag``, diag(X^T U X)
     for every Ky Fan frame, a batch of frames in kyfan_search, U a unit
     form.  The mean's evaluator receives the pairs as 1-D arrays whatever
-    the batch shape.  Every library call evaluates means here, so a
-    custom mean is vetted here, once per spec."""
+    the batch shape.  Every library call evaluates means here, so a spec
+    that is not built in is vetted here, once per spec (see ``MeanSpec``)."""
     if mean._refusal is not None:
         raise DomainError(mean._refusal)
     m = d.shape[-1] // 2

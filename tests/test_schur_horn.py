@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import sympectra.majorization
+import sympectra.means
 import sympectra.schur_horn
 from sympectra import DomainError, NumericalError
 from sympectra.majorization import weak_supermajorize
-from sympectra.means import (arithmetic_mean, custom_mean, geometric_mean,
-                             harmonic_mean, max_mean, min_mean, parse_mean,
-                             validate_mean_axioms)
+from sympectra.means import (MeanSpec, arithmetic_mean, custom_mean,
+                             geometric_mean, harmonic_mean, max_mean, min_mean,
+                             parse_mean, power_mean, validate_mean_axioms)
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_objective, kyfan_search, schur_check)
 from sympectra.spectral import symplectic_diag, symplectic_eigenvalues, williamson
@@ -78,8 +79,8 @@ def test_schur_check_non_dominating_mean_well_formed():
 
 def test_schur_check_samples_custom_dominance_once():
     # Each call evaluates the n = 1 diagonal pair.  The first call also
-    # vets the mean (three evaluations on the 2000-point grid) and tests
-    # its dominance on that grid; both verdicts are kept on the spec.
+    # vets the mean (three evaluations on the 10 000-point grid), and the
+    # dominance is read from that report, which is kept on the spec.
     evaluated = []
 
     def heronian(a, b):
@@ -89,7 +90,7 @@ def test_schur_check_samples_custom_dominance_once():
     mean = custom_mean(heronian)
     A = random_pd(1, seed=2)
     reports = [schur_check(A, mean)]
-    assert sum(evaluated) == 3 * 2000 + 2000 + 1
+    assert sum(evaluated) == 3 * 10_000 + 1
     for _ in range(2):
         before = sum(evaluated)
         reports.append(schur_check(A, mean))
@@ -355,8 +356,90 @@ def test_non_mean_is_refused_by_every_entry_point():
             with pytest.raises(DomainError,
                                match="custom mean is not homogeneous"):
                 call(s * _A0)
-    # Vetted once, on three 2000-point grid evaluations; the refusal is kept.
-    assert evaluated == [2000] * 3
+    # Vetted once, on three 10 000-point grid evaluations; the refusal is kept.
+    assert evaluated == [10_000] * 3
+
+
+def _banded(inside, outside):
+    """max(a, b) f(min / max) with f = inside on the band t = 2^-s,
+    s in [0.1, 0.3], and outside elsewhere: symmetric and homogeneous, with
+    a fault that only a grid finer than 0.2 in s sees."""
+    def evaluator(a, b):
+        big, small = np.maximum(a, b), np.minimum(a, b)
+        t = small / big
+        band = (t >= 2.0 ** -0.3) & (t <= 2.0 ** -0.1)
+        return big * np.where(band, inside(t), outside(t))
+
+    return custom_mean(evaluator)
+
+
+# name -> (a factory of the spec, whether it passes the axioms, whether it
+# dominates the geometric mean on the grid).
+BANDED = {
+    "above max on the band": (lambda: _banded(lambda t: 1.01 + 0.0 * t,
+                                              np.sqrt), False, True),
+    "below sqrt on the band": (lambda: _banded(lambda t: 0.999 * np.sqrt(t),
+                                               lambda t: 0.5 + 0.5 * t),
+                               True, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BANDED))
+def test_admission_and_dominance_read_one_report(name):
+    # At the parent, admission and dominance read a 2000-point grid that
+    # misses the band, while validate_mean_axioms read 10 000 points: the
+    # first mean failed the report yet was admitted, and the second failed
+    # the dominance yet schur_check reported mean_dominates_geometric.
+    factory, passed, dominates = BANDED[name]
+    rep = validate_mean_axioms(factory())
+    assert rep.passed == passed
+    mean = factory()
+    for call in _mean_entry_points(mean):
+        if rep.passed:
+            call(_A0)
+        else:
+            with pytest.raises(DomainError, match="custom mean is not"):
+                call(_A0)
+    if rep.passed:
+        assert schur_check(_A0, mean).mean_dominates_geometric == dominates
+    assert rep.dominates_geometric.passed == dominates
+
+
+def test_caller_built_spec_is_vetted_whatever_its_kind():
+    # At the parent MeanSpec("arithmetic", a + b) was never vetted, and
+    # kyfan_minimizer answered 2 delta_1 as the minimum; a caller's
+    # dominance claim for min reached the report.
+    forged = MeanSpec("arithmetic", lambda a, b: a + b)
+    for call in _mean_entry_points(forged):
+        with pytest.raises(DomainError, match=re.escape(
+                "custom mean is not between-valued: (a, b, M(a, b)) = "
+                "(1.0, 1.0, 2.0)")):
+            call(_A0)
+    with pytest.raises(TypeError):
+        MeanSpec("custom", np.minimum, dominates_geometric_claim=True)
+    plain_min = MeanSpec("min", np.minimum)
+    assert plain_min.dominates_geometric_claim is None
+    assert not schur_check(_A0, plain_min).mean_dominates_geometric
+
+
+def test_factory_specs_evaluate_no_grid(monkeypatch):
+    # The vet's grid goes through means.evaluate_pairs; the entry points'
+    # own values do not.  Built-in specs skip the vet, a custom one takes
+    # it once: three grid evaluations.
+    grid = []
+    evaluate = sympectra.means.evaluate_pairs
+    monkeypatch.setattr(sympectra.means, "evaluate_pairs",
+                        lambda mean, a, b: grid.append(np.size(a))
+                        or evaluate(mean, a, b))
+    specs = [parse_mean(name) for name in
+             ("arithmetic", "geometric", "harmonic", "min", "max", "power:2")]
+    for mean in specs + [power_mean(-3.0), power_mean(0.0)]:
+        for call in _mean_entry_points(mean):
+            call(_A0)
+    assert grid == []
+    for call in _mean_entry_points(custom_mean(lambda a, b: 0.5 * (a + b))):
+        call(_A0)
+    assert grid == [10_000] * 3
 
 
 def test_infinite_mean_is_refused_by_every_entry_point():
@@ -404,7 +487,7 @@ def test_non_monotone_mean_is_admitted():
     # answer rests on monotonicity: its minimum is the partial sum, and
     # the search finds no frame below it.
     mean = custom_mean(lambda a, b: (a * a + b * b) / (a + b))
-    assert not validate_mean_axioms(mean, 2000).monotonicity.passed
+    assert not validate_mean_axioms(mean).monotonicity.passed
     A = random_pd(3, seed=0)
     for k in (1, 2, 3):
         res = kyfan_minimizer(A, k, mean)

@@ -7,8 +7,7 @@ import scipy.linalg
 from sympectra import DomainError, NumericalError, symplectic
 from sympectra.majorization import (intermediate_vector, majorize,
                                     weak_supermajorize)
-from sympectra.means import (dominates_geometric, evaluate_pairs,
-                             geometric_mean, validate_mean_axioms)
+from sympectra.means import evaluate_pairs, geometric_mean
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_objective, kyfan_search, schur_check)
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
@@ -404,6 +403,15 @@ def test_random_pd_properties():
     np.testing.assert_array_equal(A, random_pd(3, seed=9))
 
 
+def test_random_pd_draws_pass_the_floor_below_spread_15():
+    # Conditioning up to e^28 = 1.4e12 stays inside the 1e-13 floor, which
+    # e^(2 spread) passes at spread ln(1e13) / 2 = 15.
+    for n in (1, 2, 4):
+        for seed in range(20):
+            A = random_pd(n, seed=seed, spread=14.0)
+            assert symplectic_eigenvalues(A).shape == (n,)
+
+
 def test_random_pd_spread_controls_conditioning():
     tight = np.linalg.cond(random_pd(4, seed=3, spread=0.1))
     wide = np.linalg.cond(random_pd(4, seed=3, spread=3.0))
@@ -480,8 +488,6 @@ COUNT_CALLS = {
     "kyfan_minimizer": lambda k: kyfan_minimizer(_A2, k, _G),
     "kyfan_search k": lambda k: kyfan_search(_A2, k, _G, budget=8),
     "kyfan_search budget": lambda b: kyfan_search(_A2, 1, _G, budget=b),
-    "validate_mean_axioms": lambda b: validate_mean_axioms(_G, b),
-    "dominates_geometric": lambda b: dominates_geometric(_G, b),
     "s_pinching": lambda m: s_pinching(_A3, [m, 1]),
 }
 

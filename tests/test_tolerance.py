@@ -12,10 +12,8 @@ from sympectra import (DomainError, NumericalError, majorization, means,
                        schur_horn, spectral, symplectic)
 from sympectra.majorization import (intermediate_vector, majorize,
                                     weak_supermajorize)
-from sympectra.means import (arithmetic_mean, custom_mean,
-                             dominates_geometric, geometric_mean,
-                             harmonic_mean, min_mean, parse_mean,
-                             validate_mean_axioms)
+from sympectra.means import (arithmetic_mean, custom_mean, geometric_mean,
+                             harmonic_mean, min_mean, parse_mean)
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_search, schur_check)
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
@@ -282,10 +280,6 @@ TOL_CALLS = {
     "intermediate_vector": lambda tol: intermediate_vector([2.0, 2.0], [1.0, 2.0], tol),
     "is_symplectic": lambda tol: is_symplectic(np.eye(4), tol),
     "complete_to_symplectic": lambda tol: complete_to_symplectic(_X, tol),
-    "validate_mean_axioms": lambda tol: validate_mean_axioms(
-        geometric_mean(), 50, tol=tol),
-    "dominates_geometric": lambda tol: dominates_geometric(
-        geometric_mean(), 50, tol=tol),
 }
 
 
