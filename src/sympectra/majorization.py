@@ -23,7 +23,7 @@ realization.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ def _read_pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
     return x, y, _pow2_scale(np.concatenate((x, y)))
 
 
-@dataclass(frozen=True)
-class MajorizationReport:
+class MajorizationReport(NamedTuple):
     """Outcome of a partial-sum comparison.
 
     ``k_slacks[k-1]`` is the ascending k-prefix sum of x minus that of y;

@@ -21,9 +21,9 @@ answer relies on it.  ``MeanSpec`` says which specs are vetted, and when.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,32 +54,31 @@ class MeanSpec:
     The factories (the ``*_mean`` functions but ``custom_mean``, and
     ``parse_mean``) return means by construction, each with an analytic
     ``dominates_geometric_claim``: whether sqrt(a*b) <= M(a,b) holds for
-    all positive a, b.  Any other spec, from ``custom_mean`` or built
-    directly whatever its ``kind``, claims None and is vetted: on its
-    first library call, ``validate_mean_axioms`` reports on it once and
-    the report is kept on the spec.  If symmetry, homogeneity or
-    betweenness fails there, every entry point raises DomainError ("custom
-    mean is not ...") with the first failure's witness, on that call and
-    every later one; a non-monotone spec is admitted.  ``schur_check``
-    reads the same report's ``dominates_geometric`` as
-    ``mean_dominates_geometric``.  So a spec's evaluator should not change
-    behaviour after its first use.
+    all positive a, b.  Only they set that field: it is not a constructor
+    argument, and ``dataclasses.replace`` leaves it None.  Any other spec,
+    from ``custom_mean``, built directly or replaced, whatever its
+    ``kind``, claims None and is vetted: on its first library call,
+    ``validate_mean_axioms`` reports on it once and the report is kept on
+    the spec.  If symmetry, homogeneity or betweenness fails there, every
+    entry point raises DomainError ("custom mean is not ...") with the
+    first failure's witness, on that call and every later one; a
+    non-monotone spec is admitted.  A vet that raises DomainError, as for
+    complex values, is kept as the refusal too.  ``schur_check`` reads the
+    same report's ``dominates_geometric`` as ``mean_dominates_geometric``.
+    So a spec's evaluator should not change behaviour after its first use.
     """
 
     kind: str
     evaluator: Callable[[float, float], float]
     exponent: Optional[float] = None
+    dominates_geometric_claim: Optional[bool] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
         if self.kind == "power":
             return f"power:{self.exponent:g}"
         return self.kind
-
-    @property
-    def dominates_geometric_claim(self) -> Optional[bool]:
-        """A factory spec's analytic dominance verdict; None otherwise."""
-        return None
 
     @cached_property
     def _vet(self) -> ValidationReport:
@@ -92,12 +91,16 @@ class MeanSpec:
 
     @cached_property
     def _refusal(self) -> Optional[str]:
-        """Why a vetted spec is no mean: the first of symmetry, homogeneity
-        and betweenness that fails in its report; None if all three hold,
-        and for a factory spec, which is not evaluated."""
+        """Why a vetted spec is no mean: the vet's own DomainError, or the
+        first of symmetry, homogeneity and betweenness that fails in its
+        report; None if all three hold, and for a factory spec, which is
+        not evaluated."""
         if self.dominates_geometric_claim is not None:
             return None
-        rep = self._vet
+        try:
+            rep = self._vet
+        except DomainError as exc:
+            return str(exc)
         for what, res in (
                 ("symmetric: (a, b, M(a, b), M(b, a))", rep.symmetry),
                 ("homogeneous: (a, b, r, M(ra, rb), r M(a, b))", rep.homogeneity),
@@ -107,12 +110,12 @@ class MeanSpec:
         return None
 
 
-@dataclass(frozen=True)
-class _BuiltinMean(MeanSpec):
-    """A factory spec.  Its field overrides the base's property, so only
-    the factories can skip the vet."""
-
-    dominates_geometric_claim: bool = False
+def _builtin(kind: str, evaluator, claim: bool,
+             exponent: Optional[float] = None) -> MeanSpec:
+    """A factory spec: the one place a dominance claim is set."""
+    spec = MeanSpec(kind, evaluator, exponent)
+    object.__setattr__(spec, "dominates_geometric_claim", claim)
+    return spec
 
 
 def _power_eval(p: float):
@@ -144,24 +147,23 @@ def _harmonic(a, b):
 
 
 def arithmetic_mean() -> MeanSpec:
-    return _BuiltinMean("arithmetic", lambda a, b: 0.5 * a + 0.5 * b,
-                        dominates_geometric_claim=True)
+    return _builtin("arithmetic", lambda a, b: 0.5 * a + 0.5 * b, True)
 
 
 def geometric_mean() -> MeanSpec:
-    return _BuiltinMean("geometric", _geometric, dominates_geometric_claim=True)
+    return _builtin("geometric", _geometric, True)
 
 
 def harmonic_mean() -> MeanSpec:
-    return _BuiltinMean("harmonic", _harmonic, dominates_geometric_claim=False)
+    return _builtin("harmonic", _harmonic, False)
 
 
 def min_mean() -> MeanSpec:
-    return _BuiltinMean("min", np.minimum, dominates_geometric_claim=False)
+    return _builtin("min", np.minimum, False)
 
 
 def max_mean() -> MeanSpec:
-    return _BuiltinMean("max", np.maximum, dominates_geometric_claim=True)
+    return _builtin("max", np.maximum, True)
 
 
 def power_mean(p: float) -> MeanSpec:
@@ -169,16 +171,19 @@ def power_mean(p: float) -> MeanSpec:
     -inf are the geometric, max and min means.
 
     Power means increase with p, so the geometric mean (p = 0) is dominated
-    exactly when p >= 0.  The value is accurate to a few ulps for every
-    normal p; a subnormal p leaves p ln(a / b) too few bits.
+    exactly when p >= 0.  The value is accurate to a few ulps for every p.
     """
     p = float(p)
     if math.isnan(p):
         raise DomainError("power mean exponent must not be NaN")
-    limits = {0.0: _geometric, math.inf: np.maximum, -math.inf: np.minimum}
+    limits = {math.inf: np.maximum, -math.inf: np.minimum}
+    # A subnormal p leaves p ln(a / b) too few bits, and there
+    # |M_p / G - 1| <= |p| ln^2(a / b) / 8 < 1e-302 over the double range,
+    # so the geometric mean (p = 0) is M_p to rounding.
+    ev = (_geometric if abs(p) < np.finfo(float).tiny
+          else limits.get(p) or _power_eval(p))
     # ``p or 0.0`` reads -0.0 as 0.0.
-    return _BuiltinMean("power", limits.get(p) or _power_eval(p),
-                        exponent=p or 0.0, dominates_geometric_claim=p >= 0)
+    return _builtin("power", ev, p >= 0, p or 0.0)
 
 
 def custom_mean(evaluator: Callable[[float, float], float]) -> MeanSpec:
@@ -260,14 +265,12 @@ def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
                     "mean value").reshape(af.shape)
 
 
-@dataclass(frozen=True)
-class AxiomResult:
+class AxiomResult(NamedTuple):
     passed: bool
     witness: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Per-axiom grid verdicts and the dominance of the geometric mean;
     witnesses hold the first counterexample.
 

@@ -19,7 +19,7 @@ Three capabilities built on the spectral and majorization layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ __all__ = [
 _SEARCH_SPREADS = (0.1, 0.5, 1.0, 2.0)
 
 
-@dataclass(frozen=True)
-class SchurCheckReport:
+class SchurCheckReport(NamedTuple):
     """Weak-supermajorization comparison of diag_M(A) against delta(A).
 
     ``report`` holds the partial-sum slacks; ``mean_dominates_geometric``
@@ -176,8 +175,7 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     return c * A
 
 
-@dataclass(frozen=True)
-class KyFanResult:
+class KyFanResult(NamedTuple):
     """Exact minimizing frame for the k-partial symplectic eigenvalue sum."""
 
     k: int
@@ -234,8 +232,7 @@ def kyfan_minimizer(A, k: int, mean: MeanSpec,
                        delta_partial_sum=float(fact.delta[:k].sum()))
 
 
-@dataclass(frozen=True)
-class KyFanSearchReport:
+class KyFanSearchReport(NamedTuple):
     """Randomized lower-bound scan of the Ky Fan objective.
 
     ``violations`` counts sampled objectives below the partial eigenvalue

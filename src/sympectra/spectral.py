@@ -25,7 +25,7 @@ U's eigenvalues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,8 +160,7 @@ def symplectic_eigenvalues(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _in_units(c, delta)
 
 
-@dataclass(frozen=True)
-class WilliamsonFactorization:
+class WilliamsonFactorization(NamedTuple):
     """A = W (D oplus D) W^T with W symplectic and D = diag(delta).
 
     ``delta`` is ascending and positive; ``residual`` is the relative

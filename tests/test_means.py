@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympectra import (DomainError, horn_symplectic_realize, kyfan_minimizer,
-                       kyfan_objective, kyfan_search, random_pd, schur_check,
-                       symplectic_diag)
-from sympectra.means import (arithmetic_mean, custom_mean, evaluate_pairs,
-                             geometric_mean, harmonic_mean, max_mean, min_mean,
-                             parse_mean, power_mean, validate_mean_axioms)
+from sympectra import (DomainError, KyFanResult, KyFanSearchReport,
+                       MajorizationReport, SchurCheckReport, SymplecticCheck,
+                       WilliamsonFactorization, horn_symplectic_realize,
+                       kyfan_minimizer, kyfan_objective, kyfan_search,
+                       random_pd, schur_check, symplectic_diag)
+from sympectra.means import (AxiomResult, ValidationReport, arithmetic_mean,
+                             custom_mean, evaluate_pairs, geometric_mean,
+                             harmonic_mean, max_mean, min_mean, parse_mean,
+                             power_mean, validate_mean_axioms)
 
 BUILTIN_NAMES = ["arithmetic", "geometric", "harmonic", "min", "max"]
 
@@ -121,6 +124,17 @@ def test_power_mean_tends_to_geometric_near_zero(p):
     np.testing.assert_allclose(symplectic_diag(A, power_mean(p)),
                                symplectic_diag(A, geometric_mean()),
                                rtol=1e-11)
+
+
+@pytest.mark.parametrize("p", [5e-324, -5e-324, 1e-320, -1e-320])
+def test_power_mean_subnormal_exponent_is_geometric(p):
+    # At the parent power:5e-324 evaluated as max (4.0) and power:1e-320
+    # gave 1.99993: p ln(4) keeps too few bits.  The exact value is 2 to
+    # rounding.  The exponent, name and dominance claim are p's own.
+    mean = power_mean(p)
+    assert evaluate_pairs(mean, 1.0, 4.0) == 2.0
+    assert mean.exponent == p and mean.name == f"power:{p:g}"
+    assert mean.dominates_geometric_claim is (p >= 0)
 
 
 @pytest.mark.parametrize("p", [2.0, -3.0, math.inf, -math.inf])
@@ -338,3 +352,48 @@ def test_complex_mean_values_are_refused(evaluator):
             with pytest.raises(DomainError,
                                match="^mean value has complex entries$"):
                 call()
+
+
+def test_refused_complex_spec_is_vetted_once():
+    # The vet raises on complex values, and at the parent a raising vet
+    # kept nothing: every call evaluated the whole grid again.
+    calls = []
+
+    def evaluator(a, b):
+        calls.append(1)
+        return complex(a + b) / 2
+
+    mean = custom_mean(evaluator)
+    A = random_pd(2, seed=0)
+    seen = []
+    for _ in range(3):
+        with pytest.raises(DomainError) as exc:
+            symplectic_diag(A, mean)
+        seen.append((len(calls), str(exc.value)))
+    assert seen[0][1] == "mean value has complex entries"
+    assert seen[1] == seen[2] == seen[0]
+
+
+def test_result_types_are_named_tuples():
+    # One record idiom: every result unpacks and indexes like
+    # SymplecticCheck, with the attribute names of the old dataclasses.
+    fields = {
+        MajorizationReport: ("kind", "k_slacks", "total_gap", "verdict",
+                             "threshold"),
+        WilliamsonFactorization: ("W", "delta", "residual",
+                                  "symplectic_residual"),
+        SchurCheckReport: ("diag_m", "delta", "report",
+                           "mean_dominates_geometric"),
+        KyFanResult: ("k", "minimizer", "min_value", "delta_partial_sum"),
+        KyFanSearchReport: ("k", "best_value", "best_frame", "violations",
+                            "n_samples", "delta_partial_sum", "threshold"),
+        AxiomResult: ("passed", "witness"),
+        ValidationReport: ("symmetry", "homogeneity", "monotonicity",
+                           "betweenness", "dominates_geometric", "samples"),
+        SymplecticCheck: ("ok", "residual"),
+    }
+    for cls, names in fields.items():
+        assert issubclass(cls, tuple) and cls._fields == names, cls
+    assert AxiomResult(True).witness is None
+    rep = validate_mean_axioms(geometric_mean())
+    assert rep.passed and rep[-1] == rep.samples == 10_000

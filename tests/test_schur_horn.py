@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -420,6 +421,20 @@ def test_caller_built_spec_is_vetted_whatever_its_kind():
     plain_min = MeanSpec("min", np.minimum)
     assert plain_min.dominates_geometric_claim is None
     assert not schur_check(_A0, plain_min).mean_dominates_geometric
+
+
+def test_replaced_spec_is_vetted():
+    # At the parent dataclasses.replace kept a factory's claim on any
+    # evaluator, so this forged spec skipped the vet and kyfan_minimizer
+    # answered 2 delta_1 as the minimum.
+    forged = dataclasses.replace(arithmetic_mean(), evaluator=lambda a, b: a + b)
+    assert forged.dominates_geometric_claim is None
+    for call in _mean_entry_points(forged):
+        with pytest.raises(DomainError, match=re.escape(
+                "custom mean is not between-valued: (a, b, M(a, b)) = "
+                "(1.0, 1.0, 2.0)")):
+            call(_A0)
+    assert dataclasses.replace(harmonic_mean()).dominates_geometric_claim is None
 
 
 def test_factory_specs_evaluate_no_grid(monkeypatch):
