@@ -5,39 +5,23 @@ matrix, the symplectic congruence reducing A to Williamson normal form,
 mean-indexed symplectic diagonals with their weak-supermajorization
 bound, the constructive converse realizing prescribed diagonals and
 spectra, and the Ky Fan minimum principle over symplectic frames.
+
+The package exports each module's ``__all__``, the version and the errors.
 """
 
+from . import majorization, means, schur_horn, spectral, symplectic
 from .errors import DomainError, NumericalError, SympectraError
-from .majorization import (MAJORIZATION_TOL, MajorizationReport,
-                           intermediate_vector, majorize, weak_supermajorize)
-from .means import (MeanSpec, ValidationReport, arithmetic_mean, custom_mean,
-                    evaluate_pairs, geometric_mean, harmonic_mean, max_mean,
-                    min_mean, parse_mean, power_mean, validate_mean_axioms)
-from .schur_horn import (KyFanResult, KyFanSearchReport, SchurCheckReport,
-                         horn_symplectic_realize, kyfan_minimizer,
-                         kyfan_objective, kyfan_search, schur_check)
-from .spectral import (WilliamsonFactorization, symplectic_diag,
-                       symplectic_eigenvalues, williamson)
-from .symplectic import (DEFAULT_TOL, SymplecticCheck, complete_to_symplectic,
-                         expanding_sum, is_symplectic, random_pd,
-                         random_symplectic, s_pinching, standard_J)
+from .majorization import *
+from .means import *
+from .schur_horn import *
+from .spectral import *
+from .symplectic import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "SympectraError", "DomainError", "NumericalError",
-    "MeanSpec", "arithmetic_mean", "geometric_mean", "harmonic_mean",
-    "min_mean", "max_mean", "power_mean", "custom_mean", "parse_mean",
-    "evaluate_pairs", "validate_mean_axioms", "ValidationReport",
-    "DEFAULT_TOL", "standard_J", "is_symplectic", "expanding_sum",
-    "s_pinching", "complete_to_symplectic",
-    "random_symplectic", "random_pd", "SymplecticCheck",
-    "WilliamsonFactorization", "symplectic_eigenvalues", "williamson",
-    "symplectic_diag",
-    "MAJORIZATION_TOL", "MajorizationReport", "weak_supermajorize",
-    "majorize", "intermediate_vector",
-    "SchurCheckReport", "KyFanResult", "KyFanSearchReport",
-    "schur_check", "horn_symplectic_realize", "kyfan_minimizer",
-    "kyfan_objective", "kyfan_search",
-]
+__all__ = ["__version__", "SympectraError", "DomainError", "NumericalError"]
+__all__ += symplectic.__all__
+__all__ += means.__all__
+__all__ += spectral.__all__
+__all__ += majorization.__all__
+__all__ += schur_horn.__all__

@@ -118,24 +118,31 @@ def _builtin(kind: str, evaluator, claim: bool,
     return spec
 
 
-def _power_eval(p: float):
+# Each built-in evaluator is one module-level object, or a record that
+# compares by its exponent, so equal factory calls give equal specs.
+class _Power(NamedTuple):
+    p: float
+
     # lead ((1 + ratio^p) / 2)^(1/p) with the dominant argument factored
     # out, so nothing overflows for large |p|, and ratio^p - 1 taken as
     # expm1(p ln ratio), so the value tends to the geometric mean as p -> 0
     # instead of rounding to 1 inside the power.  An underflowed ratio's
     # ln is -inf, and p ln ratio may pass the double range: both are exact
     # limits here, so their warnings are off.
-    def ev(a, b):
+    def __call__(self, a, b):
+        p = self.p
         big, small = np.maximum(a, b), np.minimum(a, b)
         with np.errstate(divide="ignore", over="ignore"):
             lead, ratio = (big, small / big) if p > 0 else (small, big / small)
             return lead * np.exp(np.log1p(np.expm1(p * np.log(ratio)) / 2) / p)
 
-    return ev
-
 
 # The built-in evaluators never form a*b or a+b, so they neither overflow
 # nor underflow anywhere in the positive double range.
+def _arithmetic(a, b):
+    return 0.5 * a + 0.5 * b
+
+
 def _geometric(a, b):
     return np.sqrt(a) * np.sqrt(b)
 
@@ -147,7 +154,7 @@ def _harmonic(a, b):
 
 
 def arithmetic_mean() -> MeanSpec:
-    return _builtin("arithmetic", lambda a, b: 0.5 * a + 0.5 * b, True)
+    return _builtin("arithmetic", _arithmetic, True)
 
 
 def geometric_mean() -> MeanSpec:
@@ -181,7 +188,7 @@ def power_mean(p: float) -> MeanSpec:
     # |M_p / G - 1| <= |p| ln^2(a / b) / 8 < 1e-302 over the double range,
     # so the geometric mean (p = 0) is M_p to rounding.
     ev = (_geometric if abs(p) < np.finfo(float).tiny
-          else limits.get(p) or _power_eval(p))
+          else limits.get(p) or _Power(p))
     # ``p or 0.0`` reads -0.0 as 0.0.
     return _builtin("power", ev, p >= 0, p or 0.0)
 
@@ -235,11 +242,12 @@ def parse_mean(spec: str) -> MeanSpec:
 
 
 def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
-    """Elementwise M(a, b) over broadcast arrays; scalar-only evaluators (a
-    wrong-shaped result, TypeError or ValueError on arrays) are called once
-    per element.  Values are read as real numbers: a complex one raises
-    DomainError ("mean value has complex entries") on either path, rather
-    than losing its imaginary part."""
+    """Elementwise M(a, b) over broadcast arrays of positive, finite
+    arguments; any other argument, inf included, raises DomainError.
+    Scalar-only evaluators (a wrong-shaped result, TypeError or ValueError
+    on arrays) are called once per element.  Values are read as real
+    numbers: a complex one raises DomainError ("mean value has complex
+    entries") on either path, rather than losing its imaginary part."""
     a, b = _as_real(a, "mean argument"), _as_real(b, "mean argument")
     shape = a.shape
     if b.shape != shape:
@@ -248,9 +256,9 @@ def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
         except ValueError:
             raise DomainError(f"mean arguments of shapes {a.shape} and "
                               f"{b.shape} do not broadcast") from None
-    # Phrased as "not all positive" so that NaN is rejected too.
-    if not ((a > 0).all() and (b > 0).all()):
-        raise DomainError("mean arguments must be strictly positive")
+    # Phrased as "not all in (0, inf)" so that NaN is rejected too.
+    if not (((a > 0) & (a < np.inf)).all() and ((b > 0) & (b < np.inf)).all()):
+        raise DomainError("mean arguments must be strictly positive and finite")
     try:
         out = mean.evaluator(a, b)
     except (TypeError, ValueError):

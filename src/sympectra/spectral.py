@@ -51,7 +51,7 @@ _PD_TOL = 1e-13
 _CERT_FLOOR = math.sqrt(100.0 * _PD_TOL)
 
 
-def _symmetrized(A, what: str) -> tuple[np.ndarray, float, float]:
+def _symmetrized(A) -> tuple[np.ndarray, float, float]:
     """A read as a finite, square matrix of even order, and symmetrized.
 
     Inputs within relative asymmetry 1e-8 are symmetrized (measurement
@@ -59,28 +59,27 @@ def _symmetrized(A, what: str) -> tuple[np.ndarray, float, float]:
     than silently averaged.  Returns the unit form U = sym(A) / c of
     ``symplectic``, c and ||A / c||_F.
     """
-    A, _ = _as_square_even(A, what)
+    A, _ = _as_square_even(A)
     c = _pow2_scale(A)
     unit = A / c
     scale = float(np.linalg.norm(unit))
     asym = float(np.linalg.norm(unit - unit.T))
     if asym > _ASYM_TOL * scale:
         raise DomainError(
-            f"{what} is not symmetric: ||A - A^T|| / ||A|| = {asym / scale:.3e}")
+            f"matrix is not symmetric: ||A - A^T|| / ||A|| = {asym / scale:.3e}")
     return 0.5 * unit + 0.5 * unit.T, c, scale
 
 
-def _check_definite(U: np.ndarray, c: float, what: str) -> None:
+def _check_definite(U: np.ndarray, c: float) -> None:
     """The exact floor lambda_min > 1e-13 lambda_max on U; reports c U's."""
     evals = np.linalg.eigvalsh(U)
     if evals[0] <= _PD_TOL * max(evals[-1], 0.0) or evals[0] <= 0.0:
         raise DomainError(
-            f"{what} is not positive definite (eigenvalue range "
+            "matrix is not positive definite (eigenvalue range "
             f"[{float(evals[0]) * c:.3e}, {float(evals[-1]) * c:.3e}])")
 
 
-def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool,
-            what: str):
+def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool):
     """Factor a unit form U = A / c with ||U||_F = fro: (delta ascending, R, V).
 
     U = R R^T, and K = R^T J R is skew and similar to J U.  Without
@@ -114,7 +113,7 @@ def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool,
     try:
         R = np.linalg.cholesky(U)
     except np.linalg.LinAlgError as exc:
-        _check_definite(U, c, what)
+        _check_definite(U, c)
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
     if vectors:
         ev, V = _skew_eigh(R)
@@ -130,7 +129,7 @@ def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool,
         mirror = float(np.abs(sv[::2] - sv[1::2]).max())
     # delta_1 itself, not its square, so a negative value falls through.
     if not low > _CERT_FLOOR * fro:
-        _check_definite(U, c, what)
+        _check_definite(U, c)
     pair_floor = 1e3 * np.finfo(float).eps
     if low <= pair_floor * scale:
         raise NumericalError(
@@ -142,10 +141,10 @@ def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool,
     return delta, R, V
 
 
-def _delta(A, tol: float, what: str = "matrix"):
+def _delta(A, tol: float):
     """A's unit form U, its scale c and U's symplectic eigenvalues."""
-    U, c, fro = _symmetrized(A, what)
-    return U, c, _factor(U, c, fro, tol, False, what)[0]
+    U, c, fro = _symmetrized(A)
+    return U, c, _factor(U, c, fro, tol, False)[0]
 
 
 def symplectic_eigenvalues(A, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -180,8 +179,8 @@ class WilliamsonFactorization(NamedTuple):
 
 def _williamson(A, tol: float):
     """U, c and A's Williamson factorization: W is U's, delta is c D."""
-    U, c, fro = _symmetrized(A, "matrix")
-    delta, R, V = _factor(U, c, fro, tol, True, "matrix")
+    U, c, fro = _symmetrized(A)
+    delta, R, V = _factor(U, c, fro, tol, True)
     W = _symplectic_basis(R, V, delta)
     d = np.concatenate([delta, delta])
     rec = float(np.linalg.norm(U - (W * d) @ W.T) / np.linalg.norm(U))
@@ -231,6 +230,6 @@ def symplectic_diag(A, mean: MeanSpec) -> np.ndarray:
     form.  A has no spectrum here to certify definiteness, so the exact
     floor check runs.
     """
-    U, c, _ = _symmetrized(A, "matrix")
-    _check_definite(U, c, "matrix")
+    U, c, _ = _symmetrized(A)
+    _check_definite(U, c)
     return _in_units(c, _diag_m(np.diag(U), mean), "symplectic diagonal")

@@ -71,6 +71,29 @@ def test_evaluate_rejects_nan(a, b):
         evaluate_pairs(arithmetic_mean(), [2.0, a], [3.0, b])
 
 
+@pytest.mark.parametrize("a,b", [(np.inf, 1.0), (1.0, np.inf), (np.inf, np.inf),
+                                 (-np.inf, 1.0)])
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["power:2", "power:-3"])
+def test_evaluate_rejects_infinite_arguments(name, a, b):
+    # inf is positive, so a positivity test alone admits it, and the means'
+    # values there are inf, finite limits such as the harmonic 2.0 at
+    # (inf, 1), or NaN with a warning at (inf, inf).
+    with pytest.raises(DomainError, match="strictly positive"):
+        evaluate_pairs(parse_mean(name), a, b)
+    with pytest.raises(DomainError, match="strictly positive"):
+        evaluate_pairs(parse_mean(name), [2.0, a], [3.0, b])
+
+
+def test_equal_factory_calls_give_equal_specs():
+    for name in BUILTIN_NAMES + ["power:2", "power:-3", "power:0", "power:inf"]:
+        assert parse_mean(name) == parse_mean(name)
+        assert hash(parse_mean(name)) == hash(parse_mean(name))
+    assert power_mean(2) == power_mean(2.0)
+    assert power_mean(2) != power_mean(3)
+    assert arithmetic_mean() != power_mean(1)
+    assert len({parse_mean("power:2"), power_mean(2.0)}) == 1
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(a=positive, b=positive)
 def test_builtin_axioms_pointwise(a, b):

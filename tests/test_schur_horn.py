@@ -520,6 +520,18 @@ def test_kyfan_objective_out_of_range_raises():
         kyfan_objective(random_pd(2, seed=1), X, geometric_mean())
 
 
+@pytest.mark.parametrize("big,small", [(1e160, 1e-160), (1e-170, 1e170)])
+def test_kyfan_objective_range_failure_is_numerical(big, small):
+    # Valid frames whose b_11 overflows to inf or underflows to 0: either
+    # is a range failure, not an argument outside the mean's domain.
+    X = np.zeros((4, 2))
+    X[0, 0], X[2, 1] = big, small
+    assert is_symplectic(X).residual == 0.0
+    for mean in (geometric_mean(), parse_mean("harmonic"), parse_mean("power:2")):
+        with pytest.raises(NumericalError, match="out of range"):
+            kyfan_objective(random_pd(2, seed=1), X, mean)
+
+
 @pytest.mark.parametrize("name", ["arithmetic", "geometric", "harmonic", "min",
                                   "max", "power:2", "custom"])
 def test_kyfan_calls_score_frames_one_way(name):

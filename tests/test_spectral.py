@@ -336,13 +336,13 @@ def test_realization_rejects_as_validate_pd(monkeypatch):
     # matrix to the exact check of symplectic_diag, whose message the
     # 'assemble' stage must carry.
     seen = []
-    delta = schur_horn._delta
+    delta = schur_horn.symplectic_eigenvalues
 
-    def spy(A, tol, what):
+    def spy(A, tol):
         seen.append(np.array(A))
-        return delta(A, tol, what)
+        return delta(A, tol)
 
-    monkeypatch.setattr(schur_horn, "_delta", spy)
+    monkeypatch.setattr(schur_horn, "symplectic_eigenvalues", spy)
     outcomes = set()
     for k in range(4, 16):
         for t in (1.0, 1e3):

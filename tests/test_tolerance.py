@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import sympectra
 from sympectra import (DomainError, NumericalError, majorization, means,
                        schur_horn, spectral, symplectic)
 from sympectra.majorization import (intermediate_vector, majorize,
@@ -292,6 +293,18 @@ def test_tol_calls_cover_every_public_tol():
                     and "tol" in inspect.signature(obj).parameters):
                 takes_tol.add(name)
     assert takes_tol == set(TOL_CALLS)
+
+
+def test_root_exports_every_module_all():
+    # Each public name is declared once, in its module's __all__; the
+    # package root adds only the version and the error types.
+    names = sympectra.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(sympectra, name)
+    modules = (majorization, means, schur_horn, spectral, symplectic)
+    assert set(names) == {"__version__", "SympectraError", "DomainError",
+                          "NumericalError"}.union(*(m.__all__ for m in modules))
 
 
 @pytest.mark.parametrize("name", sorted(TOL_CALLS))
