@@ -165,14 +165,16 @@ def render_text(obj) -> str:
 
 
 def read_input(path: str | None) -> str:
-    """File contents, or stdin when path is None or '-'."""
-    if path is None or path == "-":
-        return sys.stdin.read()
+    """File contents (UTF-8), or stdin when path is None or '-'."""
+    stdin = path is None or path == "-"
     try:
+        if stdin:
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "stdin" if stdin else path
+        raise DomainError(f"cannot read {source}: {exc}") from exc
 
 
 def write_output(text: str, path: str | None) -> None:

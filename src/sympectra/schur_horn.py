@@ -48,6 +48,9 @@ __all__ = [
 # near-identity rotations and squeezes e^r with |r| ~ 0.1 out to far-field
 # frames with |r| ~ 2.
 _SEARCH_SPREADS = (0.1, 0.5, 1.0, 2.0)
+# Entries of the n-by-n unitaries in one batch of a search's frames, so
+# that memory does not grow with the budget.
+_BATCH_ENTRIES = 2 ** 16
 
 
 class SchurCheckReport(NamedTuple):
@@ -268,11 +271,10 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     ``threshold`` is a tolerance, not an answer, so it is c times the
     unit one with no range check.  Deterministic in ``seed``.
 
-    Memory: each quarter of the budget draws budget / 4 frames at once,
-    each with a full n-by-n complex unitary, so the peak grows like
-    budget n^2.  With the default budget, k = n and one BLAS thread, the
-    process peaked at 156 MB for n = 16 and 432 MB for n = 32; that
-    growth puts n = 64 near 1.6 GB and n = 200 near 15 GB.
+    Memory: each quarter of the budget is drawn in batches of
+    max(1, 2^16 // n^2) frames, so the n-by-n complex unitaries of one
+    batch hold at most 2^16 entries (1 MiB) for n <= 256, and one
+    frame's beyond.  The peak does not grow with the budget.
     """
     U, c, delta = _delta(A, tol)
     n = delta.shape[0]
@@ -283,20 +285,20 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
 
     rng = _rng(seed)
     counts = [budget // 4 + (i < budget % 4) for i in range(4)]
+    batch = max(1, _BATCH_ENTRIES // n ** 2)
 
     best_value = np.inf
     best_frame = None
     violations = 0
     for spread, count in zip(_SEARCH_SPREADS, counts):
-        if count == 0:
-            continue
-        Xs = _euler_frames(rng, count, n, k, spread)
-        objectives = _objective(U, Xs, mean)
-        violations += int(np.sum(objectives < target - threshold))
-        i = int(np.argmin(objectives))
-        if objectives[i] < best_value:
-            best_value = float(objectives[i])
-            best_frame = Xs[i]
+        for start in range(0, count, batch):
+            Xs = _euler_frames(rng, min(batch, count - start), n, k, spread)
+            objectives = _objective(U, Xs, mean)
+            violations += int(np.sum(objectives < target - threshold))
+            i = int(np.argmin(objectives))
+            if objectives[i] < best_value:
+                best_value = float(objectives[i])
+                best_frame = Xs[i]
 
     return KyFanSearchReport(k=k, best_value=_in_units(c, best_value, "Ky Fan value"),
                              best_frame=best_frame, violations=violations,

@@ -1,5 +1,6 @@
 import io
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -237,13 +238,21 @@ def test_random_symplectic_deterministic(capsys):
     assert is_symplectic(parse_matrix(out1)).ok
 
 
-def test_format_text_parses_back(tmp_path, capsys):
+def test_format_text_parses_back(tmp_path, capsys, monkeypatch):
     p = write_matrix(tmp_path, "a.json", np.diag([2.0, 8.0]))
     code, out, _ = run(capsys, "eig", "--in", p, "--format", "text")
     assert code == 0
     key, val = out.strip().split(": ")
     assert key == "delta"
     assert float(val) == pytest.approx(4.0)
+    # random-pd --format text | eig --format text
+    code, out, _ = run(capsys, "random-pd", "--n", "3", "--format", "text")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, _ = run(capsys, "eig", "--format", "text")
+    assert code == 0
+    key, val = out.strip().split(": ")
+    assert key == "delta" and len(val.split()) == 3
 
 
 @pytest.mark.parametrize("argv", [("williamson",), ("kyfan-min", "--k", "1")])
@@ -397,34 +406,150 @@ def test_module_entry_point():
 
 
 def test_cli_import_does_not_load_scipy():
+    # Also: every name of the root's __all__, and AxiomResult, resolves
+    # without a warning.
     import subprocess
     import sys
-    code = ("import sys, sympectra.cli; "
+    code = ("import sys, sympectra, sympectra.cli; "
+            "[getattr(sympectra, n) for n in sympectra.__all__]; "
+            "from sympectra import AxiomResult; "
             "print([k for k in sys.modules if k.startswith('scipy')])")
-    r = subprocess.run([sys.executable, "-c", code],
+    r = subprocess.run([sys.executable, "-W", "error", "-c", code],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv,message", [
-    (("random-pd", "--n", "0"), "n must be >= 1"),
-    (("random-pd", "--n", "-2"), "n must be >= 1"),
-    (("random-symplectic", "--n", "-2"), "n must be >= 1"),
-    (("random-pd", "--n", "2", "--spread", "nan"), "spread must be positive"),
-    (("random-pd", "--n", "2", "--spread", "inf"), "spread must be positive"),
-    (("random-pd", "--n", "2", "--spread", "1e3"), "spread must be positive"),
-    (("random-symplectic", "--n", "2", "--spread", "1e3"),
-     "spread must be positive"),
-    (("random-symplectic", "--n", "2", "--spread", "inf"),
-     "spread must be positive"),
-    (("random-pd", "--n", "2", "--seed", "-1"), "seed must be a non-negative"),
-    (("random-symplectic", "--n", "2", "--seed", "-1"),
-     "seed must be a non-negative"),
-])
-def test_random_generators_reject_bad_arguments(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and message in err
+class Row(NamedTuple):
+    """One CLI call and what it must give.
+
+    With ``err`` set, stdout must be empty and stderr start with ``err``;
+    otherwise stderr must be empty and stdout be ``out``, exactly or, for
+    a callable, as it judges.  ``stdin`` is bytes, read as strict UTF-8;
+    ``files`` are (name, bytes) pairs written to the working directory
+    before the call.
+    """
+    argv: tuple
+    code: int
+    out: object = ""
+    err: str = ""
+    stdin: bytes = b""
+    files: tuple = ()
+
+
+DIAG_2_8 = b"[[2, 0], [0, 8]]\n"
+MAJ = (("maj_x.json", b"[2, 2]\n"), ("maj_y.json", b"[1, 3]\n"))
+N_ERR = "error: half-order n must be >= 1"
+SPREAD_ERR = "error: spread must be positive"
+SEED_ERR = "error: seed must be a non-negative"
+
+# The CLI contract, one (label, row) per call.  The test's name and its
+# first ten rows' ids date from when it held only the generators' refusals.
+CONTRACT = [
+    ("n must be >= 1", Row(("random-pd", "--n", "0"), 2, err=N_ERR)),
+    ("n must be >= 1", Row(("random-pd", "--n", "-2"), 2, err=N_ERR)),
+    ("n must be >= 1", Row(("random-symplectic", "--n", "-2"), 2, err=N_ERR)),
+    ("spread must be positive",
+     Row(("random-pd", "--n", "2", "--spread", "nan"), 2, err=SPREAD_ERR)),
+    ("spread must be positive",
+     Row(("random-pd", "--n", "2", "--spread", "inf"), 2, err=SPREAD_ERR)),
+    ("spread must be positive",
+     Row(("random-pd", "--n", "2", "--spread", "1e3"), 2, err=SPREAD_ERR)),
+    ("spread must be positive",
+     Row(("random-symplectic", "--n", "2", "--spread", "1e3"), 2,
+         err=SPREAD_ERR)),
+    ("spread must be positive",
+     Row(("random-symplectic", "--n", "2", "--spread", "inf"), 2,
+         err=SPREAD_ERR)),
+    ("seed must be a non-negative",
+     Row(("random-pd", "--n", "2", "--seed", "-1"), 2, err=SEED_ERR)),
+    ("seed must be a non-negative",
+     Row(("random-symplectic", "--n", "2", "--seed", "-1"), 2, err=SEED_ERR)),
+    # delta of diag(2, 8) is sqrt(2 * 8) = 4, exactly, from the real
+    # singular values of K; both formats print exactly these bytes.
+    ("eig json", Row(("eig",), 0, '{\n  "delta": [4]\n}\n', stdin=DIAG_2_8)),
+    ("eig text", Row(("eig", "--format", "text"), 0, "delta: 4\n",
+                     stdin=DIAG_2_8)),
+    # diag_M is scored on the unit form diag(2, 8) / 8 = diag(1/4, 1),
+    # where the geometric mean is sqrt(1/4) sqrt(1) = 1/2 exactly.
+    ("diag-m geometric json",
+     Row(("diag-m",), 0, '{\n  "diag_m": [4]\n}\n', stdin=DIAG_2_8)),
+    ("diag-m arithmetic text",
+     Row(("diag-m", "--mean", "arithmetic", "--format", "text"), 0,
+         "diag_m: 5\n", stdin=DIAG_2_8)),
+    # The power mean tends to the geometric one as p -> 0: power:1e-20
+    # scores diag(2, 8) as 4 to rounding, not as the max mean's 8.
+    ("diag-m power 1e-20 near geometric",
+     Row(("diag-m", "--mean", "power:1e-20"), 0,
+         lambda out: abs(json.loads(out)["diag_m"][0] - 4) <= 4e-12,
+         stdin=DIAG_2_8)),
+    # A subnormal exponent keeps too few bits of p ln(ratio), so it is
+    # scored as the geometric mean, exactly 4, not as the max mean's 8.
+    ("diag-m power 5e-324 geometric json",
+     Row(("diag-m", "--mean", "power:5e-324"), 0,
+         '{\n  "diag_m": [4]\n}\n', stdin=DIAG_2_8)),
+    # [2, 2] is majorized by [1, 3]; on their unit pair (halved) the
+    # slacks are exact.  Swapped, the verdict is false: exit 1.
+    ("majorize json",
+     Row(("major-check", "--kind", "majorize", "--x", "maj_x.json",
+          "--y", "maj_y.json"), 0,
+         '{\n  "verdict": true,\n  "slacks": [1, 0],\n  "total_gap": 0\n}\n',
+         files=MAJ)),
+    ("majorize swapped exits 1",
+     Row(("major-check", "--kind", "majorize", "--x", "maj_y.json",
+          "--y", "maj_x.json"), 1,
+         '{\n  "verdict": false,\n  "slacks": [-1, 0],\n  "total_gap": 0\n}\n',
+         files=MAJ)),
+    # x = 1e6 is admissible, but its matrix is too ill-conditioned to
+    # verify: the 'spectrum' stage refuses it, exit 3.
+    ("realize spectrum exits 3",
+     Row(("realize", "--x", "x.json", "--y", "y.json"), 3,
+         err="numerical failure: stage 'spectrum': ",
+         files=(("x.json", b"[1e6, 1e6]\n"), ("y.json", b"[1, 2]\n")))),
+    # x = [1000, 1000] is admissible for y = [1, 1e-8], but the realized
+    # matrix fails the definiteness floor: the 'assemble' stage refuses
+    # it with the matrix reader's message.  Only the prefix is matched:
+    # the eigenvalue digits depend on the BLAS build.
+    ("realize assemble exits 3",
+     Row(("realize", "--x", "x.json", "--y", "y.json"), 3,
+         err="numerical failure: stage 'assemble': realized matrix is not "
+             "positive definite",
+         files=(("x.json", b"[1000, 1000]\n"), ("y.json", b"[1, 1e-8]\n")))),
+    # A 2-d --x is no vector, and a ragged matrix no array of numbers:
+    # each gets the library's one message for its kind.
+    ("2-d vector",
+     Row(("major-check", "--x", "x.json", "--y", "y.json"), 2,
+         err="error: vector must be",
+         files=(("x.json", b"[[1, 2]]\n"), ("y.json", b"[1, 2]\n")))),
+    ("ragged matrix", Row(("eig",), 2, err="error: matrix entries must be numbers",
+                          stdin=b"[[1, 0], [0]]\n")),
+    # Bytes that are not UTF-8 are unreadable input, in a file or on stdin.
+    ("non-UTF-8 file",
+     Row(("eig", "--in", "bad.json"), 2, err="error: cannot read bad.json: ",
+         files=(("bad.json", b"\xff[[2,0],[0,8]]"),))),
+    ("non-UTF-8 stdin",
+     Row(("eig",), 2, err="error: cannot read stdin: ",
+         stdin=b"\xff[[2,0],[0,8]]")),
+]
+
+
+@pytest.mark.parametrize(
+    "row", [row for _, row in CONTRACT],
+    ids=[f"argv{i}-{label}" for i, (label, _) in enumerate(CONTRACT)])
+def test_random_generators_reject_bad_arguments(tmp_path, monkeypatch, capsys,
+                                                row):
+    monkeypatch.chdir(tmp_path)
+    for name, data in row.files:
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(row.stdin), "utf-8"))
+    code, out, err = run(capsys, *row.argv)
+    assert code == row.code, err
+    if row.err:
+        assert out == "" and err.startswith(row.err), err
+    else:
+        assert err == ""
+        assert row.out(out) if callable(row.out) else out == row.out, out
 
 
 def test_diag_m_rejects_nan_power(tmp_path, capsys):

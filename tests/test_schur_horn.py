@@ -653,6 +653,27 @@ def test_kyfan_search_budget_validation():
         assert kyfan_search(A, 1, geometric_mean(), budget=budget).n_samples == budget
 
 
+@pytest.mark.parametrize("entries,batch", [(40, 4), (9, 1), (1, 1)])
+def test_kyfan_search_draws_bounded_batches(monkeypatch, entries, batch):
+    # n = 3: a batch holds max(1, entries // 9) frames, whatever the budget.
+    drawn = []
+    real = sympectra.schur_horn._euler_frames
+
+    def spy(rng, count, n, k, spread):
+        drawn.append((spread, count))
+        return real(rng, count, n, k, spread)
+
+    monkeypatch.setattr(sympectra.schur_horn, "_BATCH_ENTRIES", entries)
+    monkeypatch.setattr(sympectra.schur_horn, "_euler_frames", spy)
+    rep = kyfan_search(random_pd(3, seed=1), 2, geometric_mean(), budget=103)
+    assert rep.n_samples == sum(count for _, count in drawn) == 103
+    assert max(count for _, count in drawn) == batch
+    for spread, quarter in zip(sympectra.schur_horn._SEARCH_SPREADS,
+                               (26, 26, 26, 25)):
+        assert sum(c for s, c in drawn if s == spread) == quarter
+    assert rep.violations == 0
+
+
 def test_kyfan_search_hands_custom_means_1d_arrays():
     # Indexing by a.size works only on 1-D input.
     def one_d_only(a, b):
