@@ -3,12 +3,17 @@
 One subcommand per library operation, reading the shared JSON/text
 formats from files or stdin and writing JSON (or text) reports to
 stdout or --out.  Exit codes: 0 success or property holds, 1 a checked
-property is false, 2 invalid input, 3 numerical failure.
+property is false, 2 invalid input or a failed write, 3 numerical
+failure.  ``main(argv)`` is the in-process entry and returns the code;
+``run()`` is the process entry (``sympectra``, ``python -m sympectra``)
+and exits with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 from .errors import DomainError, NumericalError
@@ -22,7 +27,7 @@ from .spectral import symplectic_diag, symplectic_eigenvalues, williamson
 from .symplectic import (DEFAULT_TOL, complete_to_symplectic, expanding_sum,
                          random_pd, random_symplectic, s_pinching)
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _matrix_in(args):
@@ -223,5 +228,21 @@ def main(argv=None) -> int:
     return 1 if report.get("verdict") is False or report.get("violations") else 0
 
 
+def run() -> None:
+    """Exit with ``main()``'s code, sparing shutdown's garbage collection.
+
+    ``gc.freeze()`` moves the import heap to the permanent generation, which
+    shutdown's collections never walk.  A stdout that refused the output
+    (``main`` has said so) is pointed at the null device, so the flush at
+    shutdown cannot fail again."""
+    code = main()
+    gc.freeze()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

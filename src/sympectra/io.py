@@ -178,14 +178,17 @@ def read_input(path: str | None) -> str:
 
 
 def write_output(text: str, path: str | None) -> None:
-    """Write to file, or stdout when path is None or '-'."""
+    """Write to file, or stdout (flushed) when path is None or '-'."""
     if not text.endswith("\n"):
         text += "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+    stdout = path is None or path == "-"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc}") from exc
+        target = "stdout" if stdout else path
+        raise DomainError(f"cannot write {target}: {exc}") from exc

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -395,21 +398,99 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def test_module_entry_point():
-    import subprocess
-    import sys
-    r = subprocess.run(
-        [sys.executable, "-m", "sympectra", "eig"],
-        input="2 0\n0 2\n", capture_output=True, text=True)
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["delta"] == [pytest.approx(2.0)]
+def test_module_entry_point(tmp_path, monkeypatch, capsys):
+    # `python -m sympectra` gives in-process main's exit code, stdout bytes,
+    # stderr and --out file.
+    a = write_matrix(tmp_path, "a.json", random_pd(2, seed=3))
+    out = tmp_path / "out.json"
+    cases = [(("eig",), b"2 0\n0 2\n"),
+             (("williamson", "--in", a, "--format", "text"), b""),
+             (("kyfan-search", "--in", a, "--k", "2", "--budget", "1000"), b""),
+             (("schur-check", "--in", a, "--out", str(out)), b"")]
+    for argv, stdin in cases:
+        r = subprocess.run([sys.executable, "-m", "sympectra", *argv],
+                           input=stdin, capture_output=True)
+        written = out.read_bytes() if out.exists() else None
+        monkeypatch.setattr("sys.stdin",
+                            io.TextIOWrapper(io.BytesIO(stdin), "utf-8"))
+        code, stdout, stderr = run(capsys, *argv)
+        assert (r.returncode, r.stdout, r.stderr) == \
+            (code, stdout.encode(), stderr.encode()), argv
+        assert written == (out.read_bytes() if out.exists() else None)
+    assert json.loads(written)["verdict"] is True
+
+
+def test_run_freezes_after_main_returns_and_exits_with_its_code(
+        tmp_path, monkeypatch, capsys):
+    import sympectra.cli as cli
+    events = []
+    monkeypatch.setattr("gc.freeze", lambda: events.append("freeze"))
+    monkeypatch.chdir(tmp_path)
+    for name, data in MAJ:
+        (tmp_path / name).write_bytes(data)
+    argv = ["major-check", "--kind", "majorize", "--x", "maj_y.json",
+            "--y", "maj_x.json"]
+    code = cli.main(argv)
+    expected = capsys.readouterr()
+    assert code == 1 and events == []  # in-process callers never freeze
+
+    real_main = cli.main
+
+    def spied_main():
+        code = real_main()
+        events.append("main")
+        return code
+    monkeypatch.setattr(cli, "main", spied_main)
+    monkeypatch.setattr("sys.argv", ["sympectra", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == code
+    assert events == ["main", "freeze"]
+    assert capsys.readouterr() == expected
+
+
+class BrokenStdout(io.StringIO):
+    """A stdout whose reader has gone: every write, or only the flush, fails."""
+
+    def __init__(self, write_fails):
+        super().__init__()
+        self.write_fails = write_fails
+
+    def write(self, s):
+        if self.write_fails:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(s)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("write_fails", [True, False],
+                         ids=["write", "flush"])
+def test_failed_stdout_write_exits_2(monkeypatch, capsys, write_fails):
+    monkeypatch.setattr("sys.stdout", BrokenStdout(write_fails))
+    code = main(["random-pd", "--n", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write stdout: [Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_2_without_a_traceback():
+    # Buffered stdout, so the output is still pending at shutdown's flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        r = subprocess.run([sys.executable, "-m", "sympectra", "random-pd",
+                            "--n", "2"], stdout=full, stderr=subprocess.PIPE,
+                           text=True, env=env)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: cannot write stdout: "), r.stderr
+    assert "Traceback" not in r.stderr and "Exception ignored" not in r.stderr
 
 
 def test_cli_import_does_not_load_scipy():
     # Also: every name of the root's __all__, and AxiomResult, resolves
     # without a warning.
-    import subprocess
-    import sys
     code = ("import sys, sympectra, sympectra.cli; "
             "[getattr(sympectra, n) for n in sympectra.__all__]; "
             "from sympectra import AxiomResult; "
