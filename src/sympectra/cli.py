@@ -110,8 +110,20 @@ def _cmd_random(args) -> dict:
     return matrix_obj(args.sampler(args.n, seed=args.seed, spread=args.spread))
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but help for stdout is written as a report is
+    (``write_output``), so a failed write raises DomainError where argparse
+    would drop it and exit 0; messages for stderr keep argparse's path."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            write_output(message, None)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sympectra",
         description="Symplectic eigenvalues, Williamson factorization, "
                     "majorization checks, and diagonal realization.",
@@ -214,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         report = args.handler(args)
         text = render_text(report) if args.format == "text" else dumps(report)
         write_output(text, args.out)

@@ -131,7 +131,7 @@ def parse_frame(text: str) -> np.ndarray:
 
 def parse_vector(text: str) -> np.ndarray:
     """Non-empty finite 1-d vector: a JSON array, or numbers in any layout."""
-    return _as_vector(_read(text.replace("\n", " "), "vector"))
+    return _as_vector(_read(text.replace("\n", " "), "vector"))[0]
 
 
 def _text_value(v) -> str:

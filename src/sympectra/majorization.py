@@ -22,13 +22,14 @@ realization.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, _check_tol
-from .symplectic import _as_vector, _pow2_scale, _scaled
+from .symplectic import _as_vector, _fro, _pow2_scale, _scaled
 
 __all__ = [
     "MAJORIZATION_TOL",
@@ -44,10 +45,10 @@ MAJORIZATION_TOL = 1e-10
 def _read_pair(x, y) -> tuple[np.ndarray, np.ndarray, float]:
     """Two vectors of one length as ``_as_vector`` reads them, and the
     power of two c of the pair."""
-    x, y = _as_vector(x), _as_vector(y)
+    (x, xmax), (y, ymax) = _as_vector(x), _as_vector(y)
     if x.shape != y.shape:
         raise DomainError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    return x, y, _pow2_scale(np.concatenate((x, y)))
+    return x, y, _pow2_scale(max(xmax, ymax))
 
 
 class MajorizationReport(NamedTuple):
@@ -70,9 +71,9 @@ def _prefix_compare(kind: str, x: np.ndarray, y: np.ndarray, tol: float):
     prefix sums held to tol (||x||_1 + ||y||_1); ``kind`` "majorize" also
     holds the total gap to the threshold."""
     _check_tol(tol)
-    slacks = np.cumsum(np.sort(x)) - np.cumsum(np.sort(y))
+    slacks = np.sort(x).cumsum() - np.sort(y).cumsum()
     threshold = tol * float(np.abs(x).sum() + np.abs(y).sum())
-    verdict = bool((slacks >= -threshold).all()) and (
+    verdict = bool(slacks.min() >= -threshold) and (
         kind != "majorize" or abs(float(slacks[-1])) <= threshold)
     return slacks, threshold, verdict
 
@@ -117,7 +118,7 @@ def intermediate_vector(x, y, tol: float = MAJORIZATION_TOL) -> np.ndarray:
 def _intermediate(x0: np.ndarray, y0: np.ndarray, scale: float,
                   tol: float) -> np.ndarray:
     """``intermediate_vector`` of the vectors and scale ``_read_pair`` read."""
-    if not ((x0 > 0).all() and (y0 > 0).all()):
+    if not (x0.min() > 0 and y0.min() > 0):
         raise DomainError("intermediate_vector needs strictly positive vectors")
     x, y = x0 / scale, y0 / scale
     n = x.shape[0]
@@ -149,20 +150,22 @@ def _horn_realize(z: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
     in ascending order, each time rotating the pair of current diagonal
     values that straddles the target (the largest value not exceeding it
     and its successor), which pins the target exactly and leaves the
-    untouched positions diagonal.  Row permutations then restore the
-    caller's coordinate orders for z and y.
+    untouched positions diagonal.  Each slot's row starts as the unit
+    vector of its y coordinate, and each retiring row is written to its z
+    coordinate, so U comes out in the caller's orders for z and y.
     """
     n = z.shape[0]
-    z_order = np.argsort(z, kind="stable")
-    y_order = np.argsort(y, kind="stable")
+    z_order = z.argsort(kind="stable")
+    y_order = y.argsort(kind="stable")
     zs = z[z_order].tolist()
+    rows = z_order.tolist()
 
     # Working basis: slot t starts with the t-th smallest y value.  Plain
     # float lists, so each bisection touches no array conversion.
     vals = y[y_order].tolist()
     slots = list(range(n))
-    U = np.eye(n)
-    placed_slot = np.empty(n, dtype=int)
+    basis = np.eye(n)[y_order]
+    U = np.empty((n, n))
 
     for t in range(n - 1):
         d = zs[t]
@@ -180,28 +183,23 @@ def _horn_realize(z: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
             c, s = 1.0, 0.0
         else:
             c2 = min(max((lam_q - d) / gap, 0.0), 1.0)
-            c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
-        # Rotate rows p and q of U: slot p takes the value d and retires,
-        # slot q carries the leftover so the running spectrum is unchanged.
-        rp, rq = U[p].copy(), U[q].copy()
-        U[p] = c * rp + s * rq
-        U[q] = -s * rp + c * rq
+            c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
+        # Rotate rows p and q: slot p takes the value d and retires to the
+        # row of U for z's t-th smallest coordinate, and slot q carries the
+        # leftover so the running spectrum is unchanged.
+        rp, rq = basis[p], basis[q]
+        U[rows[t]] = c * rp + s * rq
+        basis[q] = -s * rp + c * rq
         leftover = lam_p + lam_q - d
-        placed_slot[t] = p
         del vals[i:i + 2], slots[i:i + 2]
         j = bisect_left(vals, leftover)
         vals.insert(j, leftover)
         slots.insert(j, q)
-    placed_slot[n - 1] = slots[0]
+    U[rows[n - 1]] = basis[slots[0]]
 
-    # Undo the ascending orderings: rows land back on the caller's z
-    # coordinates, columns on the caller's y coordinates.
-    row_of = np.empty(n, dtype=int)
-    row_of[z_order] = placed_slot
-    U = U[row_of]
-    U = U[:, np.argsort(y_order)]
-
-    ortho = float(np.linalg.norm(U.T @ U - np.eye(n)))
+    gram = U.T @ U
+    gram.flat[::n + 1] -= 1.0
+    ortho = _fro(gram)
     diag_err = float(np.abs(np.einsum("ij,j,ij->i", U, y, U) - z).max())
     # Orthogonality has no units; the diagonal scales with z and y.
     size = float(np.abs(z).sum() + np.abs(y).sum())

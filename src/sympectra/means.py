@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .symplectic import _as_real
+from .symplectic import _TINY, _as_real
 
 __all__ = [
     "MeanSpec",
@@ -187,7 +187,7 @@ def power_mean(p: float) -> MeanSpec:
     # A subnormal p leaves p ln(a / b) too few bits, and there
     # |M_p / G - 1| <= |p| ln^2(a / b) / 8 < 1e-302 over the double range,
     # so the geometric mean (p = 0) is M_p to rounding.
-    ev = (_geometric if abs(p) < np.finfo(float).tiny
+    ev = (_geometric if abs(p) < _TINY
           else limits.get(p) or _Power(p))
     # ``p or 0.0`` reads -0.0 as 0.0.
     return _builtin("power", ev, p >= 0, p or 0.0)
@@ -256,9 +256,23 @@ def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
         except ValueError:
             raise DomainError(f"mean arguments of shapes {a.shape} and "
                               f"{b.shape} do not broadcast") from None
-    # Phrased as "not all in (0, inf)" so that NaN is rejected too.
-    if not (((a > 0) & (a < np.inf)).all() and ((b > 0) & (b < np.inf)).all()):
+    _check_arguments(a)
+    _check_arguments(b)
+    return _evaluate(mean, a, b, shape)
+
+
+def _check_arguments(v: np.ndarray) -> None:
+    """DomainError unless every entry of v lies in (0, inf).
+
+    Phrased as "not min > 0 and max < inf" so that NaN, which both
+    reductions return, is rejected too; an empty v passes."""
+    if v.size and not (v.min() > 0 and v.max() < math.inf):
         raise DomainError("mean arguments must be strictly positive and finite")
+
+
+def _evaluate(mean: MeanSpec, a: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
+    """``evaluate_pairs`` on float arrays that broadcast to ``shape`` and
+    that ``_check_arguments`` has passed."""
     try:
         out = mean.evaluator(a, b)
     except (TypeError, ValueError):

@@ -82,7 +82,7 @@ def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport
     """
     U, c, delta = _delta(A, tol)
     delta_a = _in_units(c, delta)
-    dm = _diag_m(np.diag(U), mean)
+    dm = _diag_m(U.diagonal(), mean)
     dm_a = _in_units(c, dm, "symplectic diagonal")
     return SchurCheckReport(diag_m=dm_a, delta=delta_a,
                             report=_report("weak_super", dm, delta, c, tol),
@@ -162,7 +162,8 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
         raise NumericalError(f"stage 'assemble': realized {exc}") from exc
     except NumericalError as exc:
         raise NumericalError(f"stage 'spectrum': {exc}") from exc
-    err = np.abs(_diag_m(np.diag(A), mean) - x).max()
+    diag = A.diagonal()
+    err = np.abs(_diag_m(diag, mean) - x).max()
     if not err <= tol * x.max():  # NaN fails too
         raise NumericalError(
             f"stage 'diag': realized symplectic diagonal off by "
@@ -174,7 +175,7 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
             f"stage 'spectrum': realized symplectic eigenvalues off by "
             f"{c * float(err):.3e}")
     # |a_ij| <= sqrt(a_ii a_jj), so A's diagonal bounds every entry's range.
-    _in_units(c, np.diag(A), "stage 'assemble': realized matrix")
+    _in_units(c, diag, "stage 'assemble': realized matrix")
     return c * A
 
 
@@ -208,7 +209,7 @@ def _objective(U: np.ndarray, X: np.ndarray, mean: MeanSpec):
     d = np.einsum("...il,...il->...l", X, U @ X)
     # Positive in exact arithmetic; a frame can carry it out of the double
     # range, which is a range failure, not a mean argument out of domain.
-    if not ((d > 0) & (d < np.inf)).all():
+    if not (d.min() > 0 and d.max() < np.inf):
         raise NumericalError("Ky Fan objective is out of range: diag(X^T U X) "
                              "underflows or is not finite")
     out = _diag_m(d, mean).sum(-1)

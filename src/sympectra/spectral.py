@@ -30,10 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericalError, _check_tol
-from .means import MeanSpec, evaluate_pairs
-from .symplectic import (DEFAULT_TOL, _as_square_even, _form_check,
-                         _in_units, _pow2_scale, _skew, _skew_eigh,
-                         _symplectic_basis)
+from .means import MeanSpec, _check_arguments, _evaluate
+from .symplectic import (DEFAULT_TOL, _as_square_even, _form_check, _fro,
+                         _in_units, _skew, _skew_eigh, _symplectic_basis)
 
 __all__ = [
     "WilliamsonFactorization",
@@ -49,6 +48,8 @@ _PD_TOL = 1e-13
 # delta_1 / ||A||_F above this certifies lambda_min / lambda_max > 100 _PD_TOL,
 # the definiteness floor with a safety factor 100 for rounding.
 _CERT_FLOOR = math.sqrt(100.0 * _PD_TOL)
+# delta_1 / delta_n at or below this is a pairing failure.
+_PAIR_FLOOR = 1e3 * np.finfo(float).eps
 
 
 def _symmetrized(A) -> tuple[np.ndarray, float, float]:
@@ -59,15 +60,16 @@ def _symmetrized(A) -> tuple[np.ndarray, float, float]:
     than silently averaged.  Returns the unit form U = sym(A) / c of
     ``symplectic``, c and ||A / c||_F.
     """
-    A, _ = _as_square_even(A)
-    c = _pow2_scale(A)
+    A, c = _as_square_even(A)
     unit = A / c
-    scale = float(np.linalg.norm(unit))
-    asym = float(np.linalg.norm(unit - unit.T))
+    scale = _fro(unit)
+    asym = _fro(unit - unit.T)
     if asym > _ASYM_TOL * scale:
         raise DomainError(
             f"matrix is not symmetric: ||A - A^T|| / ||A|| = {asym / scale:.3e}")
-    return 0.5 * unit + 0.5 * unit.T, c, scale
+    # 0.5 u_ij + 0.5 u_ji entrywise, with one product and one strided read.
+    half = 0.5 * unit
+    return half + half.T, c, scale
 
 
 def _check_definite(U: np.ndarray, c: float) -> None:
@@ -130,11 +132,10 @@ def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool):
     # delta_1 itself, not its square, so a negative value falls through.
     if not low > _CERT_FLOOR * fro:
         _check_definite(U, c)
-    pair_floor = 1e3 * np.finfo(float).eps
-    if low <= pair_floor * scale:
+    if low <= _PAIR_FLOOR * scale:
         raise NumericalError(
             f"eigenvalue pairing failure: delta_1 / delta_n = {low / scale:.3e}"
-            f" is below {pair_floor:.3e} (matrix numerically singular?)")
+            f" is below {_PAIR_FLOOR:.3e} (matrix numerically singular?)")
     if mirror > tol * scale:
         raise NumericalError(f"eigenvalue pairing failure: +- halves differ by "
                              f"{mirror / scale:.3e} delta_n, exceeding {tol:.1e}")
@@ -183,7 +184,7 @@ def _williamson(A, tol: float):
     delta, R, V = _factor(U, c, fro, tol, True)
     W = _symplectic_basis(R, V, delta)
     d = np.concatenate([delta, delta])
-    rec = float(np.linalg.norm(U - (W * d) @ W.T) / np.linalg.norm(U))
+    rec = _fro(U - (W * d) @ W.T) / _fro(U)
     if not rec <= tol:
         raise NumericalError(
             f"Williamson reconstruction residual {rec:.3e} exceeds {tol:.1e}")
@@ -217,8 +218,10 @@ def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
     that is not built in is vetted here, once per spec (see ``MeanSpec``)."""
     if mean._refusal is not None:
         raise DomainError(mean._refusal)
+    _check_arguments(d)
     m = d.shape[-1] // 2
-    out = evaluate_pairs(mean, d[..., :m].ravel(), d[..., m:].ravel())
+    a, b = d[..., :m].ravel(), d[..., m:].ravel()
+    out = _evaluate(mean, a, b, a.shape)
     return out.reshape(d.shape[:-1] + (m,))
 
 
@@ -232,4 +235,4 @@ def symplectic_diag(A, mean: MeanSpec) -> np.ndarray:
     """
     U, c, _ = _symmetrized(A)
     _check_definite(U, c)
-    return _in_units(c, _diag_m(np.diag(U), mean), "symplectic diagonal")
+    return _in_units(c, _diag_m(U.diagonal(), mean), "symplectic diagonal")

@@ -13,10 +13,10 @@ line; every count (an order, k, a budget, a partition part) is read by
 ``_count``, and every seed by ``_rng``.
 
 The unit-form rule, for the whole library: a matrix A is divided by the
-power of two c = ``_pow2_scale(A)`` <= max |a_ij|, which is exact.  W and
-the Ky Fan frames are U = A / c's own; every value (delta, a Ky Fan
-value, a mean-indexed diagonal) is computed on U and reported as c times
-U's through ``_in_units``, which raises NumericalError where that
+power of two c = ``_pow2_scale(max |a_ij|)`` <= max |a_ij|, which is
+exact.  W and the Ky Fan frames are U = A / c's own; every value (delta,
+a Ky Fan value, a mean-indexed diagonal) is computed on U and reported as
+c times U's through ``_in_units``, which raises NumericalError where that
 overflows or is subnormal.  So a mean is scored as c M(diag U), which is
 M(diag A) for the symmetric, homogeneous means the vet admits, and is
 never evaluated outside the range U spans (max |u_ij| in [1, 2)).  The
@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
+# The smallest normal double.
+_TINY = np.finfo(float).tiny
 
 
 def _as_real(a, what: str) -> np.ndarray:
@@ -66,14 +68,17 @@ def _as_real(a, what: str) -> np.ndarray:
     raise DomainError(f"{what} has complex entries")
 
 
-def _as_square_even(M, what: str = "matrix") -> tuple[np.ndarray, int]:
-    """(M, n) for M square of order 2n >= 2 and finite, else DomainError."""
+def _as_square_even(M, what: str = "matrix") -> tuple[np.ndarray, float]:
+    """(M, c) for M square of order 2n >= 2 and finite, c its power of two
+    (``_pow2_scale``), else DomainError.  Finiteness is read off max |m_ij|,
+    which is NaN or inf exactly when an entry is."""
     M = _as_real(M, what)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 or not M.size:
         raise DomainError(f"{what} must be square of even order, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    amax = float(np.abs(M).max())
+    if not math.isfinite(amax):
         raise DomainError(f"{what} has non-finite entries")
-    return M, M.shape[0] // 2
+    return M, _pow2_scale(amax)
 
 
 def _as_frame(X) -> np.ndarray:
@@ -88,14 +93,15 @@ def _as_frame(X) -> np.ndarray:
     return X
 
 
-def _as_vector(v) -> np.ndarray:
-    """v as a non-empty, finite 1-d float array (a scalar reads as a
-    1-vector), else DomainError."""
+def _as_vector(v) -> tuple[np.ndarray, float]:
+    """(v, max |v_i|) for v a non-empty, finite 1-d float array (a scalar
+    reads as a 1-vector), else DomainError."""
     v = np.atleast_1d(_as_real(v, "vector"))
-    if v.ndim != 1 or not v.size or not np.isfinite(v).all():
+    amax = float(np.abs(v).max()) if v.ndim == 1 and v.size else math.nan
+    if not math.isfinite(amax):
         raise DomainError(
             "vector must be a non-empty array, 1-d with finite entries")
-    return v
+    return v, amax
 
 
 def _count(value, what: str, hi: float = math.inf, lo: float = 1) -> int:
@@ -149,20 +155,27 @@ def standard_J(n: int) -> np.ndarray:
     return J
 
 
-def _pow2_scale(A) -> float:
-    """The power of two within a factor 2 below max |a_ij| (1 for A = 0).
+def _pow2_scale(amax: float) -> float:
+    """The power of two within a factor 2 below amax = max |a_ij| of a
+    matrix A (1 for A = 0).
 
     Frobenius norms of A divided by it cannot overflow, and dividing by a
     power of two is exact, so relative norms keep every bit.
     """
-    amax = float(np.abs(A).max())
     return math.ldexp(1.0, math.frexp(amax)[1] - 1) if amax > 0 else 1.0
 
 
-def _scaled(c: float, x, what: str):
+def _fro(M: np.ndarray) -> float:
+    """||M||_F of a real M as ``np.linalg.norm`` forms it, bit for bit: the
+    root of the dot product of M's entries in memory order."""
+    return math.sqrt(np.dot(M.ravel("K"), M.ravel("K")))
+
+
+def _scaled(c: float, x, what: str, absx=None):
     """c x, a unit-scale answer x in the caller's units; NumericalError
-    where it overflows.  Exact otherwise, since c is a power of two."""
-    if not math.isfinite(c * float(np.abs(x).max())):
+    where it overflows.  Exact otherwise, since c is a power of two.
+    ``absx`` is |x|, where the caller has it."""
+    if not math.isfinite(c * float((np.abs(x) if absx is None else absx).max())):
         raise NumericalError(
             f"{what} is out of range: it overflows at the input's scale")
     return c * x
@@ -172,10 +185,11 @@ def _in_units(c: float, x, what: str = "symplectic spectrum"):
     """``_scaled``, and NumericalError where c min |x| falls below the
     normal range; x is positive (or a positive scalar), as every answer
     of a positive definite matrix and an admitted mean is."""
-    if c * float(np.abs(x).min()) < np.finfo(float).tiny:
+    absx = np.abs(x)
+    if c * float(absx.min()) < _TINY:
         raise NumericalError(
             f"{what} is out of range: it underflows at the input's scale")
-    return _scaled(c, x, what)
+    return _scaled(c, x, what, absx)
 
 
 def _skew(R: np.ndarray) -> np.ndarray:
@@ -191,8 +205,8 @@ def _skew(R: np.ndarray) -> np.ndarray:
 
 def _minus_J(S: np.ndarray, k: int, v: float = 1.0) -> np.ndarray:
     """S - v J_{2k}, in place, for S of order 2k."""
-    S[:k, k:].flat[::k + 1] -= v  # the diagonal of the +I block
-    S[k:, :k].flat[::k + 1] += v  # the diagonal of the -I block
+    S.flat[k:2 * k * k:2 * k + 1] -= v  # the diagonal of the +I block
+    S.flat[2 * k * k::2 * k + 1] += v  # the diagonal of the -I block
     return S
 
 
@@ -206,27 +220,27 @@ def _form_check(X: np.ndarray, tol: float) -> tuple[bool, float, float]:
     (l, m) of G - G^T multiplied back by 2^(e_l + e_m) before J is
     subtracted, so the residual reads inf only when it is out of range.
     The verdict residual <= tol * max(1, ||X||_F^2) is taken with both
-    sides divided by the exact c^2, c = max(1, _pow2_scale(X)).  A
-    non-finite residual fails; the relative residual is
+    sides divided by the exact c^2, c = max(1, _pow2_scale(max |x_ij|)).
+    A non-finite residual fails; the relative residual is
     residual / max(1, ||X||_F^2).
     """
     _check_tol(tol)
     k = X.shape[1] // 2
-    m = math.frexp(max(1.0, _pow2_scale(X)))[1] - 1  # c = 2^m
+    m = math.frexp(max(1.0, _pow2_scale(np.abs(X).max())))[1] - 1  # c = 2^m
     if m < 240:
-        res = float(np.linalg.norm(_minus_J(_skew(X), k)))
+        res = _fro(_minus_J(_skew(X), k))
         res_c = math.ldexp(res, -2 * m)
     else:
         e = np.frexp(np.abs(X).max(axis=0))[1]
         S, E = _skew(np.ldexp(X, -e)), e[:, None] + e
         with np.errstate(over="ignore"):  # an out-of-range residual reads inf
             R = _minus_J(np.ldexp(S, E), k)
-            s = max(1.0, _pow2_scale(R))
-            res = float(np.linalg.norm(R / s)) * s
-        res_c = float(np.linalg.norm(
-            _minus_J(np.ldexp(S, E - 2 * m), k, math.ldexp(1.0, -2 * m))))
+            s = max(1.0, _pow2_scale(np.abs(R).max()))
+            res = _fro(R / s) * s
+        res_c = _fro(
+            _minus_J(np.ldexp(S, E - 2 * m), k, math.ldexp(1.0, -2 * m)))
     scale = max(math.ldexp(1.0, -2 * m),
-                float(np.linalg.norm(np.ldexp(X, -m) if m else X)) ** 2)
+                _fro(np.ldexp(X, -m) if m else X) ** 2)
     return res_c <= tol * scale, res, res_c / scale
 
 
@@ -260,11 +274,12 @@ def expanding_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """
     if len(blocks) == 0:
         raise DomainError("expanding_sum needs at least one block")
-    parts = [_as_square_even(B, "expanding_sum block") for B in blocks]
-    n = sum(m for _, m in parts)
+    parts = [_as_square_even(B, "expanding_sum block")[0] for B in blocks]
+    n = sum(B.shape[0] for B in parts) // 2
     out = np.zeros((2 * n, 2 * n))
     offset = 0
-    for B, m in parts:
+    for B in parts:
+        m = B.shape[0] // 2
         # Block rows/columns 1..m land at offset.., m+1..2m at n + offset..
         idx = np.r_[offset:offset + m, n + offset:n + offset + m]
         out[np.ix_(idx, idx)] = B
@@ -280,7 +295,8 @@ def s_pinching(A, partition: Sequence[int]) -> np.ndarray:
     the partition survive; everything else is zeroed.  Positive
     definiteness is preserved.
     """
-    A, n = _as_square_even(A)
+    A = _as_square_even(A)[0]
+    n = A.shape[0] // 2
     # Each part is read as an integer; their range is the partition's check.
     sizes = [_count(m, "partition part", lo=-math.inf) for m in partition]
     if any(m < 1 for m in sizes) or sum(sizes) != n:
@@ -320,7 +336,7 @@ def _symplectic_basis(R: np.ndarray, V: np.ndarray,
     L^T (R^T J R) L = [[0, D], [-D, 0]], so the result Y spans the range
     of R and satisfies Y^T J Y = J.
     """
-    L = np.sqrt(2.0) * np.hstack([V.imag, V.real])
+    L = math.sqrt(2.0) * np.concatenate((V.imag, V.real), axis=1)
     dinv = 1.0 / np.sqrt(np.concatenate([delta, delta]))
     return (R @ L) * dinv
 

@@ -488,6 +488,36 @@ def test_full_stdout_exits_2_without_a_traceback():
     assert "Traceback" not in r.stderr and "Exception ignored" not in r.stderr
 
 
+@pytest.mark.parametrize("write_fails", [True, False],
+                         ids=["write", "flush"])
+def test_failed_help_write_exits_2(monkeypatch, capsys, write_fails):
+    # Help is written as a report is, not through argparse's own write,
+    # which drops the error and exits 0.
+    monkeypatch.setattr("sys.stdout", BrokenStdout(write_fails))
+    code = main(["eig", "--help"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_full_stdout_help_exits_2(unbuffered):
+    # Buffered, the help was pending at shutdown's flush (exit 120);
+    # unbuffered, its failed write was dropped (exit 0, nothing printed).
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        r = subprocess.run([sys.executable, "-m", "sympectra", "eig", "--help"],
+                           stdout=full, stderr=subprocess.PIPE, text=True,
+                           env=env)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == ("error: cannot write stdout: "
+                        "[Errno 28] No space left on device\n"), r.stderr
+
+
 def test_cli_import_does_not_load_scipy():
     # Also: every name of the root's __all__, and AxiomResult, resolves
     # without a warning.

@@ -234,6 +234,23 @@ def test_horn_realize_round_trip_sweep():
                                    atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_horn_realize_dense_sizes_with_ties(n):
+    # The realization's size in the dense benchmark, with ties in y (values
+    # on a coarse grid) and in z: averaging a block of a permutation of y
+    # is doubly stochastic, so z stays majorized by y.
+    rng = np.random.default_rng(n)
+    y = np.round(rng.uniform(0.5, 4.0, size=n) * 2.0) / 2.0
+    z = 0.5 * (y[rng.permutation(n)] + y[rng.permutation(n)])
+    z[: n // 4] = z[: n // 4].mean()
+    U = givens_chain(z, y)
+    M = (U * y) @ U.T
+    assert np.linalg.norm(U.T @ U - np.eye(n)) <= 1e-9
+    np.testing.assert_allclose(np.diag(M), z, atol=1e-9)
+    np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(M)), np.sort(y),
+                               atol=1e-9)
+
+
 def test_horn_realize_with_ties():
     U = givens_chain([2.0, 2.0], [2.0, 2.0])
     np.testing.assert_array_equal(U, np.eye(2))

@@ -203,6 +203,51 @@ def test_evaluate_pairs_math_sqrt_mean_takes_per_element_path():
     assert all(isinstance(x, float) for x, _ in calls[1:])
 
 
+def _scalar_heronian(a, b):
+    return (a + math.sqrt(a * b) + b) / 3.0
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+@pytest.mark.parametrize("mean", [geometric_mean(), custom_mean(_scalar_heronian)],
+                         ids=["geometric", "scalar-only"])
+def test_evaluate_pairs_empty_arrays_give_empty_float_array(mean, shape):
+    got = evaluate_pairs(mean, np.empty(shape), np.empty(shape))
+    assert got.shape == shape and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("mean", [geometric_mean(), custom_mean(_scalar_heronian)],
+                         ids=["geometric", "scalar-only"])
+def test_evaluate_pairs_bad_argument_message(mean, side, bad):
+    good, worse = np.array([2.0, 3.0]), np.array([2.0, bad])
+    a, b = (worse, good) if side == "a" else (good, worse)
+    with pytest.raises(DomainError) as exc:
+        evaluate_pairs(mean, a, b)
+    assert str(exc.value) == "mean arguments must be strictly positive and finite"
+
+
+def test_library_calls_a_scalar_only_mean_once_per_pair():
+    # The diagonal pairs reach the evaluator as one whole-array attempt,
+    # then one call per pair, after the spec's one-time vet.
+    calls = []
+
+    def heronian(a, b):
+        calls.append((a, b))
+        return _scalar_heronian(a, b)
+
+    mean = custom_mean(heronian)
+    A = random_pd(3, seed=4)
+    symplectic_diag(A, mean)
+    calls.clear()
+    got = symplectic_diag(A, mean)
+    d = np.diag(A)
+    np.testing.assert_allclose(got, [_scalar_heronian(d[j], d[3 + j])
+                                     for j in range(3)], rtol=1e-15)
+    assert len(calls) == 1 + 3
+    assert all(type(x) is float and type(y) is float for x, y in calls[1:])
+
+
 def test_evaluate_pairs_propagates_other_evaluator_errors():
     # A bug on the array path must surface, not be retried per element.
     def broken(a, b):

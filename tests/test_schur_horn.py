@@ -149,6 +149,17 @@ def test_realize_sweep_all_means():
                                    atol=1e-8 * max(1.0, y.max()))
 
 
+def test_realize_round_trip_at_the_dense_size():
+    # n = 64, the realization's size in the dense benchmark.
+    x, y = admissible_pair(np.random.default_rng(64), 64)
+    mean = geometric_mean()
+    A = horn_symplectic_realize(x, y, mean)
+    np.testing.assert_allclose(symplectic_diag(A, mean), x,
+                               atol=1e-8 * max(1.0, x.max()))
+    np.testing.assert_allclose(symplectic_eigenvalues(A), np.sort(y),
+                               atol=1e-8 * max(1.0, y.max()))
+
+
 def test_realize_works_for_custom_mean():
     # The construction only needs M(a, a) = a, so a mean with no
     # dominance relation to the geometric mean is fine.
