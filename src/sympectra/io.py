@@ -100,6 +100,10 @@ def _read(text: str, what: str) -> list:
         except ValueError as exc:
             raise DomainError(f"unparseable {what} text: {exc}") from exc
         obj = obj[0] if len(obj) == 1 else obj
+    except (ValueError, RecursionError) as exc:
+        # Valid JSON that the decoder refuses: nesting past the recursion
+        # limit, or an integer past the digit limit of int().
+        raise DomainError(f"unparseable {what} JSON: {exc}") from exc
     if isinstance(obj, dict):
         rows = obj.get("rows")
         if not (isinstance(rows, list) and rows

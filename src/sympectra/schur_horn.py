@@ -30,8 +30,8 @@ from .majorization import (MAJORIZATION_TOL, MajorizationReport,
 from .means import MeanSpec
 from .spectral import (_check_definite, _delta, _diag_m, _symmetrized,
                        _williamson, symplectic_eigenvalues)
-from .symplectic import (DEFAULT_TOL, _as_frame, _count, _euler_frames,
-                         _in_units, _require_frame, _rng)
+from .symplectic import (DEFAULT_TOL, _as_frame, _as_square_even, _count,
+                         _euler_frames, _in_units, _require_frame, _rng)
 
 __all__ = [
     "SchurCheckReport",
@@ -195,7 +195,7 @@ def kyfan_objective(A, X, mean: MeanSpec) -> float:
     no spectrum here to certify definiteness, so the exact floor check
     runs.  A NaN or out-of-range value raises NumericalError, as does a
     frame that carries diag(X^T U X) out of the double range."""
-    U, c, _ = _symmetrized(A)
+    U, c, _ = _symmetrized(*_as_square_even(A))
     _check_definite(U, c)
     X = _as_frame(X)
     _require_frame(X, DEFAULT_TOL)

@@ -8,7 +8,11 @@ congruence and additive (as multisets) over the expanding sum.
 
 Every call works on A's unit form U = A / c (see ``symplectic``):
 delta(A) = c delta(U) and W is U's.  The numerical route is one Cholesky
-factorization U = R R^T and one solve of K = R^T J R per call.  K is
+factorization U = R R^T and one solve of K = R^T J R per matrix and
+route: a call on the matrix and tol its route last factored reuses that
+verified result (``_reuse``), so Schur's check after
+``symplectic_eigenvalues``, or ``kyfan_minimizer`` after ``williamson``,
+factors nothing.  K is
 exactly skew-symmetric and similar to the non-normal J U, so its singular
 values are the delta_j, each twice, and the Hermitian matrix iK has the
 real eigenvalues +-delta_j.  Calls that need delta alone take the real
@@ -52,15 +56,19 @@ _CERT_FLOOR = math.sqrt(100.0 * _PD_TOL)
 _PAIR_FLOOR = 1e3 * np.finfo(float).eps
 
 
-def _symmetrized(A) -> tuple[np.ndarray, float, float]:
-    """A read as a finite, square matrix of even order, and symmetrized.
+# The last success of each route, "delta" and "williamson": (key,
+# (U, c, result)) as ``_reuse`` stores it.
+_SLOTS: dict = {}
+
+
+def _symmetrized(A: np.ndarray, c: float) -> tuple[np.ndarray, float, float]:
+    """A, as ``_as_square_even`` read it with its scale c, symmetrized.
 
     Inputs within relative asymmetry 1e-8 are symmetrized (measurement
     noise); anything worse is rejected as a wrong-domain input rather
     than silently averaged.  Returns the unit form U = sym(A) / c of
     ``symplectic``, c and ||A / c||_F.
     """
-    A, c = _as_square_even(A)
     unit = A / c
     scale = _fro(unit)
     asym = _fro(unit - unit.T)
@@ -142,10 +150,38 @@ def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool):
     return delta, R, V
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _reuse(route: str, A, tol: float, factor):
+    """(U, c, factor(U, c, fro)) for A's unit form U = sym(A) / c, or the
+    route's last such triple when A and tol are the ones it came from.
+
+    A route keeps one slot, its last success: a refused input stores
+    nothing, so it is refused again with its message.  The key is the
+    matrix ``_as_square_even`` read, by shape, strides and bytes (``_fro``
+    sums in memory order, so another layout may round differently), and
+    tol; a tol that is not a float never matches.  Stored arrays are
+    read-only, and a slot changes by one assignment.
+    """
+    M, c = _as_square_even(A)
+    key = (M.shape, M.strides, tol, M.tobytes()) if type(tol) is float else None
+    last = _SLOTS.get(route)
+    if last is not None and last[0] == key:
+        return last[1]
+    U, c, fro = _symmetrized(M, c)
+    out = _read_only(U), c, factor(U, c, fro)
+    if key is not None:
+        _SLOTS[route] = key, out
+    return out
+
+
 def _delta(A, tol: float):
-    """A's unit form U, its scale c and U's symplectic eigenvalues."""
-    U, c, fro = _symmetrized(A)
-    return U, c, _factor(U, c, fro, tol, False)[0]
+    """A's unit form U, its scale c and U's symplectic eigenvalues, read-only."""
+    return _reuse("delta", A, tol, lambda U, c, fro: _read_only(
+        _factor(U, c, fro, tol, False)[0]))
 
 
 def symplectic_eigenvalues(A, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -154,7 +190,9 @@ def symplectic_eigenvalues(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     These are the moduli of the eigenvalues of J A, one per conjugate
     pair +-i delta_j; computed as c times the singular values of the real
     skew K = R^T J R for the Cholesky factor A / c = R R^T, which come in
-    equal pairs, one pair per delta_j.
+    equal pairs, one pair per delta_j.  A repeat call on the same matrix
+    and tol, or a delta-only call after it (``schur_check``, ``kyfan_search``),
+    reuses that verified delta (see the module docstring).
     """
     _, c, delta = _delta(A, tol)
     return _in_units(c, delta)
@@ -179,20 +217,23 @@ class WilliamsonFactorization(NamedTuple):
 
 
 def _williamson(A, tol: float):
-    """U, c and A's Williamson factorization: W is U's, delta is c D."""
-    U, c, fro = _symmetrized(A)
-    delta, R, V = _factor(U, c, fro, tol, True)
-    W = _symplectic_basis(R, V, delta)
-    d = np.concatenate([delta, delta])
-    rec = _fro(U - (W * d) @ W.T) / _fro(U)
-    if not rec <= tol:
-        raise NumericalError(
-            f"Williamson reconstruction residual {rec:.3e} exceeds {tol:.1e}")
-    ok, symp_res, _ = _form_check(W, tol)
-    if not ok:
-        raise NumericalError(
-            f"Williamson factor failed symplecticity (residual {symp_res:.3e})")
-    return U, c, WilliamsonFactorization(W, _in_units(c, delta), rec, symp_res)
+    """U, c and A's Williamson factorization, read-only: W is U's, delta
+    is c D."""
+    def factor(U, c, fro):
+        delta, R, V = _factor(U, c, fro, tol, True)
+        W = _symplectic_basis(R, V, delta)
+        d = np.concatenate([delta, delta])
+        rec = _fro(U - (W * d) @ W.T) / _fro(U)
+        if not rec <= tol:
+            raise NumericalError(
+                f"Williamson reconstruction residual {rec:.3e} exceeds {tol:.1e}")
+        ok, symp_res, _ = _form_check(W, tol)
+        if not ok:
+            raise NumericalError(
+                f"Williamson factor failed symplecticity (residual {symp_res:.3e})")
+        return WilliamsonFactorization(
+            _read_only(W), _read_only(_in_units(c, delta)), rec, symp_res)
+    return _reuse("williamson", A, tol, factor)
 
 
 def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
@@ -203,9 +244,12 @@ def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
     with L^T K L = [[0, D], [-D, 0]].  The factor W = R L (D^{-1/2} oplus
     D^{-1/2}) then satisfies both U = W (D oplus D) W^T (since L L^T = I)
     and W^T J W = J (since the inner congruence collapses to J), both
-    verified before returning; A's delta is c D.
+    verified before returning; A's delta is c D.  A repeat call on the
+    same matrix and tol returns copies of the factorization verified
+    first (see the module docstring).
     """
-    return _williamson(A, tol)[2]
+    fact = _williamson(A, tol)[2]
+    return fact._replace(W=fact.W.copy(), delta=fact.delta.copy())
 
 
 def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
@@ -233,6 +277,6 @@ def symplectic_diag(A, mean: MeanSpec) -> np.ndarray:
     form.  A has no spectrum here to certify definiteness, so the exact
     floor check runs.
     """
-    U, c, _ = _symmetrized(A)
+    U, c, _ = _symmetrized(*_as_square_even(A))
     _check_definite(U, c)
     return _in_units(c, _diag_m(U.diagonal(), mean), "symplectic diagonal")

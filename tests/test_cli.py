@@ -641,6 +641,24 @@ CONTRACT = [
     ("non-UTF-8 stdin",
      Row(("eig",), 2, err="error: cannot read stdin: ",
          stdin=b"\xff[[2,0],[0,8]]")),
+    # JSON that the decoder refuses past its nesting or digit limits is
+    # unparseable input, in a matrix on stdin or a vector file.
+    ("deeply nested matrix",
+     Row(("eig",), 2, err="error: unparseable matrix JSON: ",
+         stdin=b"[" * 100000 + b"]" * 100000)),
+    ("5000-digit matrix entry",
+     Row(("eig",), 2, err="error: unparseable matrix JSON: ",
+         stdin=b"[[" + b"1" * 5000 + b", 0], [0, 1]]\n")),
+    ("5000-digit vector entry",
+     Row(("major-check", "--x", "x.json", "--y", "y.json"), 2,
+         err="error: unparseable vector JSON: ",
+         files=(("x.json", b"[" + b"1" * 5000 + b", 2]\n"),
+                ("y.json", b"[1, 2]\n")))),
+    ("deeply nested vector",
+     Row(("major-check", "--x", "x.json", "--y", "y.json"), 2,
+         err="error: unparseable vector JSON: ",
+         files=(("x.json", b"[1, 2]\n"),
+                ("y.json", b"[" * 100000 + b"]" * 100000)))),
 ]
 
 

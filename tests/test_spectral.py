@@ -455,11 +455,13 @@ def test_pairing_checks_raise():
 
 
 def _kernel_calls(monkeypatch):
-    """Counts of complex eigvalsh, complex eigh and values-only svd calls.
+    """Counts of complex eigvalsh, complex eigh and values-only svd calls,
+    from cold: both of spectral's reuse slots start empty.
 
     complete_to_symplectic's orthonormal basis comes from an svd with
     vectors; that is not the singular-value solve for delta, so only
     ``compute_uv=False`` calls are counted."""
+    monkeypatch.setattr(spectral, "_SLOTS", {})
     calls = {"eigvalsh": 0, "eigh": 0, "svd": 0}
     kernels = {name: getattr(np.linalg, name) for name in calls}
 
@@ -480,21 +482,62 @@ def _kernel_calls(monkeypatch):
 def test_delta_only_calls_take_one_real_svd(monkeypatch):
     A = random_pd(4, seed=9)
     mean = geometric_mean()
-    calls = _kernel_calls(monkeypatch)
     for call in (lambda: symplectic_eigenvalues(A),
                  lambda: schur_check(A, mean),
                  lambda: kyfan_search(A, 2, mean, budget=8),
                  lambda: horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean)):
-        calls.update(dict.fromkeys(calls, 0))
+        calls = _kernel_calls(monkeypatch)
         call()
         assert calls == {"eigvalsh": 0, "eigh": 0, "svd": 1}
     X = kyfan_minimizer(A, 2, mean).minimizer
     for call in (lambda: williamson(A),
                  lambda: kyfan_minimizer(A, 2, mean),
                  lambda: complete_to_symplectic(X)):
-        calls.update(dict.fromkeys(calls, 0))
+        calls = _kernel_calls(monkeypatch)
         call()
         assert calls == {"eigvalsh": 0, "eigh": 1, "svd": 0}
+
+
+@pytest.mark.parametrize("first, again", [
+    (lambda A, m: symplectic_eigenvalues(A), lambda A, m: schur_check(A, m)),
+    (lambda A, m: schur_check(A, m), lambda A, m: schur_check(A, m)),
+    (lambda A, m: schur_check(A, m), lambda A, m: kyfan_search(A, 2, m, budget=8)),
+    (lambda A, m: williamson(A), lambda A, m: kyfan_minimizer(A, 2, m)),
+    (lambda A, m: kyfan_minimizer(A, 1, m), lambda A, m: williamson(A)),
+], ids=["eig-schur", "schur-schur", "schur-search", "williamson-kyfan",
+        "kyfan-williamson"])
+def test_a_repeat_on_the_same_matrix_and_tol_takes_no_kernel(monkeypatch, first,
+                                                             again):
+    A, mean = random_pd(4, seed=9), geometric_mean()
+    calls = _kernel_calls(monkeypatch)
+    first(A, mean)
+    calls.update(dict.fromkeys(calls, 0))
+    monkeypatch.setattr(np.linalg, "cholesky", None)  # a factoring call fails
+    again(A, mean)
+    assert calls == {"eigvalsh": 0, "eigh": 0, "svd": 0}
+
+
+@pytest.mark.parametrize("route, kernel", [
+    (symplectic_eigenvalues, "svd"), (williamson, "eigh")])
+def test_another_tol_bit_or_layout_is_factored_afresh(monkeypatch, route,
+                                                           kernel):
+    A = random_pd(4, seed=9)
+    B = A.copy()
+    B[1, 1] = np.nextafter(B[1, 1], 2.0)
+    calls = _kernel_calls(monkeypatch)
+    for args in ((A,), (A, 1e-9), (B,), (A,), (np.asfortranarray(A),)):
+        route(*args)
+    assert calls[kernel] == 5
+
+
+def test_the_delta_route_never_answers_from_the_williamson_factor(monkeypatch):
+    # eigh's delta differs from svd's in the last bits, so a delta-only
+    # call after williamson(A) solves for its own.
+    A = random_pd(4, seed=9)
+    calls = _kernel_calls(monkeypatch)
+    williamson(A)
+    symplectic_eigenvalues(A)
+    assert calls == {"eigvalsh": 0, "eigh": 1, "svd": 1}
 
 
 def _hermitian_delta(A):
