@@ -8,11 +8,12 @@ congruence and additive (as multisets) over the expanding sum.
 
 Every call works on A's unit form U = A / c (see ``symplectic``):
 delta(A) = c delta(U) and W is U's.  The numerical route is one Cholesky
-factorization U = R R^T and one solve of K = R^T J R per matrix and
-route: a call on the matrix and tol its route last factored reuses that
-verified result (``_reuse``), so Schur's check after
+factorization U = R R^T and one K = R^T J R per matrix, and one solve
+of K per matrix and route (``_reuse``): a call on the matrix and tol its
+route last solved reuses that verified result, so Schur's check after
 ``symplectic_eigenvalues``, or ``kyfan_minimizer`` after ``williamson``,
-factors nothing.  K is
+factors nothing, and ``williamson`` after ``symplectic_eigenvalues``, or
+the reverse, solves K again but takes the same R and K.  K is
 exactly skew-symmetric and similar to the non-normal J U, so its singular
 values are the delta_j, each twice, and the Hermitian matrix iK has the
 real eigenvalues +-delta_j.  Calls that need delta alone take the real
@@ -56,8 +57,9 @@ _CERT_FLOOR = math.sqrt(100.0 * _PD_TOL)
 _PAIR_FLOOR = 1e3 * np.finfo(float).eps
 
 
-# The last success of each route, "delta" and "williamson": (key,
-# (U, c, result)) as ``_reuse`` stores it.
+# The last success of each route, "delta" and "williamson", as (key,
+# (U, c, result)), and the factor they share, "factor": (key, (U, c,
+# ||U||_F, R, K)), as ``_reuse`` stores them.
 _SLOTS: dict = {}
 
 
@@ -89,14 +91,16 @@ def _check_definite(U: np.ndarray, c: float) -> None:
             f"[{float(evals[0]) * c:.3e}, {float(evals[-1]) * c:.3e}])")
 
 
-def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool):
-    """Factor a unit form U = A / c with ||U||_F = fro: (delta ascending, R, V).
+def _factor(U: np.ndarray, c: float, fro: float, K: np.ndarray, tol: float,
+            vectors: bool):
+    """Solve the skew K = R^T J R of a unit form U = A / c = R R^T with
+    ||U||_F = fro: (delta ascending, V).
 
-    U = R R^T, and K = R^T J R is skew and similar to J U.  Without
-    ``vectors`` delta comes from K's singular values, sorted descending:
-    each adjacent pair holds one delta_j twice, and delta_j is the pair's
-    mean.  With ``vectors`` the Hermitian iK is solved instead: its
-    eigenvalues are +-delta, and V holds its unit eigenvectors for +delta.
+    K is similar to J U.  Without ``vectors`` delta comes from K's
+    singular values, sorted descending: each adjacent pair holds one
+    delta_j twice, and delta_j is the pair's mean.  With ``vectors`` the
+    Hermitian iK is solved instead: its eigenvalues are +-delta, and V
+    holds its unit eigenvectors for +delta.
 
     The definiteness floor is ``_check_definite``'s, but it is usually
     certified by delta_1 instead of an eigensolve of U.  Ky Fan's minimum
@@ -108,31 +112,25 @@ def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool):
     delta_1 is the smaller member of the smallest singular-value pair, or
     the smallest eigenvalue of the +delta half.  Only when that test fails
     (delta_1 tiny, or negative in the Hermitian half), or when Cholesky
-    fails, does the exact floor check run, before any NumericalError, so
-    every input is rejected by the same rule with the same message as
-    ``symplectic_diag``, which always runs it.  U's entries are below 2 in
-    magnitude, so R and the spectrum are finite, or numpy raises
-    LinAlgError.
+    fails (``_reuse``), does the exact floor check run, before any
+    NumericalError, so every input is rejected by the same rule with the
+    same message as ``symplectic_diag``, which always runs it.  U's
+    entries are below 2 in magnitude, so R and the spectrum are finite, or
+    numpy raises LinAlgError.
 
     Raises NumericalError when the spectrum fails to pair up: delta_1 <=
     1e3 eps delta_n, or the two members of some pair (the +delta half and
     the mirrored -delta half) more than tol delta_n apart.
     """
-    _check_tol(tol)
     n = U.shape[0] // 2
-    try:
-        R = np.linalg.cholesky(U)
-    except np.linalg.LinAlgError as exc:
-        _check_definite(U, c)
-        raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
     if vectors:
-        ev, V = _skew_eigh(R)
+        ev, V = _skew_eigh(K)
         # K is normal, so ||K||_2 is its largest eigenvalue modulus, delta_n.
         delta, low, scale = ev[n:], ev[n], float(ev[-1])
         mirror = float(np.abs(ev[n:] + ev[n - 1::-1]).max())
     else:
         V = None
-        sv = np.linalg.svd(_skew(R), compute_uv=False)
+        sv = np.linalg.svd(K, compute_uv=False)
         # ||K||_2 is its largest singular value, delta_n.
         low, scale = sv[-1], float(sv[0])
         delta = 0.5 * (sv[-1::-2] + sv[-2::-2])
@@ -147,7 +145,7 @@ def _factor(U: np.ndarray, c: float, fro: float, tol: float, vectors: bool):
     if mirror > tol * scale:
         raise NumericalError(f"eigenvalue pairing failure: +- halves differ by "
                              f"{mirror / scale:.3e} delta_n, exceeding {tol:.1e}")
-    return delta, R, V
+    return delta, V
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -155,33 +153,51 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _reuse(route: str, A, tol: float, factor):
-    """(U, c, factor(U, c, fro)) for A's unit form U = sym(A) / c, or the
+def _reuse(route: str, A, tol: float, solve):
+    """(U, c, solve(U, c, fro, R, K)) for A's unit form U = sym(A) / c,
+    ||U||_F = fro, its Cholesky factor U = R R^T and K = R^T J R, or the
     route's last such triple when A and tol are the ones it came from.
 
-    A route keeps one slot, its last success: a refused input stores
-    nothing, so it is refused again with its message.  The key is the
-    matrix ``_as_square_even`` read, by shape, strides and bytes (``_fro``
-    sums in memory order, so another layout may round differently), and
-    tol; a tol that is not a float never matches.  Stored arrays are
-    read-only, and a slot changes by one assignment.
+    What both routes share, the symmetrization, the tol check, Cholesky
+    (with the exact floor check, ``_check_definite``, when it fails) and
+    K, runs once per matrix: the last (U, c, fro, R, K) that a route
+    solved is kept under "factor", so a route's miss on that matrix and
+    tol runs only its own solve and checks.  Each slot holds the last
+    success: a refused input stores nothing, so it is refused again with
+    its message.  The key is the matrix ``_as_square_even`` read, by
+    shape, strides and bytes (``_fro`` sums in memory order, so another
+    layout may round differently), and tol; a tol that is not a float
+    never matches.  Stored arrays are read-only, and a slot changes by
+    one assignment.
     """
     M, c = _as_square_even(A)
     key = (M.shape, M.strides, tol, M.tobytes()) if type(tol) is float else None
     last = _SLOTS.get(route)
     if last is not None and last[0] == key:
         return last[1]
-    U, c, fro = _symmetrized(M, c)
-    out = _read_only(U), c, factor(U, c, fro)
+    last = _SLOTS.get("factor")
+    if last is not None and last[0] == key:
+        key, shared = last
+    else:
+        U, c, fro = _symmetrized(M, c)
+        _check_tol(tol)
+        try:
+            R = np.linalg.cholesky(U)
+        except np.linalg.LinAlgError as exc:
+            _check_definite(U, c)
+            raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+        shared = _read_only(U), c, fro, _read_only(R), _read_only(_skew(R))
+    out = shared[0], shared[1], solve(*shared)
     if key is not None:
+        _SLOTS["factor"] = key, shared
         _SLOTS[route] = key, out
     return out
 
 
 def _delta(A, tol: float):
     """A's unit form U, its scale c and U's symplectic eigenvalues, read-only."""
-    return _reuse("delta", A, tol, lambda U, c, fro: _read_only(
-        _factor(U, c, fro, tol, False)[0]))
+    return _reuse("delta", A, tol, lambda U, c, fro, R, K: _read_only(
+        _factor(U, c, fro, K, tol, False)[0]))
 
 
 def symplectic_eigenvalues(A, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -219,8 +235,8 @@ class WilliamsonFactorization(NamedTuple):
 def _williamson(A, tol: float):
     """U, c and A's Williamson factorization, read-only: W is U's, delta
     is c D."""
-    def factor(U, c, fro):
-        delta, R, V = _factor(U, c, fro, tol, True)
+    def solve(U, c, fro, R, K):
+        delta, V = _factor(U, c, fro, K, tol, True)
         W = _symplectic_basis(R, V, delta)
         d = np.concatenate([delta, delta])
         rec = _fro(U - (W * d) @ W.T) / _fro(U)
@@ -233,7 +249,7 @@ def _williamson(A, tol: float):
                 f"Williamson factor failed symplecticity (residual {symp_res:.3e})")
         return WilliamsonFactorization(
             _read_only(W), _read_only(_in_units(c, delta)), rec, symp_res)
-    return _reuse("williamson", A, tol, factor)
+    return _reuse("williamson", A, tol, solve)
 
 
 def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:

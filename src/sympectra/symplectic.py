@@ -316,23 +316,23 @@ def _require_frame(X: np.ndarray, tol: float) -> None:
             f"max(1, ||X||_F^2) {rel:.3e} > {tol:.1e}")
 
 
-def _skew_eigh(R: np.ndarray):
-    """Ascending spectrum of the Hermitian i R^T J R, and its eigenvectors.
+def _skew_eigh(K: np.ndarray):
+    """Ascending spectrum of the Hermitian iK, and its eigenvectors.
 
-    R has 2n rows; the skew R^T J R is ``_skew(R)``.  Its spectrum pairs
-    up as +-delta, and V holds the unit eigenvectors for the upper half of
-    the spectrum, the +delta half.  Calls that need delta alone take the
-    real singular values of ``_skew(R)`` instead (``spectral._factor``).
+    K is a skew R^T J R, ``_skew(R)``.  Its spectrum pairs up as +-delta,
+    and V holds the unit eigenvectors for the upper half of the spectrum,
+    the +delta half.  Calls that need delta alone take the real singular
+    values of K instead (``spectral._factor``).
     """
-    ev, V = np.linalg.eigh(1j * _skew(R))
-    return ev, V[:, R.shape[1] // 2:]
+    ev, V = np.linalg.eigh(1j * K)
+    return ev, V[:, K.shape[1] // 2:]
 
 
 def _symplectic_basis(R: np.ndarray, V: np.ndarray,
                       delta: np.ndarray) -> np.ndarray:
     """R L (D^{-1/2} oplus D^{-1/2}) for L = sqrt(2) [Im V, Re V].
 
-    With V and delta from ``_skew_eigh(R)``, L is orthogonal and
+    With V and delta from ``_skew_eigh(_skew(R))``, L is orthogonal and
     L^T (R^T J R) L = [[0, D], [-D, 0]], so the result Y spans the range
     of R and satisfies Y^T J Y = J.
     """
@@ -372,7 +372,7 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     M = np.hstack([-X[:, k:], X[:, :k]]) @ X.T
     Q = np.eye(2 * n) + np.hstack([-M[:, n:], M[:, :n]])
     B = np.linalg.svd(Q)[0][:, :2 * m]
-    ev, V = _skew_eigh(B)
+    ev, V = _skew_eigh(_skew(B))
     Y = _symplectic_basis(B, V, ev[m:])
     W = np.hstack([X[:, :k], Y[:, :m], X[:, k:], Y[:, m:]])
     ok, res, _ = _form_check(W, tol)

@@ -1,8 +1,10 @@
 """A warm answer is a cold answer.
 
-``spectral`` keeps the last factorization of each route (delta only, and
-Williamson), keyed on the matrix read and tol.  Every public result must
+``spectral`` keeps the last solve of each route (delta only, and
+Williamson) and the last Cholesky factor and skew K that either route
+solved, each keyed on the matrix read and tol.  Every public result must
 be bit-identical whether or not the slots are emptied before each call,
+in either order of the routes and after a refusal on the other route,
 must not alias what the slots hold, and must follow the matrix's bytes
 and layout rather than the call order.
 """
@@ -47,9 +49,22 @@ def _calls(A, x, y):
             lambda: kyfan_search(A, k, MEANS[1], budget=8, seed=3)]
 
 
+# The calls of ``_calls`` in calls-small's order, and with the Williamson
+# route first, so every delta-only call follows it on the same matrix.
+ORDERS = ((0, 1, 2, 3, 4, 5, 6), (1, 5, 0, 2, 3, 6, 4))
+
+
 def _cold(monkeypatch, call):
     monkeypatch.setattr(spectral, "_SLOTS", {})
     return call()
+
+
+def _outcome(call):
+    """call()'s bits, or its refusal's type and message."""
+    try:
+        return _bits(call())
+    except NumericalError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def _problem(n, e):
@@ -61,11 +76,14 @@ def _problem(n, e):
 @pytest.mark.parametrize("e", [-100, 0, 100])
 @pytest.mark.parametrize("n", [1, 2, 4, 64])
 def test_results_do_not_depend_on_the_slots(monkeypatch, n, e):
-    calls = _calls(*_problem(n, e))
-    warm = [_bits(call()) for call in calls]
-    assert warm == [_bits(_cold(monkeypatch, call)) for call in calls]
-    # Twice through the sequence, every call after the first reuses.
-    assert warm == [_bits(call()) for call in calls]
+    every = _calls(*_problem(n, e))
+    for order in ORDERS:
+        calls = [every[i] for i in order]
+        monkeypatch.setattr(spectral, "_SLOTS", {})
+        warm = [_bits(call()) for call in calls]
+        assert warm == [_bits(_cold(monkeypatch, call)) for call in calls]
+        # Twice through the sequence, every call after the first reuses.
+        assert warm == [_bits(call()) for call in calls]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 64])
@@ -129,6 +147,26 @@ def test_a_refusal_at_a_tighter_tol_follows_a_success(call):
             call(A, tol=1e-300)
         assert str(warm.value) == str(cold.value)
     call(A)
+
+
+@pytest.mark.parametrize("n, seed, tol, refused", [
+    (1, 0, 1e-300, "williamson"), (8, 2, 1e-15, "eig")])
+def test_a_refusal_on_one_route_leaves_the_other_cold(monkeypatch, n, seed,
+                                                      tol, refused):
+    # One route refuses A at tol after Cholesky succeeded (Williamson's
+    # reconstruction residual, or the singular values' pairing); the
+    # other route's answer on A, before and after it, is the cold one.
+    A = random_pd(n, seed=seed)
+    routes = {"eig": lambda: symplectic_eigenvalues(A, tol),
+              "williamson": lambda: williamson(A, tol)}
+    cold = {name: _outcome(lambda: _cold(monkeypatch, call))
+            for name, call in routes.items()}
+    assert [name for name in routes if cold[name][0] == "NumericalError"] == [
+        refused]
+    for order in (("eig", "williamson"), ("williamson", "eig")):
+        monkeypatch.setattr(spectral, "_SLOTS", {})
+        for name in order * 2:
+            assert _outcome(routes[name]) == cold[name]
 
 
 def test_threads_sharing_the_slots_get_cold_answers(monkeypatch):

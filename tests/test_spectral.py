@@ -455,20 +455,22 @@ def test_pairing_checks_raise():
 
 
 def _kernel_calls(monkeypatch):
-    """Counts of complex eigvalsh, complex eigh and values-only svd calls,
-    from cold: both of spectral's reuse slots start empty.
+    """Counts of Cholesky, complex eigvalsh, complex eigh and values-only
+    svd calls, from cold: spectral's reuse slots start empty.
 
     complete_to_symplectic's orthonormal basis comes from an svd with
     vectors; that is not the singular-value solve for delta, so only
     ``compute_uv=False`` calls are counted."""
     monkeypatch.setattr(spectral, "_SLOTS", {})
-    calls = {"eigvalsh": 0, "eigh": 0, "svd": 0}
+    calls = {"cholesky": 0, "eigvalsh": 0, "eigh": 0, "svd": 0}
     kernels = {name: getattr(np.linalg, name) for name in calls}
 
     def counting(name):
         def wrapped(a, *args, **kwargs):
             if name == "svd":
                 calls[name] += kwargs.get("compute_uv") is False
+            elif name == "cholesky":
+                calls[name] += 1
             else:
                 calls[name] += np.iscomplexobj(a)
             return kernels[name](a, *args, **kwargs)
@@ -488,14 +490,14 @@ def test_delta_only_calls_take_one_real_svd(monkeypatch):
                  lambda: horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean)):
         calls = _kernel_calls(monkeypatch)
         call()
-        assert calls == {"eigvalsh": 0, "eigh": 0, "svd": 1}
+        assert calls == {"cholesky": 1, "eigvalsh": 0, "eigh": 0, "svd": 1}
     X = kyfan_minimizer(A, 2, mean).minimizer
-    for call in (lambda: williamson(A),
-                 lambda: kyfan_minimizer(A, 2, mean),
-                 lambda: complete_to_symplectic(X)):
+    for call, cholesky in ((lambda: williamson(A), 1),
+                           (lambda: kyfan_minimizer(A, 2, mean), 1),
+                           (lambda: complete_to_symplectic(X), 0)):
         calls = _kernel_calls(monkeypatch)
         call()
-        assert calls == {"eigvalsh": 0, "eigh": 1, "svd": 0}
+        assert calls == {"cholesky": cholesky, "eigvalsh": 0, "eigh": 1, "svd": 0}
 
 
 @pytest.mark.parametrize("first, again", [
@@ -514,7 +516,7 @@ def test_a_repeat_on_the_same_matrix_and_tol_takes_no_kernel(monkeypatch, first,
     calls.update(dict.fromkeys(calls, 0))
     monkeypatch.setattr(np.linalg, "cholesky", None)  # a factoring call fails
     again(A, mean)
-    assert calls == {"eigvalsh": 0, "eigh": 0, "svd": 0}
+    assert calls == {"cholesky": 0, "eigvalsh": 0, "eigh": 0, "svd": 0}
 
 
 @pytest.mark.parametrize("route, kernel", [
@@ -527,7 +529,30 @@ def test_another_tol_bit_or_layout_is_factored_afresh(monkeypatch, route,
     calls = _kernel_calls(monkeypatch)
     for args in ((A,), (A, 1e-9), (B,), (A,), (np.asfortranarray(A),)):
         route(*args)
-    assert calls[kernel] == 5
+    assert calls[kernel] == calls["cholesky"] == 5
+
+
+@pytest.mark.parametrize("first, then", [
+    (lambda A, m, tol: symplectic_eigenvalues(A, tol),
+     lambda A, m, tol: williamson(A, tol)),
+    (lambda A, m, tol: williamson(A, tol),
+     lambda A, m, tol: schur_check(A, m, tol)),
+    (lambda A, m, tol: kyfan_minimizer(A, 2, m, tol),
+     lambda A, m, tol: symplectic_eigenvalues(A, tol)),
+], ids=["eig-williamson", "williamson-schur", "kyfan-eig"])
+def test_the_two_routes_share_one_cholesky(monkeypatch, first, then):
+    # The second route solves K again, from the R and K the first formed;
+    # another matrix, bit, layout or tol is factored afresh.
+    A, mean = random_pd(4, seed=9), geometric_mean()
+    B = A.copy()
+    B[1, 1] = np.nextafter(B[1, 1], 2.0)
+    for other, tol, cholesky in ((A, 1e-8, 1), (random_pd(4, seed=10), 1e-8, 2),
+                                 (B, 1e-8, 2), (np.asfortranarray(A), 1e-8, 2),
+                                 (A, 1e-9, 2)):
+        calls = _kernel_calls(monkeypatch)
+        first(A, mean, 1e-8)
+        then(other, mean, tol)
+        assert calls["cholesky"] == cholesky
 
 
 def test_the_delta_route_never_answers_from_the_williamson_factor(monkeypatch):
@@ -537,7 +562,7 @@ def test_the_delta_route_never_answers_from_the_williamson_factor(monkeypatch):
     calls = _kernel_calls(monkeypatch)
     williamson(A)
     symplectic_eigenvalues(A)
-    assert calls == {"eigvalsh": 0, "eigh": 1, "svd": 1}
+    assert calls == {"cholesky": 1, "eigvalsh": 0, "eigh": 1, "svd": 1}
 
 
 def _hermitian_delta(A):

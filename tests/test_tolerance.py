@@ -309,7 +309,11 @@ def test_root_exports_every_module_all():
 
 @pytest.mark.parametrize("name", sorted(TOL_CALLS))
 def test_every_public_tol_is_checked(name):
-    TOL_CALLS[name](1e-8)
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    # Any real scalar is a tol; an array, even of one element, or a string
+    # is refused before it reaches a verdict or a message.
+    for good in (1e-8, 1, np.float32(1e-6), np.float64(1e-8)):
+        TOL_CALLS[name](good)
+    for bad in (0.0, -1.0, math.nan, math.inf, np.array([1e-300]), "1e-8",
+                np.array([1e-8, 1e-8])):
         with pytest.raises(DomainError, match="tolerance must be positive"):
             TOL_CALLS[name](bad)
