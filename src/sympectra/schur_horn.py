@@ -28,8 +28,8 @@ from .majorization import (MAJORIZATION_TOL, MajorizationReport,
                            _horn_realize, _intermediate, _read_pair,
                            _report)
 from .means import MeanSpec
-from .spectral import (_check_definite, _delta, _diag_m, _symmetrized,
-                       _williamson, symplectic_eigenvalues)
+from .spectral import (_check_definite, _delta, _diag_m, _factor, _factored,
+                       _symmetrized, _williamson)
 from .symplectic import (DEFAULT_TOL, _as_frame, _as_square_even, _count,
                          _euler_frames, _in_units, _require_frame, _rng)
 
@@ -154,9 +154,11 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     T[n:, n:] += s[:, None] * s
     A = (T.reshape(2, n, 2, n) * C[:, None, :]).reshape(2 * n, 2 * n)
 
-    # A is exactly symmetric (T and C are), so it is the matrix verified.
+    # A is exactly symmetric (T and C are), so it is the matrix verified,
+    # by the delta route below the reuse entry: no later call reads A.
     try:
-        got_d = symplectic_eigenvalues(A, tol)
+        U, scale, fro, _, K = _factored(*_as_square_even(A), tol)
+        got_d = _in_units(scale, _factor(U, scale, fro, K, tol, False)[0])
     except DomainError as exc:
         # The matrix reader's every message starts with its subject, "matrix".
         raise NumericalError(f"stage 'assemble': realized {exc}") from exc
@@ -275,7 +277,8 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     Memory: each quarter of the budget is drawn in batches of
     max(1, 2^16 // n^2) frames, so the n-by-n complex unitaries of one
     batch hold at most 2^16 entries (1 MiB) for n <= 256, and one
-    frame's beyond.  The peak does not grow with the budget.
+    frame's beyond.  The peak does not grow with the budget, and
+    ``best_frame`` is a copy, so the report keeps no batch alive.
     """
     U, c, delta = _delta(A, tol)
     n = delta.shape[0]
@@ -299,7 +302,7 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
             i = int(np.argmin(objectives))
             if objectives[i] < best_value:
                 best_value = float(objectives[i])
-                best_frame = Xs[i]
+                best_frame = Xs[i].copy()
 
     return KyFanSearchReport(k=k, best_value=_in_units(c, best_value, "Ky Fan value"),
                              best_frame=best_frame, violations=violations,

@@ -8,9 +8,11 @@ congruence and additive (as multisets) over the expanding sum.
 
 Every call works on A's unit form U = A / c (see ``symplectic``):
 delta(A) = c delta(U) and W is U's.  The numerical route is one Cholesky
-factorization U = R R^T and one K = R^T J R per matrix, and one solve
-of K per matrix and route (``_reuse``): a call on the matrix and tol its
-route last solved reuses that verified result, so Schur's check after
+factorization U = R R^T and one K = R^T J R per matrix (``_factored``),
+and one solve of K per matrix and route.  One entry (``_reuse``) keeps
+the last matrix and tol read, its R and K, and what each route has
+solved on it: a call on that matrix and tol reuses R and K, and its own
+route's verified result when there is one.  So Schur's check after
 ``symplectic_eigenvalues``, or ``kyfan_minimizer`` after ``williamson``,
 factors nothing, and ``williamson`` after ``symplectic_eigenvalues``, or
 the reverse, solves K again but takes the same R and K.  K is
@@ -57,10 +59,9 @@ _CERT_FLOOR = math.sqrt(100.0 * _PD_TOL)
 _PAIR_FLOOR = 1e3 * np.finfo(float).eps
 
 
-# The last success of each route, "delta" and "williamson", as (key,
-# (U, c, result)), and the factor they share, "factor": (key, (U, c,
-# ||U||_F, R, K)), as ``_reuse`` stores them.
-_SLOTS: dict = {}
+# The last matrix and tol read, as ``_reuse`` stores them: (key, (U, c,
+# ||U||_F, R, K), {route: result}), or None.
+_LAST = None
 
 
 def _symmetrized(A: np.ndarray, c: float) -> tuple[np.ndarray, float, float]:
@@ -112,7 +113,7 @@ def _factor(U: np.ndarray, c: float, fro: float, K: np.ndarray, tol: float,
     delta_1 is the smaller member of the smallest singular-value pair, or
     the smallest eigenvalue of the +delta half.  Only when that test fails
     (delta_1 tiny, or negative in the Hermitian half), or when Cholesky
-    fails (``_reuse``), does the exact floor check run, before any
+    fails (``_factored``), does the exact floor check run, before any
     NumericalError, so every input is rejected by the same rule with the
     same message as ``symplectic_diag``, which always runs it.  U's
     entries are below 2 in magnitude, so R and the spectrum are finite, or
@@ -153,45 +154,48 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _reuse(route: str, A, tol: float, solve):
-    """(U, c, solve(U, c, fro, R, K)) for A's unit form U = sym(A) / c,
-    ||U||_F = fro, its Cholesky factor U = R R^T and K = R^T J R, or the
-    route's last such triple when A and tol are the ones it came from.
+def _factored(M: np.ndarray, c: float, tol: float):
+    """(U, c, ||U||_F, R, K), read-only, for the matrix M and scale c that
+    ``_as_square_even`` read: the unit form U = sym(M) / c, its Cholesky
+    factor U = R R^T and K = R^T J R, after the tol check.  When Cholesky
+    fails, the exact floor check (``_check_definite``) runs first, so a
+    matrix that is not positive definite is refused as such."""
+    U, c, fro = _symmetrized(M, c)
+    _check_tol(tol)
+    try:
+        R = np.linalg.cholesky(U)
+    except np.linalg.LinAlgError as exc:
+        _check_definite(U, c)
+        raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+    return _read_only(U), c, fro, _read_only(R), _read_only(_skew(R))
 
-    What both routes share, the symmetrization, the tol check, Cholesky
-    (with the exact floor check, ``_check_definite``, when it fails) and
-    K, runs once per matrix: the last (U, c, fro, R, K) that a route
-    solved is kept under "factor", so a route's miss on that matrix and
-    tol runs only its own solve and checks.  Each slot holds the last
-    success: a refused input stores nothing, so it is refused again with
+
+def _reuse(route: str, A, tol: float, solve):
+    """(U, c, solve(U, c, fro, R, K)) for ``_factored``'s (U, c, fro, R, K)
+    of A, or the route's last result when A and tol are the last read.
+
+    One entry holds the last matrix and tol read, its factors and the
+    result of each route that succeeded on it, so a route's miss on that
+    matrix and tol runs only its own solve and checks.  Any other matrix
+    or tol replaces the whole entry, by one assignment, once its route
+    succeeds: a refused input stores nothing, so it is refused again with
     its message.  The key is the matrix ``_as_square_even`` read, by
     shape, strides and bytes (``_fro`` sums in memory order, so another
     layout may round differently), and tol; a tol that is not a float
-    never matches.  Stored arrays are read-only, and a slot changes by
-    one assignment.
+    never matches.  Stored arrays are read-only.
     """
+    global _LAST
     M, c = _as_square_even(A)
     key = (M.shape, M.strides, tol, M.tobytes()) if type(tol) is float else None
-    last = _SLOTS.get(route)
-    if last is not None and last[0] == key:
-        return last[1]
-    last = _SLOTS.get("factor")
-    if last is not None and last[0] == key:
-        key, shared = last
-    else:
-        U, c, fro = _symmetrized(M, c)
-        _check_tol(tol)
-        try:
-            R = np.linalg.cholesky(U)
-        except np.linalg.LinAlgError as exc:
-            _check_definite(U, c)
-            raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
-        shared = _read_only(U), c, fro, _read_only(R), _read_only(_skew(R))
-    out = shared[0], shared[1], solve(*shared)
-    if key is not None:
-        _SLOTS["factor"] = key, shared
-        _SLOTS[route] = key, out
-    return out
+    # The empty key () matches no call's key, None included.
+    last_key, shared, done = _LAST or ((), None, {})
+    if last_key != key:
+        shared, done = _factored(M, c, tol), {}
+    if route not in done:
+        done = {**done, route: solve(*shared)}
+        if key is not None:
+            _LAST = key, shared, done
+    return shared[0], shared[1], done[route]
 
 
 def _delta(A, tol: float):

@@ -1,12 +1,12 @@
 """A warm answer is a cold answer.
 
-``spectral`` keeps the last solve of each route (delta only, and
-Williamson) and the last Cholesky factor and skew K that either route
-solved, each keyed on the matrix read and tol.  Every public result must
-be bit-identical whether or not the slots are emptied before each call,
-in either order of the routes and after a refusal on the other route,
-must not alias what the slots hold, and must follow the matrix's bytes
-and layout rather than the call order.
+``spectral`` keeps one entry: the last matrix and tol read, keyed on
+both, with its Cholesky factor and skew K and the result of each route
+(delta only, and Williamson) that succeeded on it.  Every public result
+must be bit-identical whether or not the entry is emptied before each
+call, in either order of the routes and after a refusal on the other
+route, must not alias what the entry holds, and must follow the
+matrix's bytes and layout rather than the call order.
 """
 
 import sys
@@ -55,7 +55,7 @@ ORDERS = ((0, 1, 2, 3, 4, 5, 6), (1, 5, 0, 2, 3, 6, 4))
 
 
 def _cold(monkeypatch, call):
-    monkeypatch.setattr(spectral, "_SLOTS", {})
+    monkeypatch.setattr(spectral, "_LAST", None)
     return call()
 
 
@@ -79,7 +79,7 @@ def test_results_do_not_depend_on_the_slots(monkeypatch, n, e):
     every = _calls(*_problem(n, e))
     for order in ORDERS:
         calls = [every[i] for i in order]
-        monkeypatch.setattr(spectral, "_SLOTS", {})
+        monkeypatch.setattr(spectral, "_LAST", None)
         warm = [_bits(call()) for call in calls]
         assert warm == [_bits(_cold(monkeypatch, call)) for call in calls]
         # Twice through the sequence, every call after the first reuses.
@@ -93,7 +93,7 @@ def test_writing_into_a_result_does_not_change_the_next(monkeypatch, n):
     cold = [_bits(_cold(monkeypatch, call)) for call in (
         lambda: symplectic_eigenvalues(A), lambda: schur_check(A, mean),
         lambda: williamson(A), lambda: kyfan_minimizer(A, k, mean))]
-    monkeypatch.setattr(spectral, "_SLOTS", {})
+    monkeypatch.setattr(spectral, "_LAST", None)
     symplectic_eigenvalues(A)[:] = 0.0
     report = schur_check(A, mean)
     assert _bits(report) == cold[1]
@@ -107,6 +107,11 @@ def test_writing_into_a_result_does_not_change_the_next(monkeypatch, n):
     assert _bits(result) == cold[3]
     result.minimizer[:] = 0.0
     assert _bits(williamson(A)) == cold[2]
+    # What the entry holds is read-only, so no caller can write into it.
+    _, (U, _, _, R, K), done = spectral._LAST
+    fact = done["williamson"]
+    assert not any(a.flags.writeable
+                   for a in (U, R, K, done["delta"], fact.W, fact.delta))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 64])
@@ -164,15 +169,15 @@ def test_a_refusal_on_one_route_leaves_the_other_cold(monkeypatch, n, seed,
     assert [name for name in routes if cold[name][0] == "NumericalError"] == [
         refused]
     for order in (("eig", "williamson"), ("williamson", "eig")):
-        monkeypatch.setattr(spectral, "_SLOTS", {})
+        monkeypatch.setattr(spectral, "_LAST", None)
         for name in order * 2:
             assert _outcome(routes[name]) == cold[name]
 
 
 def test_threads_sharing_the_slots_get_cold_answers(monkeypatch):
     # Four threads (more than the cores) alternate between a shared matrix
-    # and their own, on both routes, with a short switch interval, so
-    # slots are replaced under each other's reads.
+    # and their own, on both routes, with a short switch interval, so the
+    # entry is replaced under each other's reads.
     mats = [random_pd(2, seed=s) for s in range(5)]
     want = {(i, route.__name__): _bits(_cold(monkeypatch, lambda: route(A)))
             for i, A in enumerate(mats)

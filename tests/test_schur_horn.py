@@ -685,6 +685,14 @@ def test_kyfan_search_draws_bounded_batches(monkeypatch, entries, batch):
     assert rep.violations == 0
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_kyfan_search_best_frame_owns_its_memory(n):
+    # A view into the last improving batch would keep the whole batch alive.
+    rep = kyfan_search(random_pd(n, seed=2), 1, geometric_mean(), budget=400)
+    assert rep.best_frame.base is None
+    assert rep.best_frame.shape == (2 * n, 2)
+
+
 def test_kyfan_search_hands_custom_means_1d_arrays():
     # Indexing by a.size works only on 1-D input.
     def one_d_only(a, b):

@@ -336,13 +336,13 @@ def test_realization_rejects_as_validate_pd(monkeypatch):
     # matrix to the exact check of symplectic_diag, whose message the
     # 'assemble' stage must carry.
     seen = []
-    delta = schur_horn.symplectic_eigenvalues
+    factored = schur_horn._factored
 
-    def spy(A, tol):
-        seen.append(np.array(A))
-        return delta(A, tol)
+    def spy(M, c, tol):
+        seen.append(np.array(M))
+        return factored(M, c, tol)
 
-    monkeypatch.setattr(schur_horn, "symplectic_eigenvalues", spy)
+    monkeypatch.setattr(schur_horn, "_factored", spy)
     outcomes = set()
     for k in range(4, 16):
         for t in (1.0, 1e3):
@@ -456,12 +456,12 @@ def test_pairing_checks_raise():
 
 def _kernel_calls(monkeypatch):
     """Counts of Cholesky, complex eigvalsh, complex eigh and values-only
-    svd calls, from cold: spectral's reuse slots start empty.
+    svd calls, from cold: spectral's reuse entry starts empty.
 
     complete_to_symplectic's orthonormal basis comes from an svd with
     vectors; that is not the singular-value solve for delta, so only
     ``compute_uv=False`` calls are counted."""
-    monkeypatch.setattr(spectral, "_SLOTS", {})
+    monkeypatch.setattr(spectral, "_LAST", None)
     calls = {"cholesky": 0, "eigvalsh": 0, "eigh": 0, "svd": 0}
     kernels = {name: getattr(np.linalg, name) for name in calls}
 
@@ -506,8 +506,13 @@ def test_delta_only_calls_take_one_real_svd(monkeypatch):
     (lambda A, m: schur_check(A, m), lambda A, m: kyfan_search(A, 2, m, budget=8)),
     (lambda A, m: williamson(A), lambda A, m: kyfan_minimizer(A, 2, m)),
     (lambda A, m: kyfan_minimizer(A, 1, m), lambda A, m: williamson(A)),
+    # The realization verifies a new matrix below the reuse entry, so the
+    # entry still holds A.
+    (lambda A, m: (symplectic_eigenvalues(A),
+                   horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], m)),
+     lambda A, m: schur_check(A, m)),
 ], ids=["eig-schur", "schur-schur", "schur-search", "williamson-kyfan",
-        "kyfan-williamson"])
+        "kyfan-williamson", "eig-realize-schur"])
 def test_a_repeat_on_the_same_matrix_and_tol_takes_no_kernel(monkeypatch, first,
                                                              again):
     A, mean = random_pd(4, seed=9), geometric_mean()
