@@ -70,7 +70,7 @@ def _prefix_compare(kind: str, x: np.ndarray, y: np.ndarray, tol: float):
     """(slacks, threshold, verdict) of x against y, a unit pair: ascending
     prefix sums held to tol (||x||_1 + ||y||_1); ``kind`` "majorize" also
     holds the total gap to the threshold."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     slacks = np.sort(x).cumsum() - np.sort(y).cumsum()
     threshold = tol * float(np.abs(x).sum() + np.abs(y).sum())
     verdict = bool(slacks.min() >= -threshold) and (

@@ -16,6 +16,11 @@ symmetric, homogeneous M, and the Ky Fan minimizer and the Horn
 realization read M(a, a) = a, which betweenness forces (as it forces
 positive, finite values).  Monotonicity is reported but not required: no
 answer relies on it.  ``MeanSpec`` says which specs are vetted, and when.
+
+This module is the one place a mean is evaluated.  Every library answer
+pairs its diagonal through ``_diag_m``, whose callers have shown the
+arguments positive and finite, and the vet evaluates its grid through
+the same core, ``_evaluate``; neither checks its arguments again.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ __all__ = [
     "power_mean",
     "custom_mean",
     "parse_mean",
-    "evaluate_pairs",
     "validate_mean_axioms",
 ]
 
@@ -198,13 +202,14 @@ def custom_mean(evaluator: Callable[[float, float], float]) -> MeanSpec:
     between-valued mean.
 
     Nothing is checked here: the spec is vetted on its first library call,
-    as ``MeanSpec`` describes.  ``evaluate_pairs`` and
-    ``validate_mean_axioms`` never vet, so they report on non-means too;
-    but both, and so every entry point, refuse complex values with
-    DomainError ("mean value has complex entries").
+    as ``MeanSpec`` describes.  ``validate_mean_axioms`` never vets, so it
+    reports on non-means too; but it, and so every entry point, refuses
+    complex values with DomainError ("mean value has complex entries").
 
-    The library's own calls hand the evaluator scalars or 1-D arrays, and
-    fall back to one call per element as ``evaluate_pairs`` describes.
+    The library hands the evaluator 1-D float arrays (the vet's second
+    argument in f(t) = M(t, 1) is the 0-d array 1.0), and falls back to
+    one call per element, on floats, when arrays raise TypeError or
+    ValueError or give a result of another shape.
     """
     return MeanSpec("custom", evaluator)
 
@@ -241,50 +246,49 @@ def parse_mean(spec: str) -> MeanSpec:
         f"unknown mean {spec!r}; expected arithmetic|geometric|harmonic|min|max|power:<float>")
 
 
-def evaluate_pairs(mean: MeanSpec, a, b) -> np.ndarray:
-    """Elementwise M(a, b) over broadcast arrays of positive, finite
-    arguments; any other argument, inf included, raises DomainError.
-    Scalar-only evaluators (a wrong-shaped result, TypeError or ValueError
-    on arrays) are called once per element.  Values are read as real
-    numbers: a complex one raises DomainError ("mean value has complex
-    entries") on either path, rather than losing its imaginary part."""
-    a, b = _as_real(a, "mean argument"), _as_real(b, "mean argument")
-    shape = a.shape
-    if b.shape != shape:
-        try:
-            shape = np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise DomainError(f"mean arguments of shapes {a.shape} and "
-                              f"{b.shape} do not broadcast") from None
-    _check_arguments(a)
-    _check_arguments(b)
-    return _evaluate(mean, a, b, shape)
-
-
-def _check_arguments(v: np.ndarray) -> None:
-    """DomainError unless every entry of v lies in (0, inf).
-
-    Phrased as "not min > 0 and max < inf" so that NaN, which both
-    reductions return, is rejected too; an empty v passes."""
-    if v.size and not (v.min() > 0 and v.max() < math.inf):
-        raise DomainError("mean arguments must be strictly positive and finite")
-
-
-def _evaluate(mean: MeanSpec, a: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
-    """``evaluate_pairs`` on float arrays that broadcast to ``shape`` and
-    that ``_check_arguments`` has passed."""
+def _evaluate(mean: MeanSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise M(a, b) over float arrays, b broadcast to a's shape,
+    which the result has.  A scalar-only evaluator (a wrong-shaped result,
+    TypeError or ValueError on arrays) is called once per element.  Values
+    are read as real numbers: a complex one raises DomainError ("mean value
+    has complex entries") on either path, rather than losing its imaginary
+    part.  The arguments are not checked: see the callers, ``_diag_m`` and
+    ``validate_mean_axioms``."""
     try:
         out = mean.evaluator(a, b)
     except (TypeError, ValueError):
         pass
     else:
         out = _as_real(out, "mean value")
-        if out.shape == shape:
+        if out.shape == a.shape:
             return out
     af, bf = np.broadcast_arrays(a, b)
     return _as_real([mean.evaluator(float(x), float(y))
                      for x, y in zip(af.ravel(), bf.ravel())],
-                    "mean value").reshape(af.shape)
+                    "mean value").reshape(a.shape)
+
+
+def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
+    """M(d_j, d_{m+j}), j = 1..m, over the last axis (length 2m) of d.
+
+    Every library answer evaluates its mean here, so a spec that is not
+    built in is vetted here, once per spec (see ``MeanSpec``).  The
+    evaluator receives the pairs as 1-D arrays whatever the batch shape.
+    d is not checked: each caller has shown it positive and finite.
+    - ``schur_check``: diag(U) of a unit form that passed Cholesky, which
+      refuses a pivot <= 0, so every u_jj > 0, and |u_ij| < 2.
+    - The realization's 'diag' stage: diag(A), once ``_factored`` has
+      succeeded on A.
+    - ``symplectic_diag``: diag(U) of a unit form past the exact floor,
+      so u_jj >= lambda_min > 1e-13 lambda_max >= 1e-13.
+    - ``kyfan_objective``, ``kyfan_minimizer`` and ``kyfan_search``:
+      diag(X^T U X) of a frame batch, through ``_objective``, which
+      raises NumericalError unless it is positive and finite."""
+    if mean._refusal is not None:
+        raise DomainError(mean._refusal)
+    m = d.shape[-1] // 2
+    out = _evaluate(mean, d[..., :m].ravel(), d[..., m:].ravel())
+    return out.reshape(d.shape[:-1] + (m,))
 
 
 class AxiomResult(NamedTuple):
@@ -354,16 +358,16 @@ def validate_mean_axioms(mean: MeanSpec) -> ValidationReport:
     so an evaluator such as 1e300 max(a, b) fails betweenness rather than
     raising; a NaN or infinite f(t) also fails the dominance.  A complex
     value is not a violation but a value of the wrong type: it raises
-    DomainError ("mean value has complex entries"), as in
-    ``evaluate_pairs``.
+    DomainError ("mean value has complex entries"), as at every entry
+    point.
     """
     t = 2.0 ** -np.linspace(0.0, 900.0, _SAMPLES)
     r = np.resize(_FACTORS, t.shape)
     n = t.size - 1
     with np.errstate(over="ignore"):
-        f = evaluate_pairs(mean, t, 1.0)
-        m_lo = evaluate_pairs(mean, r * t, r)
-        m_hi = evaluate_pairs(mean, r, r * t)
+        f = _evaluate(mean, t, np.asarray(1.0))
+        m_lo = _evaluate(mean, r * t, r)
+        m_hi = _evaluate(mean, r, r * t)
         # |x - y| <= tol |y|, with equal infinities close and NaN never.
         sym = _result(~np.isclose(m_hi, m_lo, rtol=_AXIOM_TOL, atol=0.0),
                       lambda i: (r[i] * t[i], r[i], m_lo[i], m_hi[i]))

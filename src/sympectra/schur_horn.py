@@ -27,8 +27,8 @@ from .errors import DomainError, NumericalError, _check_tol
 from .majorization import (MAJORIZATION_TOL, MajorizationReport,
                            _horn_realize, _intermediate, _read_pair,
                            _report)
-from .means import MeanSpec
-from .spectral import (_check_definite, _delta, _diag_m, _factor, _factored,
+from .means import MeanSpec, _diag_m
+from .spectral import (_check_definite, _delta, _factor, _factored,
                        _symmetrized, _williamson)
 from .symplectic import (DEFAULT_TOL, _as_frame, _as_square_even, _count,
                          _euler_frames, _in_units, _require_frame, _rng)
@@ -124,7 +124,7 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     the exact symplectic eigenvalues of the matrix formed in doubles
     miss y by 1.1e-4, 5.4e-5 of max y.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     x, y, c = _read_pair(x, y)
     z = _intermediate(x, y, c, MAJORIZATION_TOL)
     # The rest runs on the unit pair of x and y, whose scale c also gave z.
@@ -157,7 +157,7 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     # A is exactly symmetric (T and C are), so it is the matrix verified,
     # by the delta route below the reuse entry: no later call reads A.
     try:
-        U, scale, fro, _, K = _factored(*_as_square_even(A), tol)
+        U, scale, fro, _, K = _factored(*_as_square_even(A))
         got_d = _in_units(scale, _factor(U, scale, fro, K, tol, False)[0])
     except DomainError as exc:
         # The matrix reader's every message starts with its subject, "matrix".
@@ -214,7 +214,9 @@ def _objective(U: np.ndarray, X: np.ndarray, mean: MeanSpec):
     if not (d.min() > 0 and d.max() < np.inf):
         raise NumericalError("Ky Fan objective is out of range: diag(X^T U X) "
                              "underflows or is not finite")
-    out = _diag_m(d, mean).sum(-1)
+    # A sum past the double range is this raise, not an overflow warning.
+    with np.errstate(over="ignore"):
+        out = _diag_m(d, mean).sum(-1)
     if not np.isfinite(out).all():
         raise NumericalError("Ky Fan objective is not finite")
     return out
@@ -280,6 +282,7 @@ def kyfan_search(A, k: int, mean: MeanSpec, budget: int = 10_000, seed=0,
     frame's beyond.  The peak does not grow with the budget, and
     ``best_frame`` is a copy, so the report keeps no batch alive.
     """
+    tol = _check_tol(tol)
     U, c, delta = _delta(A, tol)
     n = delta.shape[0]
     k = _count(k, "k", n)

@@ -9,10 +9,11 @@ congruence and additive (as multisets) over the expanding sum.
 Every call works on A's unit form U = A / c (see ``symplectic``):
 delta(A) = c delta(U) and W is U's.  The numerical route is one Cholesky
 factorization U = R R^T and one K = R^T J R per matrix (``_factored``),
-and one solve of K per matrix and route.  One entry (``_reuse``) keeps
-the last matrix and tol read, its R and K, and what each route has
-solved on it: a call on that matrix and tol reuses R and K, and its own
-route's verified result when there is one.  So Schur's check after
+and one solve of K per matrix and route.  Each route reads tol once, as
+the float ``_check_tol`` returns.  One entry (``_reuse``) keeps the last
+matrix and tol read, its R and K, and what each route has solved on it:
+a call on that matrix and tol reuses R and K, and its own route's
+verified result when there is one.  So Schur's check after
 ``symplectic_eigenvalues``, or ``kyfan_minimizer`` after ``williamson``,
 factors nothing, and ``williamson`` after ``symplectic_eigenvalues``, or
 the reverse, solves K again but takes the same R and K.  K is
@@ -27,6 +28,9 @@ Fan's minimum principle at k = 1 bounds lambda_min / lambda_max below by
 delta_1^2 / ||U||_F^2, so a delta_1 well clear of the floor certifies
 it.  Only inputs whose delta_1 fails that test run the exact check on
 U's eigenvalues.
+
+``symplectic_diag`` scores a mean on U's diagonal through
+``means._diag_m``, as every other mean-indexed answer does.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericalError, _check_tol
-from .means import MeanSpec, _check_arguments, _evaluate
+from .means import MeanSpec, _diag_m
 from .symplectic import (DEFAULT_TOL, _as_square_even, _form_check, _fro,
                          _in_units, _skew, _skew_eigh, _symplectic_basis)
 
@@ -154,14 +158,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _factored(M: np.ndarray, c: float, tol: float):
+def _factored(M: np.ndarray, c: float):
     """(U, c, ||U||_F, R, K), read-only, for the matrix M and scale c that
     ``_as_square_even`` read: the unit form U = sym(M) / c, its Cholesky
-    factor U = R R^T and K = R^T J R, after the tol check.  When Cholesky
-    fails, the exact floor check (``_check_definite``) runs first, so a
-    matrix that is not positive definite is refused as such."""
+    factor U = R R^T and K = R^T J R.  When Cholesky fails, the exact
+    floor check (``_check_definite``) runs first, so a matrix that is not
+    positive definite is refused as such."""
     U, c, fro = _symmetrized(M, c)
-    _check_tol(tol)
     try:
         R = np.linalg.cholesky(U)
     except np.linalg.LinAlgError as exc:
@@ -172,7 +175,8 @@ def _factored(M: np.ndarray, c: float, tol: float):
 
 def _reuse(route: str, A, tol: float, solve):
     """(U, c, solve(U, c, fro, R, K)) for ``_factored``'s (U, c, fro, R, K)
-    of A, or the route's last result when A and tol are the last read.
+    of A, or the route's last result when A and tol are the last read;
+    tol is a float that ``_check_tol`` returned.
 
     One entry holds the last matrix and tol read, its factors and the
     result of each route that succeeded on it, so a route's miss on that
@@ -181,25 +185,24 @@ def _reuse(route: str, A, tol: float, solve):
     succeeds: a refused input stores nothing, so it is refused again with
     its message.  The key is the matrix ``_as_square_even`` read, by
     shape, strides and bytes (``_fro`` sums in memory order, so another
-    layout may round differently), and tol; a tol that is not a float
-    never matches.  Stored arrays are read-only.
+    layout may round differently), and tol.  Stored arrays are read-only.
     """
     global _LAST
     M, c = _as_square_even(A)
-    key = (M.shape, M.strides, tol, M.tobytes()) if type(tol) is float else None
-    # The empty key () matches no call's key, None included.
+    key = (M.shape, M.strides, tol, M.tobytes())
+    # The empty key () matches no call's key.
     last_key, shared, done = _LAST or ((), None, {})
     if last_key != key:
-        shared, done = _factored(M, c, tol), {}
+        shared, done = _factored(M, c), {}
     if route not in done:
         done = {**done, route: solve(*shared)}
-        if key is not None:
-            _LAST = key, shared, done
+        _LAST = key, shared, done
     return shared[0], shared[1], done[route]
 
 
 def _delta(A, tol: float):
     """A's unit form U, its scale c and U's symplectic eigenvalues, read-only."""
+    tol = _check_tol(tol)
     return _reuse("delta", A, tol, lambda U, c, fro, R, K: _read_only(
         _factor(U, c, fro, K, tol, False)[0]))
 
@@ -239,6 +242,8 @@ class WilliamsonFactorization(NamedTuple):
 def _williamson(A, tol: float):
     """U, c and A's Williamson factorization, read-only: W is U's, delta
     is c D."""
+    tol = _check_tol(tol)
+
     def solve(U, c, fro, R, K):
         delta, V = _factor(U, c, fro, K, tol, True)
         W = _symplectic_basis(R, V, delta)
@@ -270,23 +275,6 @@ def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
     """
     fact = _williamson(A, tol)[2]
     return fact._replace(W=fact.W.copy(), delta=fact.delta.copy())
-
-
-def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
-    """M(d_j, d_{m+j}), j = 1..m, over the last axis (length 2m) of d.
-
-    diag(U) for the Schur check and ``symplectic_diag``, diag(X^T U X)
-    for every Ky Fan frame, a batch of frames in kyfan_search, U a unit
-    form.  The mean's evaluator receives the pairs as 1-D arrays whatever
-    the batch shape.  Every library call evaluates means here, so a spec
-    that is not built in is vetted here, once per spec (see ``MeanSpec``)."""
-    if mean._refusal is not None:
-        raise DomainError(mean._refusal)
-    _check_arguments(d)
-    m = d.shape[-1] // 2
-    a, b = d[..., :m].ravel(), d[..., m:].ravel()
-    out = _evaluate(mean, a, b, a.shape)
-    return out.reshape(d.shape[:-1] + (m,))
 
 
 def symplectic_diag(A, mean: MeanSpec) -> np.ndarray:

@@ -224,7 +224,7 @@ def _form_check(X: np.ndarray, tol: float) -> tuple[bool, float, float]:
     A non-finite residual fails; the relative residual is
     residual / max(1, ||X||_F^2).
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     k = X.shape[1] // 2
     m = math.frexp(max(1.0, _pow2_scale(np.abs(X).max())))[1] - 1  # c = 2^m
     if m < 240:
@@ -309,6 +309,7 @@ def s_pinching(A, partition: Sequence[int]) -> np.ndarray:
 def _require_frame(X: np.ndarray, tol: float) -> None:
     """``is_symplectic``'s verdict on a finite float 2n-by-2k X, raised as
     DomainError."""
+    tol = _check_tol(tol)
     ok, res, rel = _form_check(X, tol)
     if not ok:
         raise DomainError(

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from sympectra import (DomainError, KyFanResult, KyFanSearchReport,
                        MajorizationReport, SchurCheckReport, SymplecticCheck,
-                       WilliamsonFactorization, horn_symplectic_realize,
-                       kyfan_minimizer, kyfan_objective, kyfan_search,
-                       random_pd, schur_check, symplectic_diag)
+                       SympectraError, WilliamsonFactorization,
+                       horn_symplectic_realize, kyfan_minimizer,
+                       kyfan_objective, kyfan_search, means, random_pd,
+                       random_symplectic, schur_check, symplectic_diag)
 from sympectra.means import (AxiomResult, ValidationReport, arithmetic_mean,
-                             custom_mean, evaluate_pairs, geometric_mean,
-                             harmonic_mean, max_mean, min_mean, parse_mean,
-                             power_mean, validate_mean_axioms)
+                             custom_mean, geometric_mean, harmonic_mean,
+                             max_mean, min_mean, parse_mean, power_mean,
+                             validate_mean_axioms)
 
 BUILTIN_NAMES = ["arithmetic", "geometric", "harmonic", "min", "max"]
 
@@ -35,11 +36,11 @@ def test_parse_builtin_names():
 def test_parse_power_grammar():
     m = parse_mean("power:2")
     assert m.name == "power:2"
-    assert evaluate_pairs(m, 2.0, 8.0) == pytest.approx(np.sqrt(34.0))
+    assert m.evaluator(2.0, 8.0) == pytest.approx(np.sqrt(34.0))
     assert parse_mean("power:-1.5").exponent == -1.5
     # exponent zero is the geometric mean
     m0 = parse_mean("power:0")
-    assert evaluate_pairs(m0, 2.0, 8.0) == pytest.approx(4.0)
+    assert m0.evaluator(2.0, 8.0) == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("bad", ["", "quadratic", "power:", "power:abc",
@@ -50,38 +51,11 @@ def test_parse_rejects_garbage(bad):
 
 
 def test_evaluate_known_values():
-    assert evaluate_pairs(arithmetic_mean(), 2.0, 8.0) == 5.0
-    assert evaluate_pairs(geometric_mean(), 2.0, 8.0) == pytest.approx(4.0)
-    assert evaluate_pairs(harmonic_mean(), 2.0, 8.0) == pytest.approx(3.2)
-    assert evaluate_pairs(min_mean(), 2.0, 8.0) == 2.0
-    assert evaluate_pairs(max_mean(), 2.0, 8.0) == 8.0
-
-
-@pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0)])
-def test_evaluate_requires_positive(a, b):
-    with pytest.raises(DomainError):
-        evaluate_pairs(geometric_mean(), a, b)
-
-
-@pytest.mark.parametrize("a,b", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
-def test_evaluate_rejects_nan(a, b):
-    with pytest.raises(DomainError, match="strictly positive"):
-        evaluate_pairs(geometric_mean(), a, b)
-    with pytest.raises(DomainError, match="strictly positive"):
-        evaluate_pairs(arithmetic_mean(), [2.0, a], [3.0, b])
-
-
-@pytest.mark.parametrize("a,b", [(np.inf, 1.0), (1.0, np.inf), (np.inf, np.inf),
-                                 (-np.inf, 1.0)])
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ["power:2", "power:-3"])
-def test_evaluate_rejects_infinite_arguments(name, a, b):
-    # inf is positive, so a positivity test alone admits it, and the means'
-    # values there are inf, finite limits such as the harmonic 2.0 at
-    # (inf, 1), or NaN with a warning at (inf, inf).
-    with pytest.raises(DomainError, match="strictly positive"):
-        evaluate_pairs(parse_mean(name), a, b)
-    with pytest.raises(DomainError, match="strictly positive"):
-        evaluate_pairs(parse_mean(name), [2.0, a], [3.0, b])
+    assert arithmetic_mean().evaluator(2.0, 8.0) == 5.0
+    assert geometric_mean().evaluator(2.0, 8.0) == pytest.approx(4.0)
+    assert harmonic_mean().evaluator(2.0, 8.0) == pytest.approx(3.2)
+    assert min_mean().evaluator(2.0, 8.0) == 2.0
+    assert max_mean().evaluator(2.0, 8.0) == 8.0
 
 
 def test_equal_factory_calls_give_equal_specs():
@@ -98,25 +72,25 @@ def test_equal_factory_calls_give_equal_specs():
 @given(a=positive, b=positive)
 def test_builtin_axioms_pointwise(a, b):
     for mean in all_builtins():
-        m = evaluate_pairs(mean, a, b)
-        assert m == pytest.approx(evaluate_pairs(mean, b, a))  # symmetry
+        m = mean.evaluator(a, b)
+        assert m == pytest.approx(mean.evaluator(b, a))  # symmetry
         lo, hi = min(a, b), max(a, b)
         assert lo - 1e-12 * hi <= m <= hi * (1 + 1e-12)          # betweenness
         c = 3.7
-        assert evaluate_pairs(mean, c * a, c * b) == pytest.approx(c * m)
+        assert mean.evaluator(c * a, c * b) == pytest.approx(c * m)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(a=positive, b=positive, shift=st.floats(min_value=0, max_value=10))
 def test_builtin_monotonicity(a, b, shift):
     for mean in all_builtins():
-        assert evaluate_pairs(mean, a + shift, b) >= evaluate_pairs(mean, a, b) - 1e-12
+        assert mean.evaluator(a + shift, b) >= mean.evaluator(a, b) - 1e-12
 
 
 def test_equal_arguments_fixed_point():
     for mean in all_builtins():
         for a in (1e-3, 1.0, 37.5, 1e3):
-            assert evaluate_pairs(mean, a, a) == pytest.approx(a, rel=1e-14)
+            assert mean.evaluator(a, a) == pytest.approx(a, rel=1e-14)
 
 
 def test_power_means_increase_with_exponent():
@@ -124,15 +98,15 @@ def test_power_means_increase_with_exponent():
     ps = [-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 5.0]
     for _ in range(50):
         a, b = rng.uniform(0.01, 100.0, size=2)
-        vals = [evaluate_pairs(power_mean(p), a, b) for p in ps]
+        vals = [power_mean(p).evaluator(a, b) for p in ps]
         assert np.all(np.diff(vals) >= -1e-10 * max(a, b))
 
 
 def test_power_mean_extreme_exponent_no_overflow():
     # Factoring out the dominant argument keeps a^p finite.
-    v = evaluate_pairs(power_mean(200.0), 1e3, 1e-3)
+    v = power_mean(200.0).evaluator(1e3, 1e-3)
     assert np.isfinite(v) and v == pytest.approx(1e3 * 0.5 ** (1 / 200.0))
-    v = evaluate_pairs(power_mean(-200.0), 1e3, 1e-3)
+    v = power_mean(-200.0).evaluator(1e3, 1e-3)
     assert np.isfinite(v) and v == pytest.approx(1e-3 * 0.5 ** (-1 / 200.0))
 
 
@@ -141,7 +115,7 @@ def test_power_mean_tends_to_geometric_near_zero(p):
     # At the parent power:1e-20 evaluated as max, power:-1e-20 as min, and
     # power:1e-12 was off by 7.6e-5 at (1, 4).  The exact power mean at
     # (1, 4) is 2 (1 + p ln(4)^2 / 8 + O(p^2)).
-    assert evaluate_pairs(power_mean(p), 1.0, 4.0) == pytest.approx(
+    assert power_mean(p).evaluator(1.0, 4.0) == pytest.approx(
         2.0 * (1.0 + p * math.log(4.0) ** 2 / 8.0), rel=1e-15)
     A = random_pd(2, seed=0)
     np.testing.assert_allclose(symplectic_diag(A, power_mean(p)),
@@ -155,7 +129,7 @@ def test_power_mean_subnormal_exponent_is_geometric(p):
     # gave 1.99993: p ln(4) keeps too few bits.  The exact value is 2 to
     # rounding.  The exponent, name and dominance claim are p's own.
     mean = power_mean(p)
-    assert evaluate_pairs(mean, 1.0, 4.0) == 2.0
+    assert mean.evaluator(1.0, 4.0) == 2.0
     assert mean.exponent == p and mean.name == f"power:{p:g}"
     assert mean.dominates_geometric_claim is (p >= 0)
 
@@ -166,7 +140,7 @@ def test_power_mean_past_the_ratio_range(p):
     # warn (the parent warned for p < 0).  The limits p = +-inf are the
     # max and min means.
     lead = 2.0 ** 600 if p > 0 else 2.0 ** -600
-    got = evaluate_pairs(power_mean(p), [2.0 ** -600, 3.0], [2.0 ** 600, 3.0])
+    got = power_mean(p).evaluator([2.0 ** -600, 3.0], [2.0 ** 600, 3.0])
     np.testing.assert_allclose(got, [lead * 0.5 ** (1.0 / p), 3.0], rtol=1e-15)
 
 
@@ -175,8 +149,8 @@ def test_evaluate_pairs_matches_scalar_loop():
     a = rng.uniform(0.1, 10.0, 40)
     b = rng.uniform(0.1, 10.0, 40)
     for mean in all_builtins():
-        vec = evaluate_pairs(mean, a, b)
-        ref = np.array([evaluate_pairs(mean, ai, bi) for ai, bi in zip(a, b)])
+        vec = means._evaluate(mean, a, b)
+        ref = np.array([mean.evaluator(ai, bi) for ai, bi in zip(a, b)])
         np.testing.assert_allclose(vec, ref, rtol=1e-15)
 
 
@@ -184,7 +158,7 @@ def test_evaluate_pairs_scalar_fallback_for_custom():
     mean = custom_mean(lambda a, b: min(a, b))
     a = np.array([1.0, 4.0, 2.0])
     b = np.array([3.0, 1.0, 2.0])
-    np.testing.assert_allclose(evaluate_pairs(mean, a, b), [1.0, 1.0, 2.0])
+    np.testing.assert_allclose(means._evaluate(mean, a, b), [1.0, 1.0, 2.0])
 
 
 def test_evaluate_pairs_math_sqrt_mean_takes_per_element_path():
@@ -196,7 +170,7 @@ def test_evaluate_pairs_math_sqrt_mean_takes_per_element_path():
 
     a = np.array([1.0, 4.0, 2.0, 9.0])
     b = np.array([4.0, 1.0, 2.0, 1.0])
-    got = evaluate_pairs(custom_mean(heronian), a, b)
+    got = means._evaluate(custom_mean(heronian), a, b)
     np.testing.assert_allclose(got, (a + np.sqrt(a * b) + b) / 3.0, rtol=1e-15)
     # One rejected whole-array attempt, then one call per element.
     assert len(calls) == 1 + a.size
@@ -205,26 +179,6 @@ def test_evaluate_pairs_math_sqrt_mean_takes_per_element_path():
 
 def _scalar_heronian(a, b):
     return (a + math.sqrt(a * b) + b) / 3.0
-
-
-@pytest.mark.parametrize("shape", [(0,), (2, 0)])
-@pytest.mark.parametrize("mean", [geometric_mean(), custom_mean(_scalar_heronian)],
-                         ids=["geometric", "scalar-only"])
-def test_evaluate_pairs_empty_arrays_give_empty_float_array(mean, shape):
-    got = evaluate_pairs(mean, np.empty(shape), np.empty(shape))
-    assert got.shape == shape and got.dtype == np.float64
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-@pytest.mark.parametrize("side", ["a", "b"])
-@pytest.mark.parametrize("mean", [geometric_mean(), custom_mean(_scalar_heronian)],
-                         ids=["geometric", "scalar-only"])
-def test_evaluate_pairs_bad_argument_message(mean, side, bad):
-    good, worse = np.array([2.0, 3.0]), np.array([2.0, bad])
-    a, b = (worse, good) if side == "a" else (good, worse)
-    with pytest.raises(DomainError) as exc:
-        evaluate_pairs(mean, a, b)
-    assert str(exc.value) == "mean arguments must be strictly positive and finite"
 
 
 def test_library_calls_a_scalar_only_mean_once_per_pair():
@@ -248,6 +202,52 @@ def test_library_calls_a_scalar_only_mean_once_per_pair():
     assert all(type(x) is float and type(y) is float for x, y in calls[1:])
 
 
+def test_library_hands_the_evaluator_positive_finite_arguments(monkeypatch):
+    # No argument check guards the evaluator: every caller of _diag_m has
+    # shown its values positive and finite first (its docstring says how).
+    # A spy on the one core holds every entry point to that, at scales
+    # 2^+-900, near the definiteness floor and on far-field frames.
+    seen = []
+    evaluate = means._evaluate
+
+    def spy(mean, a, b):
+        seen.append(np.concatenate([np.ravel(a), np.ravel(b)]))
+        return evaluate(mean, a, b)
+
+    monkeypatch.setattr(means, "_evaluate", spy)
+    Q = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
+    near_floor = (Q * np.geomspace(1e-12, 1.0, 4)) @ Q.T
+    matrices = [random_pd(2, seed=1), 0.5 * (near_floor + near_floor.T),
+                np.diag([1.0, 1e-12, 1.0, 1.0])]
+    # Euler-form frames: the search's far-field spread, and squeezes 2^+-500
+    # and 2^+-600, whose diag(X^T U X) is in range and past it.
+    frames = [random_symplectic(2, seed=s, spread=2.0)[:, [0, 2]]
+              for s in range(4)]
+    frames += [np.diag([2.0 ** e, 1.0, 2.0 ** -e, 1.0])[:, [0, 2]]
+               for e in (500, 600)]
+    answered = 0
+    for mean in (geometric_mean(), custom_mean(_scalar_heronian)):
+        for e in (-900, 0, 900):
+            x, y = np.ldexp([2.0, 3.0], e), np.ldexp([1.0, 2.0], e)
+            for A in (np.ldexp(M, e) for M in matrices):
+                calls = [lambda: schur_check(A, mean),
+                         lambda: symplectic_diag(A, mean),
+                         lambda: kyfan_minimizer(A, 1, mean),
+                         lambda: kyfan_search(A, 2, mean, budget=64, seed=e),
+                         lambda: horn_symplectic_realize(x, y, mean)]
+                calls += [lambda X=X: kyfan_objective(A, X, mean)
+                          for X in frames]
+                for call in calls:
+                    try:
+                        call()
+                        answered += 1
+                    except SympectraError:
+                        pass
+    assert answered >= 100 and len(seen) >= answered
+    for v in seen:
+        assert v.size and v.min() > 0 and v.max() < np.inf
+
+
 def test_evaluate_pairs_propagates_other_evaluator_errors():
     # A bug on the array path must surface, not be retried per element.
     def broken(a, b):
@@ -256,16 +256,8 @@ def test_evaluate_pairs_propagates_other_evaluator_errors():
         return 0.5 * (a + b)
 
     with pytest.raises(RuntimeError, match="evaluator bug"):
-        evaluate_pairs(custom_mean(broken), np.array([1.0, 2.0]),
-                       np.array([3.0, 4.0]))
-
-
-def test_evaluate_pairs_rejects_shapes_that_do_not_broadcast():
-    for mean in (geometric_mean(), custom_mean(lambda a, b: 0.5 * (a + b))):
-        with pytest.raises(DomainError, match=r"\(2,\) and \(3,\)"):
-            evaluate_pairs(mean, [1.0, 2.0], [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(evaluate_pairs(geometric_mean(), [[1.0], [4.0]],
-                                              [1.0, 4.0]), [[1, 2], [2, 4]])
+        means._evaluate(custom_mean(broken), np.array([1.0, 2.0]),
+                        np.array([3.0, 4.0]))
 
 
 def test_validate_axioms_passes_builtins():
@@ -357,8 +349,8 @@ def test_builtin_means_homogeneous_across_double_range(c):
     a = 10.0 ** rng.uniform(-3, 3, 200)
     b = 10.0 ** rng.uniform(-3, 3, 200)
     for mean in all_builtins() + [power_mean(0.0), power_mean(-3.0)]:
-        got = evaluate_pairs(mean, c * a, c * b)
-        want = c * evaluate_pairs(mean, a, b)
+        got = mean.evaluator(c * a, c * b)
+        want = c * mean.evaluator(a, b)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), mean.name
 
 

@@ -154,6 +154,19 @@ def test_a_refusal_at_a_tighter_tol_follows_a_success(call):
     call(A)
 
 
+@pytest.mark.parametrize("tol, same", [(1e-8, np.float64(1e-8)), (1.0, 1)],
+                         ids=["float64", "int"])
+def test_a_tol_with_the_same_double_reuses_the_entry(monkeypatch, tol, same):
+    # tol is read once, as a float, so the entry's key holds that float;
+    # at the parent a tol of another type never matched and factored again.
+    A = random_pd(4, seed=9)
+    monkeypatch.setattr(spectral, "_LAST", None)
+    want = [_bits(symplectic_eigenvalues(A, tol)), _bits(williamson(A, tol))]
+    monkeypatch.setattr(np.linalg, "cholesky", None)  # a factoring call fails
+    assert [_bits(symplectic_eigenvalues(A, same)),
+            _bits(williamson(A, same))] == want
+
+
 @pytest.mark.parametrize("n, seed, tol, refused", [
     (1, 0, 1e-300, "williamson"), (8, 2, 1e-15, "eig")])
 def test_a_refusal_on_one_route_leaves_the_other_cold(monkeypatch, n, seed,

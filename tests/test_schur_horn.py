@@ -253,6 +253,16 @@ def test_realize_names_the_stage_of_inner_numerical_errors(monkeypatch, name,
         horn_symplectic_realize(x, y, geometric_mean())
 
 
+def test_realize_refuses_a_diagonal_off_target_at_diag(monkeypatch):
+    # The realized diag_M, scaled by 1 + 1e-6, misses x past tol = 1e-8.
+    diag_m = sympectra.schur_horn._diag_m
+    monkeypatch.setattr(sympectra.schur_horn, "_diag_m",
+                        lambda d, mean: diag_m(d, mean) * (1.0 + 1e-6))
+    with pytest.raises(NumericalError, match=(
+            "^stage 'diag': realized symplectic diagonal off by")):
+        horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], geometric_mean())
+
+
 def test_realize_rejects_bad_inputs():
     with pytest.raises(DomainError):
         horn_symplectic_realize([1.0, 2.0], [0.5, 3.0], geometric_mean())
@@ -449,14 +459,18 @@ def test_replaced_spec_is_vetted():
 
 
 def test_factory_specs_evaluate_no_grid(monkeypatch):
-    # The vet's grid goes through means.evaluate_pairs; the entry points'
-    # own values do not.  Built-in specs skip the vet, a custom one takes
-    # it once: three grid evaluations.
+    # The vet and the entry points evaluate through means._evaluate, the
+    # vet on its 10 000-point grid.  Built-in specs skip the vet, a custom
+    # one takes it once: three grid evaluations.
     grid = []
-    evaluate = sympectra.means.evaluate_pairs
-    monkeypatch.setattr(sympectra.means, "evaluate_pairs",
-                        lambda mean, a, b: grid.append(np.size(a))
-                        or evaluate(mean, a, b))
+    evaluate = sympectra.means._evaluate
+
+    def spy(mean, a, b):
+        if np.size(a) == 10_000:
+            grid.append(np.size(a))
+        return evaluate(mean, a, b)
+
+    monkeypatch.setattr(sympectra.means, "_evaluate", spy)
     specs = [parse_mean(name) for name in
              ("arithmetic", "geometric", "harmonic", "min", "max", "power:2")]
     for mean in specs + [power_mean(-3.0), power_mean(0.0)]:
@@ -541,6 +555,20 @@ def test_kyfan_objective_range_failure_is_numerical(big, small):
     for mean in (geometric_mean(), parse_mean("harmonic"), parse_mean("power:2")):
         with pytest.raises(NumericalError, match="out of range"):
             kyfan_objective(random_pd(2, seed=1), X, mean)
+
+
+def test_kyfan_objective_sum_past_the_double_range_raises_no_warning():
+    # X = diag(a, a, 1/a, 1/a), a^2 = 1.2e308, is a frame with residual 0.
+    # Both max-mean values are in range and their sum is not: at the
+    # parent the sum's overflow warning came before this NumericalError.
+    a = math.sqrt(1.2e308)
+    X = np.diag([a, a, 1.0 / a, 1.0 / a])
+    assert is_symplectic(X).residual == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match="^Ky Fan objective is not finite$"):
+            kyfan_objective(np.eye(4), X, max_mean())
 
 
 @pytest.mark.parametrize("name", ["arithmetic", "geometric", "harmonic", "min",

@@ -338,9 +338,9 @@ def test_realization_rejects_as_validate_pd(monkeypatch):
     seen = []
     factored = schur_horn._factored
 
-    def spy(M, c, tol):
+    def spy(M, c):
         seen.append(np.array(M))
-        return factored(M, c, tol)
+        return factored(M, c)
 
     monkeypatch.setattr(schur_horn, "_factored", spy)
     outcomes = set()

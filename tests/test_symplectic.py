@@ -7,7 +7,7 @@ import scipy.linalg
 from sympectra import DomainError, NumericalError, symplectic
 from sympectra.majorization import (intermediate_vector, majorize,
                                     weak_supermajorize)
-from sympectra.means import evaluate_pairs, geometric_mean
+from sympectra.means import geometric_mean
 from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_objective, kyfan_search, schur_check)
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
@@ -448,17 +448,12 @@ ARRAY_CALLS = {
         "horn_symplectic_realize": lambda x: horn_symplectic_realize(
             x, [1.0, 2.0], _G),
     },
-    "mean argument": {
-        "evaluate_pairs": lambda a: evaluate_pairs(_G, a, 1.0),
-    },
 }
-_GOOD_ARRAYS = {"matrix": _A2, "frame": _F, "vector": [2.0, 2.0],
-                "mean argument": [2.0, 2.0]}
+_GOOD_ARRAYS = {"matrix": _A2, "frame": _F, "vector": [2.0, 2.0]}
 _BAD_ARRAYS = {
     "matrix": ([[1.0, 0.0], [0.0]], [[1.0, "a"], [0.0, 1.0]]),
     "frame": ([[1.0, 0.0], [0.0]], [[1.0, "a"], [0.0, 1.0]]),
     "vector": ([[2.0], [2.0, 1.0]], [2.0, "a"]),
-    "mean argument": ([[2.0], [2.0, 1.0]], [2.0, "a"]),
 }
 
 

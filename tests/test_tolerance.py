@@ -4,6 +4,7 @@ so answers are homogeneous across the double range, and every public
 
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,3 +318,13 @@ def test_every_public_tol_is_checked(name):
                 np.array([1e-8, 1e-8])):
         with pytest.raises(DomainError, match="tolerance must be positive"):
             TOL_CALLS[name](bad)
+
+
+def test_a_fraction_tol_is_read_as_its_double():
+    # At the parent the check admitted the Fraction, and every message that
+    # prints tol then raised TypeError ("unsupported format string passed
+    # to Fraction.__format__").
+    A = random_pd(4, seed=9)
+    for call in (symplectic_eigenvalues, williamson):
+        with pytest.raises(NumericalError, match=r"exceeding 1\.0e-300$"):
+            call(A, tol=Fraction(1, 10 ** 300))
