@@ -141,8 +141,10 @@ def _intermediate(x0: np.ndarray, y0: np.ndarray, scale: float,
     return np.minimum(x0, scale * c)
 
 
-def _horn_realize(z: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    """Orthogonal U with diag(U diag(y) U^T) = z and spectrum y.
+def _horn_realize(z: np.ndarray, y: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, float]:
+    """Orthogonal U with diag(U diag(y) U^T) = z and spectrum y, and the
+    computed ||U^T U - I||_F of its orthogonality check.
 
     For a unit pair of float vectors already known to satisfy z majorized
     by y at ``tol``; the orthogonality and diagonal checks still run.
@@ -207,4 +209,4 @@ def _horn_realize(z: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
         raise NumericalError(
             "diagonal realization failed verification "
             f"(orthogonality {ortho:.3e}, diagonal error {diag_err:.3e})")
-    return U
+    return U, ortho

@@ -10,7 +10,8 @@ Three capabilities built on the spectral and majorization layers:
   spectrum through an intermediate majorized vector z, an orthogonal
   diagonal realization C with diagonal z, and the closed-form symplectic
   congruence of C (+) C that scales each diagonal pair (z_j, z_j) up to
-  (x_j, x_j).
+  (x_j, x_j).  The spectrum is proved from the construction's own
+  Williamson factor, with no eigensolver.
 * Ky Fan minimum principle: the ascending k-partial sum of symplectic
   eigenvalues equals the minimum of sum_j M(b_jj, b_{k+j,k+j}) over
   B = X^T A X with X a symplectic frame; exact minimizer from the
@@ -28,10 +29,10 @@ from .majorization import (MAJORIZATION_TOL, MajorizationReport,
                            _horn_realize, _intermediate, _read_pair,
                            _report)
 from .means import MeanSpec, _diag_m
-from .spectral import (_check_definite, _delta, _factor, _factored,
-                       _symmetrized, _williamson)
+from .spectral import (_PAIR_FLOOR, _PD_TOL, _check_definite, _delta,
+                       _factor, _factored, _symmetrized, _williamson)
 from .symplectic import (DEFAULT_TOL, _as_frame, _as_square_even, _count,
-                         _euler_frames, _in_units, _require_frame, _rng)
+                         _euler_frames, _fro, _in_units, _require_frame, _rng)
 
 __all__ = [
     "SchurCheckReport",
@@ -51,6 +52,9 @@ _SEARCH_SPREADS = (0.1, 0.5, 1.0, 2.0)
 # Entries of the n-by-n unitaries in one batch of a search's frames, so
 # that memory does not grow with the budget.
 _BATCH_ENTRIES = 2 ** 16
+# The unit roundoff of a double, and its smallest subnormal.
+_UNIT = 2.0 ** -53
+_SUBNORMAL = 2.0 ** -1074
 
 
 class SchurCheckReport(NamedTuple):
@@ -97,12 +101,12 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
 
     1. z = intermediate_vector(x, y): x capped at a level c > 0, so
        0 < z <= x, and z majorized by y.
-    2. U = orthogonal realization of diagonal z with spectrum y;
-       C = U diag(y) U^T, so B = C (+) C (block diagonal) has symplectic
+    2. Q = orthogonal realization of diagonal z with spectrum y;
+       C = Q diag(y) Q^T, so B = C (+) C (block diagonal) has symplectic
        spectrum y and symplectic diagonal entries (z_j, z_j).
-    3. For the ratios t = x / z, W = [[diag p, 0], [diag r, diag s]] with
+    3. For the ratios t = x / z, S = [[diag p, 0], [diag r, diag s]] with
        p = sqrt(t), r = sqrt(t - 1/t), s = 1/p is symplectic, and
-       A = W B W^T is the block matrix [[pp^T o C, pr^T o C],
+       A = S B S^T is the block matrix [[pp^T o C, pr^T o C],
        [rp^T o C, (rr^T + ss^T) o C]] (o the entrywise product), formed
        directly and exactly symmetric.  Congruence preserves delta, and
        each diagonal pair becomes (t_j z_j, t_j z_j) = (x_j, x_j), so
@@ -115,14 +119,28 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     ``majorization``, and the result is c times that A.  Every later
     stage is re-verified, and each NumericalError starts with
     ``stage '<name>'``, one of 'givens' (the realization of z),
-    'assemble' (A not positive definite, or out of range: z is subnormal,
-    or c A's diagonal overflows or is subnormal), 'spectrum' and 'diag'.
-    Admissibility and the Givens check hold their sums against
-    ``MAJORIZATION_TOL``; ``tol`` governs the last three stages.  The
-    realized matrix's conditioning grows like (x/z)^2, so targets with
-    large x/z are refused at 'spectrum': at x = [1e6, 1e6], y = [1, 2]
-    the exact symplectic eigenvalues of the matrix formed in doubles
-    miss y by 1.1e-4, 5.4e-5 of max y.
+    'assemble' (A not positive definite, with c A's eigenvalue range, or
+    out of range: z is subnormal, or c A's diagonal overflows or is
+    subnormal), 'spectrum' and 'diag'.  Admissibility and the Givens
+    check hold their sums against ``MAJORIZATION_TOL``; ``tol`` governs
+    the last three stages.
+
+    The spectrum is proved from A's own Williamson factor W = S (Q (+) Q),
+    with D = diag(y), and no decomposition: ``_spectrum_bound`` bounds
+    max_j |delta_j(A) - y_j| by ||W_0||_2^2 ||A - W_0 (D (+) D) W_0^T||_2
+    for an exactly symplectic W_0 near W (Bhatia and Jain, J. Math. Phys.
+    56 (2015): delta is monotone under the Loewner order and invariant
+    under symplectic congruence).  A bound <= tol max y, with y_min above
+    ``spectral``'s pairing floor, accepts.  Weyl's inequality on the same
+    perturbation bounds A's eigenvalues, and certifies the definiteness
+    floor with ``spectral``'s factor 100 to spare; otherwise the exact
+    floor check (``_check_definite``) decides it.  Where the bound cannot
+    decide, A's spectrum is solved as ``symplectic_eigenvalues`` solves
+    it and held to tol max y.  The realized matrix's conditioning grows
+    like (x/z)^2, and ||W||_2^2 with it, so targets with large x/z fall
+    to that solve, and those past it are refused at 'spectrum': at
+    x = [1e6, 1e6], y = [1, 2] the exact symplectic eigenvalues of the
+    matrix formed in doubles miss y by 1.1e-4, 5.4e-5 of max y.
     """
     tol = _check_tol(tol)
     x, y, c = _read_pair(x, y)
@@ -135,10 +153,10 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     # The private form skips only its precondition: z majorized by y is the
     # intermediate vector's own admissibility check.
     try:
-        U = _horn_realize(z, y, MAJORIZATION_TOL)
+        Q, ortho = _horn_realize(z, y, MAJORIZATION_TOL)
     except NumericalError as exc:
         raise NumericalError(f"stage 'givens': {exc}") from exc
-    C = (U * y) @ U.T
+    C = (Q * y) @ Q.T
     C = 0.5 * (C + C.T)
 
     # z = x capped at a level > 0, so z <= x exactly, and x / z >= 1 by
@@ -147,18 +165,25 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     p = np.sqrt(t)
     r = np.sqrt(t - 1.0 / t)
     s = 1.0 / p
-    # Each n-by-n block of T = uu^T + (0 oplus ss^T), u = [p; r], times C.
     n = x.shape[0]
-    u = np.concatenate([p, r])
-    T = u[:, None] * u
-    T[n:, n:] += s[:, None] * s
-    A = (T.reshape(2, n, 2, n) * C[:, None, :]).reshape(2 * n, 2 * n)
+    A = (_congruence_blocks(p, r, s).reshape(2, n, 2, n)
+         * C[:, None, :]).reshape(2 * n, 2 * n)
 
+    ys = np.sort(y)
+    bound, lo, hi = _spectrum_bound(A, Q, ortho, p, r, s, y)
+    proved = (ys[0] > _PAIR_FLOOR * ys[-1] and bound <= tol * ys[-1]
+              and bound < ys[0])
+    got_d = None
     # A is exactly symmetric (T and C are), so it is the matrix verified,
-    # by the delta route below the reuse entry: no later call reads A.
+    # below the reuse entry: no later call reads A.
     try:
-        U, scale, fro, _, K = _factored(*_as_square_even(A))
-        got_d = _in_units(scale, _factor(U, scale, fro, K, tol, False)[0])
+        if not lo > 100.0 * _PD_TOL * hi:  # NaN fails too
+            U, scale, _ = _symmetrized(*_as_square_even(A))
+            _check_definite(U, c * scale)
+        if not proved:
+            U, scale, fro, _, K = _factored(*_as_square_even(A))
+            got_d = _in_units(scale, _factor(U, c * scale, fro, K, tol,
+                                             False)[0])
     except DomainError as exc:
         # The matrix reader's every message starts with its subject, "matrix".
         raise NumericalError(f"stage 'assemble': realized {exc}") from exc
@@ -170,15 +195,97 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
         raise NumericalError(
             f"stage 'diag': realized symplectic diagonal off by "
             f"{c * float(err):.3e}")
-    ys = np.sort(y)
-    err = np.abs(got_d - ys).max()
-    if not err <= tol * ys[-1]:
-        raise NumericalError(
-            f"stage 'spectrum': realized symplectic eigenvalues off by "
-            f"{c * float(err):.3e}")
+    if got_d is not None:
+        err = np.abs(got_d - ys).max()
+        if not err <= tol * ys[-1]:
+            raise NumericalError(
+                f"stage 'spectrum': realized symplectic eigenvalues off by "
+                f"{c * float(err):.3e}")
     # |a_ij| <= sqrt(a_ii a_jj), so A's diagonal bounds every entry's range.
     _in_units(c, diag, "stage 'assemble': realized matrix")
     return c * A
+
+
+def _congruence_blocks(p, r, s) -> np.ndarray:
+    """T = uu^T + (0 oplus ss^T), u = [p; r]: A = S (C oplus C) S^T for
+    S = [[diag p, 0], [diag r, diag s]] is T times C tiled 2-by-2,
+    entrywise."""
+    u = np.concatenate([p, r])
+    T = u[:, None] * u
+    n = p.shape[0]
+    T[n:, n:] += s[:, None] * s
+    return T
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53: |fl(v) - v| <= gamma_k |v| for
+    a value v of nonnegative terms formed through k roundings (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1)."""
+    return k * _UNIT / (1.0 - k * _UNIT)
+
+
+def _spectrum_bound(A, Q, ortho, p, r, s, y):
+    """(bound, lo, hi) for the realization A = S (C oplus C) S^T of
+    ``horn_symplectic_realize`` on its unit pair: when bound < min y,
+    |delta_j(A) - y_j| <= bound for y ascending, and always
+    lo <= lambda_min(A) and lambda_max(A) <= hi.
+
+    W = S (Q oplus Q) is formed entrywise from the doubles p, r, s and Q,
+    and E = A - (W d) W^T by one product, d = [y; y]: no step shares A's
+    assembly.  A is the stored matrix, so the rounding of forming it is
+    inside E.  With Lambda = diag(d), the ingredients of
+    ||A - W_0 Lambda W_0^T||_2 <= eps for an exactly symplectic W_0:
+
+    - ||E||_F / (1 - u), for the rounding of the subtraction;
+    - the product's rounding gamma_{2n+3} || |W| Lambda |W|^T ||_2 <=
+      gamma_{2n+3} f / (1 - u)^2, f = sum_ij w_ij^2 d_j (three roundings
+      form each term: W's entry, its multiple of d and the product), plus
+      an allowance 8 n^2 2^-1074 (1 + w)(1 + 2 max y) for underflow;
+    - Q's defect: ||Q - O||_2 <= ||Q^T Q - I||_2 <= omega for the polar
+      factor O of Q, where omega = ortho + 2n gamma_n is the Givens check's
+      ||Q^T Q - I||_F plus the rounding of its product.  Replacing Q by O
+      moves the product by at most w^2 omega (2 + omega) max y, for
+      w = ||S||_2 = max_j ||[[p_j, 0], [r_j, s_j]]||_2 in closed form;
+    - s = fl(1/p): p_j s_j = 1 + theta_j with |theta_j| <= u, so S_0 =
+      [[diag p, 0], [diag r, diag(1/p)]] is exactly symplectic and
+      ||S - S_0||_2 <= sigma = gamma_1 max s, which moves the product by
+      at most sigma (2w + sigma) max y.
+
+    W_0 = S_0 (O oplus O) is then symplectic with ||W_0||_2 <= w + sigma,
+    and ||W_0^-1||_2 = ||W_0||_2, so eps I <= tau W_0 W_0^T for
+    tau = ||W_0||_2^2 eps.  Hence W_0 ((D - tau) oplus (D - tau)) W_0^T
+    <= A <= W_0 ((D + tau) oplus (D + tau)) W_0^T, and monotonicity of
+    delta gives |delta_j(A) - y_j| <= tau once tau < min y (the lower
+    matrix is then positive definite, and so is A).  Weyl's inequality
+    gives lo = min y / ||W_0||_2^2 - eps and hi = max y ||W_0||_2^2 + eps.
+    Each input to these formulas is a double formed exactly or in fewer
+    than 10 n^2 + 256 roundings in all (the sums of squares in ||E||_F,
+    f and the Givens check are most of them), each a relative error of
+    at most u.  So the computed bound, lo and hi are taken with the
+    factor g = 1 + gamma_{10 n^2 + 256} against them.
+    """
+    n = y.shape[0]
+    W = np.zeros((2 * n, 2 * n))
+    W[:n, :n] = p[:, None] * Q
+    W[n:, :n] = r[:, None] * Q
+    W[n:, n:] = s[:, None] * Q
+    Wd = W * np.concatenate([y, y])
+    e = _fro(A - Wd @ W.T)
+    f = float(np.vdot(W, Wd))
+    ymax = float(y.max())
+    # The larger singular value of [[a, 0], [b, d]] is
+    # (hypot(a + d, b) + hypot(a - d, b)) / 2.
+    w = 0.5 * float((np.hypot(p + s, r) + np.hypot(p - s, r)).max())
+    sigma = _gamma(1) * float(s.max())
+    omega = ortho + 2 * n * _gamma(n)
+    eps = (e * (1.0 + _gamma(1)) + _gamma(2 * n + 3) * f * (1.0 + _gamma(2))
+           + 8 * n * n * _SUBNORMAL * (1.0 + w) * (1.0 + 2.0 * ymax)
+           + w * w * omega * (2.0 + omega) * ymax
+           + sigma * (2.0 * w + sigma) * ymax)
+    g = 1.0 + _gamma(10 * n * n + 256)
+    w0 = (w + sigma) * (w + sigma)  # a product, so an overflow reads inf
+    return (g * w0 * eps, float(y.min()) / (g * w0) - g * eps,
+            g * (ymax * w0 + eps))
 
 
 class KyFanResult(NamedTuple):

@@ -359,8 +359,8 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     DomainError
         If X fails the frame residual check.
     NumericalError
-        If the assembled W fails its own symplecticity check (a skew form
-        numerically degenerate on the complement ends there too).
+        If the complement's skew form has a +half eigenvalue that is not
+        positive, or the assembled W fails its own symplecticity check.
     """
     X = _as_frame(X)
     _require_frame(X, tol)
@@ -374,6 +374,13 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     Q = np.eye(2 * n) + np.hstack([-M[:, n:], M[:, :n]])
     B = np.linalg.svd(Q)[0][:, :2 * m]
     ev, V = _skew_eigh(_skew(B))
+    # A J-orthogonal complement carries a nondegenerate skew form; one
+    # that is degenerate on B (an input that passed the frame check only
+    # through its relative residual) ends here, before D^(-1/2) divides.
+    if not ev[m] > 0:  # NaN fails too
+        raise NumericalError(
+            "symplectic completion failed: the complement's skew form is "
+            f"degenerate (smallest +half eigenvalue {ev[m]:.3e})")
     Y = _symplectic_basis(B, V, ev[m:])
     W = np.hstack([X[:, :k], Y[:, :m], X[:, k:], Y[:, m:]])
     ok, res, _ = _form_check(W, tol)

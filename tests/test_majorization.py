@@ -19,7 +19,7 @@ def givens_chain(z, y, tol=MAJORIZATION_TOL):
     """The realization's Givens chain, run as the realization runs it: on
     the unit pair of z and y.  U is orthogonal, so it has no units."""
     z, y, c = _read_pair(z, y)
-    return _horn_realize(z / c, y / c, tol)
+    return _horn_realize(z / c, y / c, tol)[0]
 
 
 def admissible_pair(rng, n, noise=1.0):

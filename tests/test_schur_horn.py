@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
 from sympectra.spectral import symplectic_diag, symplectic_eigenvalues, williamson
 from sympectra.symplectic import (complete_to_symplectic, is_symplectic,
                                   random_pd, random_symplectic, standard_J)
+
+from exact import exact_delta
 
 DOMINATING = [arithmetic_mean(), geometric_mean(), parse_mean("power:2"),
               max_mean()]
@@ -286,6 +289,90 @@ def test_realize_refuses_large_ratios_at_spectrum():
                                rtol=0, atol=1e-8 * 1e4)
     with pytest.raises(NumericalError, match="^stage 'spectrum'"):
         horn_symplectic_realize([1e6, 1e6], [1.0, 2.0], mean)
+
+
+def _spy_bounds(monkeypatch):
+    """The (bound, lo, hi) of every spectrum bound a realization takes,
+    with the unit-pair y it was taken against."""
+    seen = []
+    spectrum_bound = sympectra.schur_horn._spectrum_bound
+
+    def spy(A, Q, ortho, p, r, s, y):
+        out = spectrum_bound(A, Q, ortho, p, r, s, y)
+        seen.append((out, y.copy()))
+        return out
+    monkeypatch.setattr(sympectra.schur_horn, "_spectrum_bound", spy)
+    return seen
+
+
+def test_realize_spectrum_bound_holds_against_the_exact_delta(monkeypatch):
+    # At n <= 2 the exact delta of each returned matrix, from its doubles,
+    # lies within c times the stated bound of sorted y, c the pair's power
+    # of two; x/z up to 1e3 makes the bound large enough to be tested.
+    seen = _spy_bounds(monkeypatch)
+    rng = np.random.default_rng(61)
+    proved = checked = 0
+    for i in range(60):
+        x, y = admissible_pair(rng, int(rng.integers(1, 3)))
+        if i % 3 == 0:
+            x = x * 10.0 ** rng.uniform(0.0, 3.0, size=x.shape)
+        for e in (-1000, -40, 0, 40, 1000):
+            seen.clear()
+            xe, ye = np.ldexp(x, e), np.ldexp(y, e)
+            A = horn_symplectic_realize(xe, ye, geometric_mean())
+            (bound, lo, hi), yu = seen[0]
+            c = sympectra.majorization._read_pair(xe, ye)[2]
+            ys = np.sort(yu)
+            if not bound < ys[0]:
+                continue
+            checked += 1
+            proved += bound <= 1e-8 * ys[-1]
+            for d, want in zip(exact_delta(A), ys):
+                assert abs(d - Decimal(c) * Decimal(want)) <= (
+                    Decimal(c) * Decimal(bound))
+            lam = np.linalg.eigvalsh(A / c)
+            assert lo <= lam[0] and lam[-1] <= hi
+    assert proved == checked == 300
+
+
+def test_realize_refuses_a_wrong_block_at_spectrum(monkeypatch):
+    # The bound takes A against W (D oplus D) W^T formed from p, r, s and Q,
+    # not from A's blocks, so an off-diagonal block pair off by 1e-6 is not
+    # proved, and the solve refuses it.
+    blocks = sympectra.schur_horn._congruence_blocks
+
+    def wrong(p, r, s):
+        T = blocks(p, r, s)
+        n = p.shape[0]
+        T[:n, n:] *= 1.0 + 1e-6
+        T[n:, :n] *= 1.0 + 1e-6
+        return T
+    seen = _spy_bounds(monkeypatch)
+    for x, y in (([2.0, 3.0], [1.0, 2.0]),
+                 (np.linspace(2.0, 5.0, 16), np.linspace(1.0, 4.0, 16))):
+        horn_symplectic_realize(x, y, geometric_mean())
+        (bound, _, _), yu = seen[-1]
+        assert bound <= 1e-10 * yu.max()
+        monkeypatch.setattr(sympectra.schur_horn, "_congruence_blocks", wrong)
+        with pytest.raises(NumericalError, match=(
+                "^stage 'spectrum': realized symplectic eigenvalues off by")):
+            horn_symplectic_realize(x, y, geometric_mean())
+        (bound, _, _), yu = seen[-1]
+        assert bound > 1e-8 * yu.max()
+        monkeypatch.setattr(sympectra.schur_horn, "_congruence_blocks", blocks)
+
+
+def test_realize_assemble_reports_the_returned_matrix_range():
+    # x = [1000, 1000] runs on the unit pair x / 512: the refused matrix's
+    # eigenvalue range is 512 times the unit one, up to about 4e3.
+    with pytest.raises(NumericalError) as info:
+        horn_symplectic_realize([1000.0, 1000.0], [1.0, 1e-6],
+                                geometric_mean())
+    found = re.fullmatch(
+        r"stage 'assemble': realized matrix is not positive definite "
+        r"\(eigenvalue range \[(\S+), (\S+)\]\)", str(info.value))
+    assert found, str(info.value)
+    assert 3.9e3 < float(found[2]) < 4.1e3
 
 
 # ------------------------------------------------------------------- Ky Fan

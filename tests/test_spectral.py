@@ -9,9 +9,9 @@ from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_search, schur_check)
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
                                 williamson)
-from sympectra.symplectic import (complete_to_symplectic, expanding_sum,
-                                  is_symplectic, random_pd, random_symplectic,
-                                  standard_J)
+from sympectra.symplectic import (_pow2_scale, complete_to_symplectic,
+                                  expanding_sum, is_symplectic, random_pd,
+                                  random_symplectic, standard_J)
 
 # Reference values computed with the generic nonsymmetric eigensolver on
 # J @ A (positive imaginary parts, sorted), independently of the
@@ -332,17 +332,18 @@ def test_certified_entry_points_reject_as_validate_pd():
 
 
 def test_realization_rejects_as_validate_pd(monkeypatch):
-    # The verification step sees the realized matrix; a spy hands the same
-    # matrix to the exact check of symplectic_diag, whose message the
-    # 'assemble' stage must carry.
+    # The verification step sees the realized matrix on its unit pair; a
+    # spy on the spectrum bound, which every realization reaches, hands c
+    # times that matrix (the one the call returns) to the exact check of
+    # symplectic_diag, whose message the 'assemble' stage must carry.
     seen = []
-    factored = schur_horn._factored
+    spectrum_bound = schur_horn._spectrum_bound
 
-    def spy(M, c):
-        seen.append(np.array(M))
-        return factored(M, c)
+    def spy(A, *args):
+        seen.append(np.array(A))
+        return spectrum_bound(A, *args)
 
-    monkeypatch.setattr(schur_horn, "_factored", spy)
+    monkeypatch.setattr(schur_horn, "_spectrum_bound", spy)
     outcomes = set()
     for k in range(4, 16):
         for t in (1.0, 1e3):
@@ -353,8 +354,9 @@ def test_realization_rejects_as_validate_pd(monkeypatch):
                 got = None
             except NumericalError as exc:
                 got = str(exc)
+            c = _pow2_scale(t)
             expected = _domain_message(
-                lambda: symplectic_diag(seen[0], geometric_mean()))
+                lambda: symplectic_diag(c * seen[0], geometric_mean()))
             if expected is None:
                 assert got is None or "'assemble'" not in got
             else:
@@ -486,8 +488,7 @@ def test_delta_only_calls_take_one_real_svd(monkeypatch):
     mean = geometric_mean()
     for call in (lambda: symplectic_eigenvalues(A),
                  lambda: schur_check(A, mean),
-                 lambda: kyfan_search(A, 2, mean, budget=8),
-                 lambda: horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean)):
+                 lambda: kyfan_search(A, 2, mean, budget=8)):
         calls = _kernel_calls(monkeypatch)
         call()
         assert calls == {"cholesky": 1, "eigvalsh": 0, "eigh": 0, "svd": 1}
@@ -498,6 +499,18 @@ def test_delta_only_calls_take_one_real_svd(monkeypatch):
         calls = _kernel_calls(monkeypatch)
         call()
         assert calls == {"cholesky": cholesky, "eigvalsh": 0, "eigh": 1, "svd": 0}
+    # A realization proves its spectrum from its own Williamson factor: no
+    # decomposition of any kind, real or complex, with or without vectors.
+    seen = []
+    for name in ("cholesky", "eigvalsh", "eigh", "svd"):
+        def refused(*args, _name=name, **kwargs):
+            seen.append(_name)
+            raise AssertionError(f"np.linalg.{_name} called")
+        monkeypatch.setattr(np.linalg, name, refused)
+    horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean)
+    x = np.linspace(1.0, 4.0, 16)
+    horn_symplectic_realize(x + 0.5, x, mean)
+    assert seen == []
 
 
 @pytest.mark.parametrize("first, again", [

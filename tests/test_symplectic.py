@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,16 @@ def test_completion_verification_raises(monkeypatch):
     with pytest.raises(NumericalError,
                        match="^symplectic completion failed verification"):
         complete_to_symplectic(X)
+
+
+def test_completion_refuses_a_degenerate_complement_without_warning():
+    # 1e5 ones passes the frame check through its relative residual (1.41
+    # against tol ||X||_F^2), but the skew form on its complement has a
+    # +half eigenvalue 0: a typed refusal before D^(-1/2) divides by it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="skew form is degenerate"):
+            complete_to_symplectic(1e5 * np.ones((8, 2)))
 
 
 def test_random_symplectic_is_deterministic():
