@@ -277,14 +277,17 @@ def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
     d is not checked: each caller has shown it positive and finite.
     - ``schur_check``: diag(U) of a unit form that passed Cholesky, which
       refuses a pivot <= 0, so every u_jj > 0, and |u_ij| < 2.
-    - The realization's 'diag' stage: diag(A), once A's definiteness
-      is proved by its spectrum bound (which a non-finite A fails) or
-      passes the exact floor check, so every a_jj > 0.
-    - ``symplectic_diag``: diag(U) of a unit form past the exact floor,
-      so u_jj >= lambda_min > 1e-13 lambda_max >= 1e-13.
-    - ``kyfan_objective``, ``kyfan_minimizer`` and ``kyfan_search``:
-      diag(X^T U X) of a frame batch, through ``_objective``, which
-      raises NumericalError unless it is positive and finite."""
+    - The realization's 'diag' stage: diag(A) on the unit pair, once
+      A's definiteness is proved by its spectrum bound (which a
+      non-finite A fails) or c A, the matrix returned, passes the exact
+      floor check of ``spectral._definite``, so every a_jj > 0.
+    - ``symplectic_diag``: diag(U) of a unit form that
+      ``spectral._definite`` read past the exact floor, so
+      u_jj >= lambda_min > 1e-13 lambda_max >= 1e-13.
+    - ``kyfan_objective`` (whose A ``spectral._definite`` reads),
+      ``kyfan_minimizer`` and ``kyfan_search``: diag(X^T U X) of a frame
+      batch, through ``_objective``, which raises NumericalError unless
+      it is positive and finite."""
     if mean._refusal is not None:
         raise DomainError(mean._refusal)
     m = d.shape[-1] // 2

@@ -29,10 +29,9 @@ from .majorization import (MAJORIZATION_TOL, MajorizationReport,
                            _horn_realize, _intermediate, _read_pair,
                            _report)
 from .means import MeanSpec, _diag_m
-from .spectral import (_PAIR_FLOOR, _PD_TOL, _check_definite, _delta,
-                       _factor, _factored, _symmetrized, _williamson)
-from .symplectic import (DEFAULT_TOL, _as_frame, _as_square_even, _count,
-                         _euler_frames, _fro, _in_units, _require_frame, _rng)
+from .spectral import _PAIR_FLOOR, _PD_CERT, _definite, _delta, _williamson
+from .symplectic import (DEFAULT_TOL, _as_frame, _count, _euler_frames, _fro,
+                         _in_units, _require_frame, _rng)
 
 __all__ = [
     "SchurCheckReport",
@@ -120,10 +119,10 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     stage is re-verified, and each NumericalError starts with
     ``stage '<name>'``, one of 'givens' (the realization of z),
     'assemble' (A not positive definite, with c A's eigenvalue range, or
-    out of range: z is subnormal, or c A's diagonal overflows or is
-    subnormal), 'spectrum' and 'diag'.  Admissibility and the Givens
-    check hold their sums against ``MAJORIZATION_TOL``; ``tol`` governs
-    the last three stages.
+    out of range: z is subnormal, z / c underflows so that x / z is not
+    finite, or c A's diagonal overflows or is subnormal), 'spectrum'
+    and 'diag'.  Admissibility and the Givens check hold their sums
+    against ``MAJORIZATION_TOL``; ``tol`` governs the last three stages.
 
     The spectrum is proved from A's own Williamson factor W = S (Q (+) Q),
     with D = diag(y), and no decomposition: ``_spectrum_bound`` bounds
@@ -133,12 +132,16 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     under symplectic congruence).  A bound <= tol max y, with y_min above
     ``spectral``'s pairing floor, accepts.  Weyl's inequality on the same
     perturbation bounds A's eigenvalues, and certifies the definiteness
-    floor with ``spectral``'s factor 100 to spare; otherwise the exact
-    floor check (``_check_definite``) decides it.  Where the bound cannot
-    decide, A's spectrum is solved as ``symplectic_eigenvalues`` solves
-    it and held to tol max y.  The realized matrix's conditioning grows
-    like (x/z)^2, and ||W||_2^2 with it, so targets with large x/z fall
-    to that solve, and those past it are refused at 'spectrum': at
+    floor with ``spectral``'s factor 100 to spare (``_PD_CERT``).  What
+    the bound cannot decide is decided on c A, the matrix returned, once
+    its diagonal has passed the range check: ``spectral._definite`` runs
+    the exact floor check where the certificate fails, and where the
+    spectrum is not proved, ``_delta`` solves it as for
+    ``symplectic_eigenvalues``, through the reuse entry, and it is held
+    to tol max y in the caller's units.  A proved realization neither
+    reads nor replaces that entry.  The realized matrix's conditioning
+    grows like (x/z)^2, and ||W||_2^2 with it, so targets with large x/z
+    fall to that solve, and those past it are refused at 'spectrum': at
     x = [1e6, 1e6], y = [1, 2] the exact symplectic eigenvalues of the
     matrix formed in doubles miss y by 1.1e-4, 5.4e-5 of max y.
     """
@@ -160,8 +163,13 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
     C = 0.5 * (C + C.T)
 
     # z = x capped at a level > 0, so z <= x exactly, and x / z >= 1 by
-    # monotone division and t - 1/t >= 0.
-    t = x / z
+    # monotone division and t - 1/t >= 0.  Where z / c underflows, x / z
+    # is 0/0 or overflows, and A's spectrum spans past any floor.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = x / z
+    if not np.isfinite(t).all():
+        raise NumericalError("stage 'assemble': realized matrix is out of "
+                             "range: x / z underflows on the unit pair")
     p = np.sqrt(t)
     r = np.sqrt(t - 1.0 / t)
     s = 1.0 / p
@@ -171,39 +179,38 @@ def horn_symplectic_realize(x, y, mean: MeanSpec,
 
     ys = np.sort(y)
     bound, lo, hi = _spectrum_bound(A, Q, ortho, p, r, s, y)
-    proved = (ys[0] > _PAIR_FLOOR * ys[-1] and bound <= tol * ys[-1]
-              and bound < ys[0])
+    diag = A.diagonal()
+    # |a_ij| <= sqrt(a_ii a_jj), so A's diagonal bounds every entry's range.
+    _in_units(c, diag, "stage 'assemble': realized matrix")
+    cA = c * A
     got_d = None
-    # A is exactly symmetric (T and C are), so it is the matrix verified,
-    # below the reuse entry: no later call reads A.
+    # What the bound cannot decide is decided on c A, the matrix returned,
+    # by spectral's readers.  c is a power of two, so c A's unit form is
+    # A's, but for entries that c A makes subnormal.
     try:
-        if not lo > 100.0 * _PD_TOL * hi:  # NaN fails too
-            U, scale, _ = _symmetrized(*_as_square_even(A))
-            _check_definite(U, c * scale)
-        if not proved:
-            U, scale, fro, _, K = _factored(*_as_square_even(A))
-            got_d = _in_units(scale, _factor(U, c * scale, fro, K, tol,
-                                             False)[0])
+        if not lo > _PD_CERT * hi:  # NaN fails too
+            _definite(cA)
+        if not (ys[0] > _PAIR_FLOOR * ys[-1] and bound <= tol * ys[-1]
+                and bound < ys[0]):
+            _, scale, d = _delta(cA, tol)
+            got_d = scale * d
     except DomainError as exc:
         # The matrix reader's every message starts with its subject, "matrix".
         raise NumericalError(f"stage 'assemble': realized {exc}") from exc
     except NumericalError as exc:
         raise NumericalError(f"stage 'spectrum': {exc}") from exc
-    diag = A.diagonal()
     err = np.abs(_diag_m(diag, mean) - x).max()
     if not err <= tol * x.max():  # NaN fails too
         raise NumericalError(
             f"stage 'diag': realized symplectic diagonal off by "
             f"{c * float(err):.3e}")
     if got_d is not None:
-        err = np.abs(got_d - ys).max()
-        if not err <= tol * ys[-1]:
+        err = np.abs(got_d - c * ys).max()
+        if not err <= tol * (c * ys[-1]):
             raise NumericalError(
                 f"stage 'spectrum': realized symplectic eigenvalues off by "
-                f"{c * float(err):.3e}")
-    # |a_ij| <= sqrt(a_ii a_jj), so A's diagonal bounds every entry's range.
-    _in_units(c, diag, "stage 'assemble': realized matrix")
-    return c * A
+                f"{float(err):.3e}")
+    return cA
 
 
 def _congruence_blocks(p, r, s) -> np.ndarray:
@@ -301,11 +308,11 @@ def kyfan_objective(A, X, mean: MeanSpec) -> float:
     """sum_{j<=k} M(b_jj, b_{k+j,k+j}) for B = X^T A X over a frame X.
 
     Scored on A's unit form, as every mean-indexed diagonal is; A has
-    no spectrum here to certify definiteness, so the exact floor check
-    runs.  A NaN or out-of-range value raises NumericalError, as does a
-    frame that carries diag(X^T U X) out of the double range."""
-    U, c, _ = _symmetrized(*_as_square_even(A))
-    _check_definite(U, c)
+    no spectrum here to certify definiteness, so it is read by
+    ``spectral._definite``, which runs the exact floor check.  A NaN or
+    out-of-range value raises NumericalError, as does a frame that
+    carries diag(X^T U X) out of the double range."""
+    U, c = _definite(A)
     X = _as_frame(X)
     _require_frame(X, DEFAULT_TOL)
     if X.shape[0] != U.shape[0]:

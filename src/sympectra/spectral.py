@@ -7,13 +7,16 @@ in conjugate pairs +-i delta_j.  They are invariant under symplectic
 congruence and additive (as multisets) over the expanding sum.
 
 Every call works on A's unit form U = A / c (see ``symplectic``):
-delta(A) = c delta(U) and W is U's.  The numerical route is one Cholesky
-factorization U = R R^T and one K = R^T J R per matrix (``_factored``),
-and one solve of K per matrix and route.  Each route reads tol once, as
-the float ``_check_tol`` returns.  One entry (``_reuse``) keeps the last
-matrix and tol read, its R and K, and what each route has solved on it:
-a call on that matrix and tol reuses R and K, and its own route's
-verified result when there is one.  So Schur's check after
+delta(A) = c delta(U) and W is U's.  This module is the library's only
+reader of a positive definite matrix: ``_reuse`` for the two routes
+below, and ``_definite`` for a caller with no spectrum to certify
+definiteness from.  The numerical route (``_reuse``) is one Cholesky
+factorization U = R R^T and one K = R^T J R per matrix, and one solve
+of K per matrix and route.  Each route reads tol once, as the float
+``_check_tol`` returns.  One entry keeps the last matrix and tol read,
+its R and K, and what each route has solved on it: a call on that
+matrix and tol reuses R and K, and its own route's verified result when
+there is one.  So Schur's check after
 ``symplectic_eigenvalues``, or ``kyfan_minimizer`` after ``williamson``,
 factors nothing, and ``williamson`` after ``symplectic_eigenvalues``, or
 the reverse, solves K again but takes the same R and K.  K is
@@ -27,7 +30,9 @@ The definiteness floor needs no eigensolve of U on either route: Ky
 Fan's minimum principle at k = 1 bounds lambda_min / lambda_max below by
 delta_1^2 / ||U||_F^2, so a delta_1 well clear of the floor certifies
 it.  Only inputs whose delta_1 fails that test run the exact check on
-U's eigenvalues.
+U's eigenvalues.  ``_definite`` always runs it: ``symplectic_diag``,
+``kyfan_objective`` and the realization, where its own certificate
+fails, read a matrix through it.
 
 ``symplectic_diag`` scores a mean on U's diagonal through
 ``means._diag_m``, as every other mean-indexed answer does.
@@ -56,9 +61,10 @@ __all__ = [
 _ASYM_TOL = 1e-8
 # Relative floor for the smallest eigenvalue in the definiteness check.
 _PD_TOL = 1e-13
-# delta_1 / ||A||_F above this certifies lambda_min / lambda_max > 100 _PD_TOL,
-# the definiteness floor with a safety factor 100 for rounding.
-_CERT_FLOOR = math.sqrt(100.0 * _PD_TOL)
+# lambda_min / lambda_max above this certifies the definiteness floor with a
+# safety factor 100 for rounding; delta_1 / ||A||_F above its root does too.
+_PD_CERT = 100 * _PD_TOL
+_CERT_FLOOR = math.sqrt(_PD_CERT)
 # delta_1 / delta_n at or below this is a pairing failure.
 _PAIR_FLOOR = 1e3 * np.finfo(float).eps
 
@@ -96,6 +102,15 @@ def _check_definite(U: np.ndarray, c: float) -> None:
             f"[{float(evals[0]) * c:.3e}, {float(evals[-1]) * c:.3e}])")
 
 
+def _definite(A) -> tuple[np.ndarray, float]:
+    """A's unit form U and scale c, as ``_symmetrized`` reads them, once the
+    exact floor check (``_check_definite``) has passed: the reader of a
+    matrix with no spectrum to certify definiteness from."""
+    U, c, _ = _symmetrized(*_as_square_even(A))
+    _check_definite(U, c)
+    return U, c
+
+
 def _factor(U: np.ndarray, c: float, fro: float, K: np.ndarray, tol: float,
             vectors: bool):
     """Solve the skew K = R^T J R of a unit form U = A / c = R R^T with
@@ -117,7 +132,7 @@ def _factor(U: np.ndarray, c: float, fro: float, K: np.ndarray, tol: float,
     delta_1 is the smaller member of the smallest singular-value pair, or
     the smallest eigenvalue of the +delta half.  Only when that test fails
     (delta_1 tiny, or negative in the Hermitian half), or when Cholesky
-    fails (``_factored``), does the exact floor check run, before any
+    fails (``_reuse``), does the exact floor check run, before any
     NumericalError, so every input is rejected by the same rule with the
     same message as ``symplectic_diag``, which always runs it.  U's
     entries are below 2 in magnitude, so R and the spectrum are finite, or
@@ -158,25 +173,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _factored(M: np.ndarray, c: float):
-    """(U, c, ||U||_F, R, K), read-only, for the matrix M and scale c that
-    ``_as_square_even`` read: the unit form U = sym(M) / c, its Cholesky
-    factor U = R R^T and K = R^T J R.  When Cholesky fails, the exact
-    floor check (``_check_definite``) runs first, so a matrix that is not
-    positive definite is refused as such."""
-    U, c, fro = _symmetrized(M, c)
-    try:
-        R = np.linalg.cholesky(U)
-    except np.linalg.LinAlgError as exc:
-        _check_definite(U, c)
-        raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
-    return _read_only(U), c, fro, _read_only(R), _read_only(_skew(R))
-
-
 def _reuse(route: str, A, tol: float, solve):
-    """(U, c, solve(U, c, fro, R, K)) for ``_factored``'s (U, c, fro, R, K)
-    of A, or the route's last result when A and tol are the last read;
-    tol is a float that ``_check_tol`` returned.
+    """(U, c, solve(U, c, fro, R, K)) for A's unit form U = sym(A) / c,
+    ||U||_F = fro, its Cholesky factor U = R R^T and K = R^T J R, or the
+    route's last result when A and tol are the last read; tol is a float
+    that ``_check_tol`` returned.  When Cholesky fails, the exact floor
+    check (``_check_definite``) runs first, so a matrix that is not
+    positive definite is refused as such.
 
     One entry holds the last matrix and tol read, its factors and the
     result of each route that succeeded on it, so a route's miss on that
@@ -193,7 +196,14 @@ def _reuse(route: str, A, tol: float, solve):
     # The empty key () matches no call's key.
     last_key, shared, done = _LAST or ((), None, {})
     if last_key != key:
-        shared, done = _factored(M, c), {}
+        U, c, fro = _symmetrized(M, c)
+        try:
+            R = np.linalg.cholesky(U)
+        except np.linalg.LinAlgError as exc:
+            _check_definite(U, c)
+            raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+        shared, done = (_read_only(U), c, fro, _read_only(R),
+                        _read_only(_skew(R))), {}
     if route not in done:
         done = {**done, route: solve(*shared)}
         _LAST = key, shared, done
@@ -282,9 +292,8 @@ def symplectic_diag(A, mean: MeanSpec) -> np.ndarray:
 
     Pairs the j-th and (n+j)-th main-diagonal entries through the mean,
     in the original coordinate order (no sorting); scored on A's unit
-    form.  A has no spectrum here to certify definiteness, so the exact
-    floor check runs.
+    form.  A has no spectrum here to certify definiteness, so it is read
+    by ``_definite``, which runs the exact floor check.
     """
-    U, c, _ = _symmetrized(*_as_square_even(A))
-    _check_definite(U, c)
+    U, c = _definite(A)
     return _in_units(c, _diag_m(U.diagonal(), mean), "symplectic diagonal")

@@ -359,8 +359,9 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     DomainError
         If X fails the frame residual check.
     NumericalError
-        If the complement's skew form has a +half eigenvalue that is not
-        positive, or the assembled W fails its own symplecticity check.
+        If the projector overflows, the complement's skew form has a +half
+        eigenvalue that is not positive, or the assembled W fails its own
+        symplecticity check.
     """
     X = _as_frame(X)
     _require_frame(X, tol)
@@ -370,8 +371,14 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = n - k
 
     # Q = I + (X J_{2k} X^T) J_{2n}, each J applied as a signed column swap.
-    M = np.hstack([-X[:, k:], X[:, :k]]) @ X.T
-    Q = np.eye(2 * n) + np.hstack([-M[:, n:], M[:, :n]])
+    # A frame that passed its relative check can still carry Q past the
+    # double range; that ends here, not in the SVD.
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = np.hstack([-X[:, k:], X[:, :k]]) @ X.T
+        Q = np.eye(2 * n) + np.hstack([-M[:, n:], M[:, :n]])
+    if not np.isfinite(Q).all():
+        raise NumericalError("symplectic completion failed: the projector "
+                             "onto the complement is not finite")
     B = np.linalg.svd(Q)[0][:, :2 * m]
     ev, V = _skew_eigh(_skew(B))
     # A J-orthogonal complement carries a nondegenerate skew form; one

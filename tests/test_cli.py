@@ -659,6 +659,20 @@ CONTRACT = [
          err="error: unparseable vector JSON: ",
          files=(("x.json", b"[1, 2]\n"),
                 ("y.json", b"[" * 100000 + b"]" * 100000)))),
+    # An admissible target whose z / c underflows to 0 on the unit
+    # pair, so x / z is 0/0: refused at 'assemble', with no warning.
+    ("realize underflowing ratio exits 3",
+     Row(("realize", "--x", "x.json", "--y", "y.json"), 3,
+         err="numerical failure: stage 'assemble': ",
+         files=(("x.json", b"[1e308, 1e-300]\n"),
+                ("y.json", b"[1e-300, 1e308]\n")))),
+    # The frame passes its relative check (||X||_F^2 overflows), but its
+    # complement's projector is past the double range.
+    ("complete-frame overflow exits 3",
+     Row(("complete-frame",), 3,
+         err="numerical failure: symplectic completion failed: ",
+         stdin=b'{"n": 2, "k": 1, "rows": [[1e200, 0], [0, 1e200], '
+               b'[0, 0], [0, 0]]}\n')),
 ]
 
 

@@ -335,6 +335,46 @@ def test_realize_spectrum_bound_holds_against_the_exact_delta(monkeypatch):
     assert proved == checked == 300
 
 
+def test_realize_verifies_the_matrix_it_returns(monkeypatch):
+    # What the bound cannot decide, spectral's readers decide on c A, the
+    # matrix returned: x = 1e4 falls to the delta route, and x = 1000 with
+    # y = [1, 1e-6] fails the Weyl certificate and then the exact floor.
+    # A proved realization reads nothing.
+    schur_horn = sympectra.schur_horn
+    read = {"_delta": [], "_definite": [], "_spectrum_bound": []}
+    for name, got in read.items():
+        def spy(A, *args, real=getattr(schur_horn, name), got=got):
+            got.append(np.array(A))
+            return real(A, *args)
+        monkeypatch.setattr(schur_horn, name, spy)
+    mean = geometric_mean()
+    horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean)
+    assert read["_delta"] == read["_definite"] == []
+    A = horn_symplectic_realize([1e4, 1e4], [1.0, 2.0], mean)
+    (seen,) = read["_delta"]
+    assert seen.shape == A.shape and seen.tobytes() == A.tobytes()
+    with pytest.raises(NumericalError, match="^stage 'assemble': realized "
+                       "matrix is not positive definite"):
+        horn_symplectic_realize([1000.0, 1000.0], [1.0, 1e-6], mean)
+    c = sympectra.majorization._read_pair([1000.0, 1000.0], [1.0, 1e-6])[2]
+    (seen,) = read["_definite"]
+    assert seen.tobytes() == (c * read["_spectrum_bound"][-1]).tobytes()
+
+
+def test_realize_refuses_an_underflowing_ratio_without_warning():
+    # Admissible targets whose z / c underflows on the unit pair:
+    # x / z is 0/0 in the first two and overflows in the third.
+    for x, y in (([1e308, 1e-300], [1e-300, 1e308]),
+                 ([1e300, 1e-100], [1e-200, 1e300]),
+                 ([1e300, 1e300], [1e-10, 1e-10])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=(
+                    "^stage 'assemble': realized matrix is out of range: "
+                    "x / z underflows")):
+                horn_symplectic_realize(x, y, geometric_mean())
+
+
 def test_realize_refuses_a_wrong_block_at_spectrum(monkeypatch):
     # The bound takes A against W (D oplus D) W^T formed from p, r, s and Q,
     # not from A's blocks, so an off-diagonal block pair off by 1e-6 is not

@@ -519,8 +519,8 @@ def test_delta_only_calls_take_one_real_svd(monkeypatch):
     (lambda A, m: schur_check(A, m), lambda A, m: kyfan_search(A, 2, m, budget=8)),
     (lambda A, m: williamson(A), lambda A, m: kyfan_minimizer(A, 2, m)),
     (lambda A, m: kyfan_minimizer(A, 1, m), lambda A, m: williamson(A)),
-    # The realization verifies a new matrix below the reuse entry, so the
-    # entry still holds A.
+    # A proved realization reads no matrix through spectral, so the entry
+    # still holds A.
     (lambda A, m: (symplectic_eigenvalues(A),
                    horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], m)),
      lambda A, m: schur_check(A, m)),

@@ -344,6 +344,21 @@ def test_completion_refuses_a_degenerate_complement_without_warning():
             complete_to_symplectic(1e5 * np.ones((8, 2)))
 
 
+@pytest.mark.parametrize("v", [1e155, 1e200])
+def test_completion_refuses_an_overflowing_projector_without_warning(v):
+    # ||X||_F^2 overflows, so the relative frame check passes, and the
+    # projector I + X J X^T J is past the double range: a typed refusal
+    # instead of an overflow warning and an SVD that does not converge.
+    X = np.zeros((4, 2))
+    X[0, 0] = X[1, 1] = v
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=(
+                "^symplectic completion failed: the projector onto the "
+                "complement is not finite")):
+            complete_to_symplectic(X)
+
+
 def test_random_symplectic_is_deterministic():
     np.testing.assert_array_equal(random_symplectic(3, seed=42),
                                   random_symplectic(3, seed=42))
