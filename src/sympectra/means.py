@@ -62,14 +62,17 @@ class MeanSpec:
     argument, and ``dataclasses.replace`` leaves it None.  Any other spec,
     from ``custom_mean``, built directly or replaced, whatever its
     ``kind``, claims None and is vetted: on its first library call,
-    ``validate_mean_axioms`` reports on it once and the report is kept on
-    the spec.  If symmetry, homogeneity or betweenness fails there, every
-    entry point raises DomainError ("custom mean is not ...") with the
-    first failure's witness, on that call and every later one; a
-    non-monotone spec is admitted.  A vet that raises DomainError, as for
-    complex values, is kept as the refusal too.  ``schur_check`` reads the
-    same report's ``dominates_geometric`` as ``mean_dominates_geometric``.
-    So a spec's evaluator should not change behaviour after its first use.
+    ``validate_mean_axioms`` reports on it once.  The outcome is kept on
+    the spec as one record, ``_admission`` = (refusal, dominance).  If
+    symmetry, homogeneity or betweenness fails, every entry point raises
+    DomainError ("custom mean is not ...") with the first failure's
+    witness, on that call and every later one; a non-monotone spec is
+    admitted.  A vet that raises DomainError, as for complex values, is
+    kept as the refusal too.  An admitted spec's dominance is its
+    report's ``dominates_geometric`` verdict, which ``schur_check``
+    reports as ``mean_dominates_geometric``; a refused spec's is never
+    read.  So a spec's evaluator should not change behaviour after its
+    first use.
     """
 
     kind: str
@@ -85,33 +88,29 @@ class MeanSpec:
         return self.kind
 
     @cached_property
-    def _vet(self) -> ValidationReport:
-        return validate_mean_axioms(self)
+    def _admission(self) -> tuple[Optional[str], Optional[bool]]:
+        """(refusal, dominates_geometric), decided once per spec.
 
-    @property
-    def _dominates_geometric(self) -> bool:
+        A factory spec is (None, its claim), and nothing is evaluated.
+        Any other spec is vetted by ``validate_mean_axioms``: a vet that
+        raises DomainError is (its message, None); else the first of
+        symmetry, homogeneity and betweenness that fails is ("custom mean
+        is not ...", None); else (None, the report's dominance verdict).
+        """
         claim = self.dominates_geometric_claim
-        return self._vet.dominates_geometric.passed if claim is None else claim
-
-    @cached_property
-    def _refusal(self) -> Optional[str]:
-        """Why a vetted spec is no mean: the vet's own DomainError, or the
-        first of symmetry, homogeneity and betweenness that fails in its
-        report; None if all three hold, and for a factory spec, which is
-        not evaluated."""
-        if self.dominates_geometric_claim is not None:
-            return None
+        if claim is not None:
+            return None, claim
         try:
-            rep = self._vet
+            rep = validate_mean_axioms(self)
         except DomainError as exc:
-            return str(exc)
+            return str(exc), None
         for what, res in (
                 ("symmetric: (a, b, M(a, b), M(b, a))", rep.symmetry),
                 ("homogeneous: (a, b, r, M(ra, rb), r M(a, b))", rep.homogeneity),
                 ("between-valued: (a, b, M(a, b))", rep.betweenness)):
             if not res.passed:
-                return f"custom mean is not {what} = {res.witness}"
-        return None
+                return f"custom mean is not {what} = {res.witness}", None
+        return None, rep.dominates_geometric.passed
 
 
 def _builtin(kind: str, evaluator, claim: bool,
@@ -272,8 +271,10 @@ def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
     """M(d_j, d_{m+j}), j = 1..m, over the last axis (length 2m) of d.
 
     Every library answer evaluates its mean here, so a spec that is not
-    built in is vetted here, once per spec (see ``MeanSpec``).  The
-    evaluator receives the pairs as 1-D arrays whatever the batch shape.
+    built in is vetted here, once per spec, and a refused spec raises its
+    ``_admission`` refusal here, before any evaluation (see
+    ``MeanSpec``).  The evaluator receives the pairs as 1-D arrays
+    whatever the batch shape.
     d is not checked: each caller has shown it positive and finite.
     - ``schur_check``: diag(U) of a unit form that passed Cholesky, which
       refuses a pivot <= 0, so every u_jj > 0, and |u_ij| < 2.
@@ -288,8 +289,8 @@ def _diag_m(d: np.ndarray, mean: MeanSpec) -> np.ndarray:
       ``kyfan_minimizer`` and ``kyfan_search``: diag(X^T U X) of a frame
       batch, through ``_objective``, which raises NumericalError unless
       it is positive and finite."""
-    if mean._refusal is not None:
-        raise DomainError(mean._refusal)
+    if mean._admission[0] is not None:
+        raise DomainError(mean._admission[0])
     m = d.shape[-1] // 2
     out = _evaluate(mean, d[..., :m].ravel(), d[..., m:].ravel())
     return out.reshape(d.shape[:-1] + (m,))

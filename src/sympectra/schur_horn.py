@@ -89,7 +89,7 @@ def schur_check(A, mean: MeanSpec, tol: float = DEFAULT_TOL) -> SchurCheckReport
     dm_a = _in_units(c, dm, "symplectic diagonal")
     return SchurCheckReport(diag_m=dm_a, delta=delta_a,
                             report=_report("weak_super", dm, delta, c, tol),
-                            mean_dominates_geometric=mean._dominates_geometric)
+                            mean_dominates_geometric=mean._admission[1])
 
 
 def horn_symplectic_realize(x, y, mean: MeanSpec,

@@ -93,13 +93,22 @@ def _symmetrized(A: np.ndarray, c: float) -> tuple[np.ndarray, float, float]:
     return half + half.T, c, scale
 
 
+def _times(x: float, c: float) -> str:
+    """x c to four digits; a product past the double range is printed
+    exactly, rather than as inf."""
+    if math.isfinite(x * c):
+        return f"{x * c:.3e}"
+    from decimal import Decimal  # here, so that no process start pays for it
+    return f"{Decimal(x) * Decimal(c):.3e}"
+
+
 def _check_definite(U: np.ndarray, c: float) -> None:
     """The exact floor lambda_min > 1e-13 lambda_max on U; reports c U's."""
     evals = np.linalg.eigvalsh(U)
     if evals[0] <= _PD_TOL * max(evals[-1], 0.0) or evals[0] <= 0.0:
         raise DomainError(
             "matrix is not positive definite (eigenvalue range "
-            f"[{float(evals[0]) * c:.3e}, {float(evals[-1]) * c:.3e}])")
+            f"[{_times(float(evals[0]), c)}, {_times(float(evals[-1]), c)}])")
 
 
 def _definite(A) -> tuple[np.ndarray, float]:

@@ -214,33 +214,34 @@ def _form_check(X: np.ndarray, tol: float) -> tuple[bool, float, float]:
     """(verdict, residual, relative residual) for X^T J_{2n} X = J_{2k}.
 
     X^T J_{2n} X is formed as G - G^T, G = X_1^T X_2 for the row halves
-    X_1, X_2 of X (``_skew``), and J_{2k} is subtracted entrywise.  Below
-    max |x_ij| = 2^240 nothing overflows for orders up to 10^4.  Past it,
-    column l of X is divided by a power of two 2^e_l first and entry
-    (l, m) of G - G^T multiplied back by 2^(e_l + e_m) before J is
-    subtracted, so the residual reads inf only when it is out of range.
-    The verdict residual <= tol * max(1, ||X||_F^2) is taken with both
-    sides divided by the exact c^2, c = max(1, _pow2_scale(max |x_ij|)).
-    A non-finite residual fails; the relative residual is
-    residual / max(1, ||X||_F^2).
+    X_1, X_2 of X (``_skew``), and J_{2k} is subtracted entrywise.  The
+    verdict is residual <= tol * max(1, ||X||_F^2), and the relative
+    residual is residual / max(1, ||X||_F^2).  Below max |x_ij| = 2^240
+    nothing overflows for orders up to 10^4, and both are taken as
+    stated.  Past it, column l of X is divided by a power of two 2^e_l
+    first and entry (l, m) of G - G^T multiplied back by 2^(e_l + e_m)
+    before J is subtracted, so the residual reads inf only when it is
+    out of range, and the verdict and the relative residual are taken
+    with both sides divided by the exact c^2, c = _pow2_scale(max
+    |x_ij|), so they hold past the overflow of ||X||_F^2 (which is at
+    least 1 there).  A non-finite residual fails.
     """
     tol = _check_tol(tol)
     k = X.shape[1] // 2
-    m = math.frexp(max(1.0, _pow2_scale(np.abs(X).max())))[1] - 1  # c = 2^m
-    if m < 240:
+    amax = np.abs(X).max()
+    if amax < 2.0 ** 240:
         res = _fro(_minus_J(_skew(X), k))
-        res_c = math.ldexp(res, -2 * m)
-    else:
-        e = np.frexp(np.abs(X).max(axis=0))[1]
-        S, E = _skew(np.ldexp(X, -e)), e[:, None] + e
-        with np.errstate(over="ignore"):  # an out-of-range residual reads inf
-            R = _minus_J(np.ldexp(S, E), k)
-            s = max(1.0, _pow2_scale(np.abs(R).max()))
-            res = _fro(R / s) * s
-        res_c = _fro(
-            _minus_J(np.ldexp(S, E - 2 * m), k, math.ldexp(1.0, -2 * m)))
-    scale = max(math.ldexp(1.0, -2 * m),
-                _fro(np.ldexp(X, -m) if m else X) ** 2)
+        scale = max(1.0, _fro(X) ** 2)
+        return res <= tol * scale, res, res / scale
+    m = math.frexp(amax)[1] - 1  # c = 2^m
+    e = np.frexp(np.abs(X).max(axis=0))[1]
+    S, E = _skew(np.ldexp(X, -e)), e[:, None] + e
+    with np.errstate(over="ignore"):  # an out-of-range residual reads inf
+        R = _minus_J(np.ldexp(S, E), k)
+        s = max(1.0, _pow2_scale(np.abs(R).max()))
+        res = _fro(R / s) * s
+    res_c = _fro(_minus_J(np.ldexp(S, E - 2 * m), k, math.ldexp(1.0, -2 * m)))
+    scale = _fro(np.ldexp(X, -m)) ** 2
     return res_c <= tol * scale, res, res_c / scale
 
 
@@ -257,9 +258,11 @@ def is_symplectic(X, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     X^T J X is formed as G - G^T for G = X_1^T X_2, the product of X's
     row halves, so J is applied as a block swap and never multiplied.
     The verdict compares the residual against ``tol * max(1, ||X||_F^2)``,
-    matching the quadratic scaling of the defect in X; it is taken after
-    an exact power-of-two rescaling, so it holds past the overflow of
-    ||X||_F^2.  Any other shape, or a non-finite entry, raises DomainError.
+    matching the quadratic scaling of the defect in X.  Below max |x_ij|
+    = 2^240 it is that comparison as written; past it both sides are
+    divided by the same exact power of two first, so the verdict holds
+    past the overflow of ||X||_F^2.  Any other shape, or a non-finite
+    entry, raises DomainError.
     """
     ok, residual, _ = _form_check(_as_frame(X), tol)
     return SymplecticCheck(ok, residual)

@@ -609,6 +609,30 @@ def test_factory_specs_evaluate_no_grid(monkeypatch):
     assert grid == [10_000] * 3
 
 
+def test_admission_is_one_record_decided_once(monkeypatch):
+    # A factory spec is admitted on its claim without a call of its
+    # evaluator; an admitted custom mean is vetted once across the entry
+    # points, and its record holds the vet's dominance verdict.
+    vets = []
+    vet = sympectra.means.validate_mean_axioms
+    monkeypatch.setattr(sympectra.means, "validate_mean_axioms",
+                        lambda mean: vets.append(mean) or vet(mean))
+
+    def never(a, b):
+        raise AssertionError("a factory spec's evaluator was called")
+
+    assert sympectra.means._builtin("max", never, True)._admission == (
+        None, True)
+    assert vets == []
+    mean = custom_mean(lambda a, b: 0.5 * (a + b))
+    schur_check(_A0, mean)
+    symplectic_diag(_A0, mean)
+    horn_symplectic_realize([2.0, 3.0], [1.0, 2.0], mean)
+    kyfan_minimizer(_A0, 1, mean)
+    assert vets == [mean]
+    assert mean._admission == (None, True)
+
+
 def test_infinite_mean_is_refused_by_every_entry_point():
     # Equal infinities compare close, so an evaluator answering +inf passes
     # symmetry and homogeneity; it fails betweenness and is refused as input

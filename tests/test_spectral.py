@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -175,6 +177,25 @@ def test_validate_pd_rejections():
                      symplectic_eigenvalues):
             with pytest.raises(DomainError, match=match):
                 call(bad)
+
+
+@pytest.mark.parametrize("call, end, want", [
+    (lambda: symplectic_diag(np.full((2, 2), 1.7e308), geometric_mean()),
+     2, "3.400e+308"),
+    (lambda: symplectic_diag(np.full((2, 2), -1.7e308), geometric_mean()),
+     1, "-3.400e+308"),
+    (lambda: horn_symplectic_realize([1e308, 1e308], [1e308, 1e-300],
+                                     geometric_mean()), 2, "3.732e+308"),
+], ids=["diag", "negated diag", "realize"])
+def test_definiteness_message_prints_an_overflowing_end(call, end, want):
+    # At the parent this end read inf or -inf: c times U's extreme
+    # eigenvalue is past the double range, so it is printed exactly.
+    with pytest.raises((DomainError, NumericalError)) as info:
+        call()
+    found = re.search(r"not positive definite \(eigenvalue range "
+                      r"\[(\S+), (\S+)\]\)$", str(info.value))
+    assert found, str(info.value)
+    assert found[end] == want
 
 
 def test_validate_pd_asymmetry_bound_is_relative():

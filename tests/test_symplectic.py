@@ -205,9 +205,11 @@ def _dense_form_check(X):
 
 
 def _form_cases(n):
-    """Random symplectic matrices and frames, Ky Fan frames, and each one
-    perturbed off the group, all of half-order n."""
-    cases = []
+    """Random symplectic matrices and frames, Ky Fan frames, the symplectic
+    diag(2^8 I, 2^-8 I) and a frame of it, and each one perturbed off the
+    group, all of half-order n."""
+    D = np.diag(np.repeat([2.0 ** 8, 2.0 ** -8], n))
+    cases = [D, D[:, [0, n]]]
     for seed, spread in ((0, 0.3), (1, 1.0), (2, 2.0)):
         W = random_symplectic(n, seed=seed, spread=spread)
         cases += [W, W[:, [0, n]]]
@@ -221,7 +223,12 @@ def _form_cases(n):
 @pytest.mark.parametrize("n", [1, 2, 4, 64])
 def test_form_check_matches_dense_product(n):
     eps = np.finfo(float).eps
-    for X in _form_cases(n):
+    cases = _form_cases(n)
+    # Frames and non-frames with 2 <= max |x_ij| < 2^240, where the raw
+    # path once took its verdict on a power-of-two rescaling.
+    assert {is_symplectic(X).ok for X in cases
+            if 2.0 <= np.abs(X).max() < 2.0 ** 240} == {True, False}
+    for X in cases:
         want, ok = _dense_form_check(X)
         bound = 8 * eps * max(1.0, np.linalg.norm(X) ** 2)
         got = is_symplectic(X)
