@@ -40,8 +40,10 @@ def _fmt_float(x) -> str:
     """17 significant digits (%.17g), which round-trips IEEE doubles.
 
     Not the shortest round-tripping decimal: 0.1 is 0.10000000000000001.
+    Negative zero is spelled -0.0, since JSON reads -0 as the integer 0.
     """
-    return "%.17g" % float(x)
+    s = "%.17g" % float(x)
+    return "-0.0" if s == "-0" else s
 
 
 def _emit(obj) -> str:

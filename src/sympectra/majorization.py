@@ -153,8 +153,9 @@ def _horn_realize(z: np.ndarray, y: np.ndarray,
     values that straddles the target (the largest value not exceeding it
     and its successor), which pins the target exactly and leaves the
     untouched positions diagonal.  Each slot's row starts as the unit
-    vector of its y coordinate, and each retiring row is written to its z
-    coordinate, so U comes out in the caller's orders for z and y.
+    vector of its y coordinate, and each slot's row, once retired, is U's
+    row for its z coordinate, so U comes out in the caller's orders for z
+    and y.  Rows rotate in place, to c r_p + s r_q and c r_q - s r_p.
     """
     n = z.shape[0]
     z_order = z.argsort(kind="stable")
@@ -167,7 +168,11 @@ def _horn_realize(z: np.ndarray, y: np.ndarray,
     vals = y[y_order].tolist()
     slots = list(range(n))
     basis = np.eye(n)[y_order]
-    U = np.empty((n, n))
+    # Views of basis's rows: a rotation indexes a list, not the array, and
+    # writes through to basis.
+    brows = list(basis)
+    # U's row i is the row of the slot that retired to z coordinate i.
+    retired = [0] * n
 
     for t in range(n - 1):
         d = zs[t]
@@ -189,15 +194,20 @@ def _horn_realize(z: np.ndarray, y: np.ndarray,
         # Rotate rows p and q: slot p takes the value d and retires to the
         # row of U for z's t-th smallest coordinate, and slot q carries the
         # leftover so the running spectrum is unchanged.
-        rp, rq = basis[p], basis[q]
-        U[rows[t]] = c * rp + s * rq
-        basis[q] = -s * rp + c * rq
+        rp, rq = brows[p], brows[q]
+        sp = s * rp
+        rp *= c
+        rp += s * rq
+        rq *= c
+        rq -= sp
+        retired[rows[t]] = p
         leftover = lam_p + lam_q - d
         del vals[i:i + 2], slots[i:i + 2]
         j = bisect_left(vals, leftover)
         vals.insert(j, leftover)
         slots.insert(j, q)
-    U[rows[n - 1]] = basis[slots[0]]
+    retired[rows[n - 1]] = slots[0]
+    U = basis.take(retired, 0)
 
     gram = U.T @ U
     gram.flat[::n + 1] -= 1.0

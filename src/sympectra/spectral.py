@@ -22,9 +22,13 @@ factors nothing, and ``williamson`` after ``symplectic_eigenvalues``, or
 the reverse, solves K again but takes the same R and K.  K is
 exactly skew-symmetric and similar to the non-normal J U, so its singular
 values are the delta_j, each twice, and the Hermitian matrix iK has the
-real eigenvalues +-delta_j.  Calls that need delta alone take the real
-singular values of K; the Williamson factor takes the complex Hermitian
-eigensolve of iK, whose eigenvectors for +delta give W.
+real eigenvalues +-delta_j.  Both routes read delta and its pairing
+checks from the real singular values of K: calls that need delta alone
+take the values, and the Williamson factor takes the SVD with vectors,
+whose singular vectors give W pair by pair.  Pairs whose delta lie within
+1e-4 delta_n of a neighbour are solved together, by the Hermitian
+eigensolve of K projected on their singular vectors, and a spectrum that
+is one cluster (A = S S^T) is caught before the SVD and solved as iK.
 
 The definiteness floor needs no eigensolve of U on either route: Ky
 Fan's minimum principle at k = 1 bounds lambda_min / lambda_max below by
@@ -67,6 +71,9 @@ _PD_CERT = 100 * _PD_TOL
 _CERT_FLOOR = math.sqrt(_PD_CERT)
 # delta_1 / delta_n at or below this is a pairing failure.
 _PAIR_FLOOR = 1e3 * np.finfo(float).eps
+# Adjacent delta at most this times delta_n apart are one cluster of the
+# Williamson factor; K^T K within this ratio of mu I is one cluster too.
+_CLUSTER = 1e-4
 
 
 # The last matrix and tol read, as ``_reuse`` stores them: (key, (U, c,
@@ -123,13 +130,18 @@ def _definite(A) -> tuple[np.ndarray, float]:
 def _factor(U: np.ndarray, c: float, fro: float, K: np.ndarray, tol: float,
             vectors: bool):
     """Solve the skew K = R^T J R of a unit form U = A / c = R R^T with
-    ||U||_F = fro: (delta ascending, V).
+    ||U||_F = fro: (delta ascending, L).
 
-    K is similar to J U.  Without ``vectors`` delta comes from K's
-    singular values, sorted descending: each adjacent pair holds one
-    delta_j twice, and delta_j is the pair's mean.  With ``vectors`` the
-    Hermitian iK is solved instead: its eigenvalues are +-delta, and V
-    holds its unit eigenvectors for +delta.
+    K is similar to J U, and its singular values, sorted descending, come
+    in adjacent equal pairs, one pair per delta_j; delta_j is the pair's
+    mean.  Both routes read delta and the pairing checks from them.
+    Without ``vectors`` only the values are computed and L is None.  With
+    ``vectors`` the SVD also gives L, orthogonal with L^T K L = [[0, D],
+    [-D, 0]] (``_real_basis``), unless K^T K is mu I to within the
+    cluster ratio (``_one_cluster``, A = S S^T): then delta is one cluster
+    and the Hermitian iK is solved instead (``_skew_eigh``), whose
+    eigenvalues are +-delta; the checks read its two halves.  A single
+    pair (n = 1) is never split, so it always takes the SVD.
 
     The definiteness floor is ``_check_definite``'s, but it is usually
     certified by delta_1 instead of an eigensolve of U.  Ky Fan's minimum
@@ -138,32 +150,37 @@ def _factor(U: np.ndarray, c: float, fro: float, K: np.ndarray, tol: float,
     (Ju)^T U (Ju)) <= sqrt(lambda_min lambda_max), so lambda_min /
     lambda_max >= delta_1^2 / ||U||_F^2.  delta_1 > sqrt(100 * 1e-13) ||U||_F
     therefore clears the floor with a factor 100 to spare for rounding;
-    delta_1 is the smaller member of the smallest singular-value pair, or
-    the smallest eigenvalue of the +delta half.  Only when that test fails
-    (delta_1 tiny, or negative in the Hermitian half), or when Cholesky
-    fails (``_reuse``), does the exact floor check run, before any
-    NumericalError, so every input is rejected by the same rule with the
-    same message as ``symplectic_diag``, which always runs it.  U's
-    entries are below 2 in magnitude, so R and the spectrum are finite, or
-    numpy raises LinAlgError.
+    delta_1 is the smallest singular value, or the smallest eigenvalue of
+    the +delta half.  Only when that test fails (delta_1 tiny, or negative
+    in the Hermitian half), or when Cholesky fails (``_reuse``), does the
+    exact floor check run, before any NumericalError, so every input is
+    rejected by the same rule with the same message as
+    ``symplectic_diag``, which always runs it.  U's entries are below 2 in
+    magnitude, so R and the spectrum are finite, or numpy raises
+    LinAlgError.
 
     Raises NumericalError when the spectrum fails to pair up: delta_1 <=
-    1e3 eps delta_n, or the two members of some pair (the +delta half and
-    the mirrored -delta half) more than tol delta_n apart.
+    1e3 eps delta_n, or the two members of some pair (the two singular
+    values, or the +delta half and the mirrored -delta half) more than
+    tol delta_n apart.
     """
     n = U.shape[0] // 2
-    if vectors:
-        ev, V = _skew_eigh(K)
+    L = None
+    if vectors and n > 1 and _one_cluster(K):
+        ev, L = _skew_eigh(K)
         # K is normal, so ||K||_2 is its largest eigenvalue modulus, delta_n.
         delta, low, scale = ev[n:], ev[n], float(ev[-1])
         mirror = float(np.abs(ev[n:] + ev[n - 1::-1]).max())
     else:
-        V = None
-        sv = np.linalg.svd(K, compute_uv=False)
-        # ||K||_2 is its largest singular value, delta_n.
+        if vectors:
+            uk, sv, vt = np.linalg.svd(K)
+        else:
+            sv = np.linalg.svd(K, compute_uv=False)
+        # ||K||_2 is its largest singular value, delta_n.  sv is sorted
+        # descending, so each pair's difference is >= 0.
         low, scale = sv[-1], float(sv[0])
         delta = 0.5 * (sv[-1::-2] + sv[-2::-2])
-        mirror = float(np.abs(sv[::2] - sv[1::2]).max())
+        mirror = float((sv[::2] - sv[1::2]).max())
     # delta_1 itself, not its square, so a negative value falls through.
     if not low > _CERT_FLOOR * fro:
         _check_definite(U, c)
@@ -174,7 +191,72 @@ def _factor(U: np.ndarray, c: float, fro: float, K: np.ndarray, tol: float,
     if mirror > tol * scale:
         raise NumericalError(f"eigenvalue pairing failure: +- halves differ by "
                              f"{mirror / scale:.3e} delta_n, exceeding {tol:.1e}")
-    return delta, V
+    if vectors and L is None:
+        L = _real_basis(K, uk, vt, delta, scale)
+    return delta, L
+
+
+def _one_cluster(K: np.ndarray) -> bool:
+    """Whether ||K^T K - mu I||_F <= _CLUSTER mu, mu = ||K||_F^2 / 2n.
+
+    K^T K has the eigenvalues delta_j^2, each twice, and mu is their mean,
+    so all delta are equal exactly when K^T K = mu I, and within the
+    bound every delta_j^2 lies within _CLUSTER mu of mu: delta is one
+    cluster.  Column l's squared norm is entry (l, l) of K^T K, so each
+    must lie that close to mu before the O(n^3) product is worth forming;
+    on a spectrum that is not one cluster, that O(n^2) test usually says
+    no.  Deterministic in K.
+    """
+    # Plain floats: a few list operations cost less than numpy reductions
+    # at small n, and fsum is correctly rounded.
+    col = (K * K).sum(0).tolist()
+    mu = math.fsum(col) / len(col)
+    bound = _CLUSTER * mu
+    if not (max(col) - mu <= bound and mu - min(col) <= bound):
+        return False
+    G = K.T @ K
+    G.flat[::G.shape[0] + 1] -= mu
+    return _fro(G) <= bound
+
+
+def _real_basis(K: np.ndarray, uk: np.ndarray, vt: np.ndarray,
+                delta: np.ndarray, scale: float) -> np.ndarray:
+    """L = [P Q], orthogonal with L^T K L = [[0, D], [-D, 0]], from K's SVD
+    K = uk diag(sv) vt, sv descending and delta_n = scale.
+
+    For skew K, a right singular vector q of sigma = delta_j and its left
+    one p = K q / sigma satisfy K q = delta_j p and K p = -delta_j q, and
+    span an invariant plane of K.  So an isolated pair j gives column j
+    of P and column j of Q directly: p and q for the first singular value
+    of the pair, with no complex array.  Singular vectors of different
+    pairs are orthogonal to rounding over the gap between them, so pairs
+    whose delta lie within _CLUSTER delta_n of a neighbour form one
+    cluster, solved together: the right singular vectors of its m pairs,
+    the rows B of vt (2m-by-2n), are an orthonormal basis of an invariant
+    subspace of K, and the Hermitian eigensolve of i B K B^T
+    (``_skew_eigh``) gives its columns of P and Q as B^T times that
+    block's own P and Q.  Its
+    eigenvalues are the cluster's delta to rounding; the factor takes
+    delta from the singular values, as for every pair.
+    """
+    n = delta.shape[0]
+    L = np.concatenate((uk[:, -2::-2], vt[-2::-2].T), axis=1)
+    d, most = delta.tolist(), _CLUSTER * scale
+    # close[j] joins pairs j and j + 1; a cluster is a maximal run.
+    close = [b - a <= most for a, b in zip(d, d[1:])]
+    if not any(close):
+        return L
+    start = None
+    for j, joined in enumerate(close + [False]):
+        if joined and start is None:
+            start = j
+        elif not joined and start is not None:
+            B = vt[2 * (n - j - 1):2 * (n - start)]
+            F = B.T @ _skew_eigh(B @ K @ B.T)[1]
+            m = j + 1 - start
+            L[:, start:j + 1], L[:, n + start:n + j + 1] = F[:, :m], F[:, m:]
+            start = None
+    return L
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -264,9 +346,9 @@ def _williamson(A, tol: float):
     tol = _check_tol(tol)
 
     def solve(U, c, fro, R, K):
-        delta, V = _factor(U, c, fro, K, tol, True)
-        W = _symplectic_basis(R, V, delta)
-        d = np.concatenate([delta, delta])
+        delta, L = _factor(U, c, fro, K, tol, True)
+        d = np.concatenate((delta, delta))
+        W = _symplectic_basis(R, L, d)
         rec = _fro(U - (W * d) @ W.T) / _fro(U)
         if not rec <= tol:
             raise NumericalError(
@@ -283,14 +365,20 @@ def _williamson(A, tol: float):
 def williamson(A, tol: float = DEFAULT_TOL) -> WilliamsonFactorization:
     """Williamson normal form of a positive definite matrix.
 
-    With U = A / c = R R^T and v = u + i w the unit eigenvectors of iK
-    for +delta, K = R^T J R, the matrix L = sqrt(2) [w u] is orthogonal
-    with L^T K L = [[0, D], [-D, 0]].  The factor W = R L (D^{-1/2} oplus
-    D^{-1/2}) then satisfies both U = W (D oplus D) W^T (since L L^T = I)
-    and W^T J W = J (since the inner congruence collapses to J), both
-    verified before returning; A's delta is c D.  A repeat call on the
-    same matrix and tol returns copies of the factorization verified
-    first (see the module docstring).
+    With U = A / c = R R^T and K = R^T J R, an orthogonal L = [P Q] with
+    L^T K L = [[0, D], [-D, 0]] comes from the real SVD of K: for each
+    isolated pair, the left and right singular vectors of its first
+    singular value are its columns of P and Q; each cluster of close
+    delta, and a spectrum that is one cluster, is solved by the Hermitian
+    eigensolve of iK on its invariant subspace (see ``_factor``).  The
+    factor W = R L (D^{-1/2} oplus D^{-1/2}) then satisfies both
+    U = W (D oplus D) W^T (since L L^T = I) and W^T J W = J (since the
+    inner congruence collapses to J), both verified before returning;
+    A's delta is c D, with D from K's singular values.  W is unique only
+    up to a symplectic orthogonal factor within each delta, so its last
+    bits follow the route.  A repeat call on the same matrix and tol
+    returns copies of the factorization verified first (see the module
+    docstring).
     """
     fact = _williamson(A, tol)[2]
     return fact._replace(W=fact.W.copy(), delta=fact.delta.copy())

@@ -22,11 +22,14 @@ M(diag A) for the symmetric, homogeneous means the vet admits, and is
 never evaluated outside the range U spans (max |u_ij| in [1, 2)).  The
 vector layer does the same on the unit pair (x / c, y / c).
 
-One construction turns a basis into a symplectic one: the Hermitian
-eigensolve of i R^T J R (``_skew_eigh``) and the scaling of its
-eigenvectors (``_symplectic_basis``).  ``complete_to_symplectic`` applies
-it to an orthonormal basis of a frame's J-orthogonal complement, and
-``spectral.williamson`` to the Cholesky factor of A.
+One construction turns a basis R into a symplectic one: an orthogonal
+L that puts the skew form R^T J R in the normal form [[0, D], [-D, 0]],
+then the scaling R L (D oplus D)^(-1/2) (``_symplectic_basis``).
+``complete_to_symplectic`` takes L from the Hermitian eigensolve of
+i R^T J R (``_skew_eigh``) on an orthonormal basis of a frame's
+J-orthogonal complement; ``spectral.williamson`` takes it from the real
+SVD of R^T J R for the Cholesky factor R of A, with ``_skew_eigh`` for
+clusters of close symplectic eigenvalues.
 """
 
 from __future__ import annotations
@@ -211,7 +214,8 @@ def _minus_J(S: np.ndarray, k: int, v: float = 1.0) -> np.ndarray:
 
 
 def _form_check(X: np.ndarray, tol: float) -> tuple[bool, float, float]:
-    """(verdict, residual, relative residual) for X^T J_{2n} X = J_{2k}.
+    """(verdict, residual, relative residual) for X^T J_{2n} X = J_{2k},
+    tol a float that ``_check_tol`` returned.
 
     X^T J_{2n} X is formed as G - G^T, G = X_1^T X_2 for the row halves
     X_1, X_2 of X (``_skew``), and J_{2k} is subtracted entrywise.  The
@@ -226,7 +230,6 @@ def _form_check(X: np.ndarray, tol: float) -> tuple[bool, float, float]:
     |x_ij|), so they hold past the overflow of ||X||_F^2 (which is at
     least 1 there).  A non-finite residual fails.
     """
-    tol = _check_tol(tol)
     k = X.shape[1] // 2
     amax = np.abs(X).max()
     if amax < 2.0 ** 240:
@@ -264,7 +267,7 @@ def is_symplectic(X, tol: float = DEFAULT_TOL) -> SymplecticCheck:
     past the overflow of ||X||_F^2.  Any other shape, or a non-finite
     entry, raises DomainError.
     """
-    ok, residual, _ = _form_check(_as_frame(X), tol)
+    ok, residual, _ = _form_check(_as_frame(X), _check_tol(tol))
     return SymplecticCheck(ok, residual)
 
 
@@ -309,40 +312,43 @@ def s_pinching(A, partition: Sequence[int]) -> np.ndarray:
     return np.where(mask != 0, A, 0.0)
 
 
-def _require_frame(X: np.ndarray, tol: float) -> None:
+def _require_frame(X: np.ndarray, tol) -> float:
     """``is_symplectic``'s verdict on a finite float 2n-by-2k X, raised as
-    DomainError."""
+    DomainError; returns tol as the float ``_check_tol`` read, once."""
     tol = _check_tol(tol)
     ok, res, rel = _form_check(X, tol)
     if not ok:
         raise DomainError(
             f"not a symplectic frame: residual {res:.3e}, relative to "
             f"max(1, ||X||_F^2) {rel:.3e} > {tol:.1e}")
+    return tol
 
 
 def _skew_eigh(K: np.ndarray):
-    """Ascending spectrum of the Hermitian iK, and its eigenvectors.
+    """Ascending spectrum of the Hermitian iK, and L = sqrt(2) [Im V, Re V].
 
-    K is a skew R^T J R, ``_skew(R)``.  Its spectrum pairs up as +-delta,
-    and V holds the unit eigenvectors for the upper half of the spectrum,
-    the +delta half.  Calls that need delta alone take the real singular
-    values of K instead (``spectral._factor``).
+    K is a real skew matrix of order 2h.  Its spectrum pairs up as
+    +-delta, and V holds the unit eigenvectors for the upper half of the
+    spectrum, the +delta half.  For v = u + i w among them, K u = delta w
+    and K w = -delta u, and v is orthogonal to its conjugate, an
+    eigenvector for -delta, so |u| = |w| = 1/sqrt(2) and u . w = 0: L is
+    orthogonal with L^T K L = [[0, D], [-D, 0]].  Only K's lower triangle
+    is read, so a K that is skew to rounding is taken as exactly skew.
     """
     ev, V = np.linalg.eigh(1j * K)
-    return ev, V[:, K.shape[1] // 2:]
+    V = V[:, K.shape[1] // 2:]
+    return ev, math.sqrt(2.0) * np.concatenate((V.imag, V.real), axis=1)
 
 
-def _symplectic_basis(R: np.ndarray, V: np.ndarray,
-                      delta: np.ndarray) -> np.ndarray:
-    """R L (D^{-1/2} oplus D^{-1/2}) for L = sqrt(2) [Im V, Re V].
+def _symplectic_basis(R: np.ndarray, L: np.ndarray,
+                      d: np.ndarray) -> np.ndarray:
+    """R L (D oplus D)^(-1/2), d the diagonal of D oplus D.
 
-    With V and delta from ``_skew_eigh(_skew(R))``, L is orthogonal and
-    L^T (R^T J R) L = [[0, D], [-D, 0]], so the result Y spans the range
-    of R and satisfies Y^T J Y = J.
+    For L orthogonal with L^T (R^T J R) L = [[0, D], [-D, 0]] (from
+    ``_skew_eigh``, or ``spectral._real_basis``), the result Y spans the
+    range of R and satisfies Y^T J Y = J.
     """
-    L = math.sqrt(2.0) * np.concatenate((V.imag, V.real), axis=1)
-    dinv = 1.0 / np.sqrt(np.concatenate([delta, delta]))
-    return (R @ L) * dinv
+    return (R @ L) / np.sqrt(d)
 
 
 def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -354,8 +360,10 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     complement of X, the range of the projector Q = I + X J_{2k} X^T J,
     whose dimension 2(n-k) is known: its top 2(n-k) left singular vectors
     B are an orthonormal basis.  The skew form B^T J B is normalized to J
-    by the Hermitian eigensolve that also gives the Williamson factor, so
-    Y = B L (D^{-1/2} oplus D^{-1/2}) as in ``williamson``.
+    by the Hermitian eigensolve of i B^T J B (``_skew_eigh``), so
+    Y = B L (D^{-1/2} oplus D^{-1/2}) as in ``williamson``.  For an
+    orthonormal frame B^T J B is orthogonal, so its spectrum is one
+    cluster, which ``williamson`` also solves this way.
 
     Raises
     ------
@@ -367,7 +375,7 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
         symplecticity check.
     """
     X = _as_frame(X)
-    _require_frame(X, tol)
+    tol = _require_frame(X, tol)
     n, k = X.shape[0] // 2, X.shape[1] // 2
     if k == n:
         return X.copy()
@@ -383,7 +391,7 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NumericalError("symplectic completion failed: the projector "
                              "onto the complement is not finite")
     B = np.linalg.svd(Q)[0][:, :2 * m]
-    ev, V = _skew_eigh(_skew(B))
+    ev, L = _skew_eigh(_skew(B))
     # A J-orthogonal complement carries a nondegenerate skew form; one
     # that is degenerate on B (an input that passed the frame check only
     # through its relative residual) ends here, before D^(-1/2) divides.
@@ -391,7 +399,7 @@ def complete_to_symplectic(X, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NumericalError(
             "symplectic completion failed: the complement's skew form is "
             f"degenerate (smallest +half eigenvalue {ev[m]:.3e})")
-    Y = _symplectic_basis(B, V, ev[m:])
+    Y = _symplectic_basis(B, L, np.concatenate((ev[m:], ev[m:])))
     W = np.hstack([X[:, :k], Y[:, :m], X[:, k:], Y[:, m:]])
     ok, res, _ = _form_check(W, tol)
     if not ok:

@@ -258,9 +258,14 @@ def test_format_text_parses_back(tmp_path, capsys, monkeypatch):
     assert key == "delta" and len(val.split()) == 3
 
 
-@pytest.mark.parametrize("argv", [("williamson",), ("kyfan-min", "--k", "1")])
-def test_format_text_matches_json_bit_for_bit(tmp_path, capsys, argv):
-    p = write_matrix(tmp_path, "a.json", random_pd(2, seed=3))
+@pytest.mark.parametrize("argv, A", [
+    (("williamson",), random_pd(2, seed=3)),
+    (("kyfan-min", "--k", "1"), random_pd(2, seed=3)),
+    # The frame of a diagonal matrix holds exact zeros of both signs.
+    (("kyfan-min", "--k", "1"), np.diag([2.0, 3.0, 5.0, 7.0])),
+], ids=["argv0", "argv1", "signed-zeros"])
+def test_format_text_matches_json_bit_for_bit(tmp_path, capsys, argv, A):
+    p = write_matrix(tmp_path, "a.json", A)
     code, out, _ = run(capsys, *argv, "--in", p)
     assert code == 0
     want = {key: np.array(val["rows"] if isinstance(val, dict) else val,

@@ -168,19 +168,23 @@ def test_a_tol_with_the_same_double_reuses_the_entry(monkeypatch, tol, same):
 
 
 @pytest.mark.parametrize("n, seed, tol, refused", [
-    (1, 0, 1e-300, "williamson"), (8, 2, 1e-15, "eig")])
+    (1, 0, 1e-300, ["williamson"]), (8, 2, 1e-15, ["eig", "williamson"])],
+    # Each id ends with the route that refuses first in the order above.
+    ids=["1-0-1e-300-williamson", "8-2-1e-15-eig"])
 def test_a_refusal_on_one_route_leaves_the_other_cold(monkeypatch, n, seed,
                                                       tol, refused):
-    # One route refuses A at tol after Cholesky succeeded (Williamson's
+    # A route refuses A at tol after Cholesky succeeded (Williamson's
     # reconstruction residual, or the singular values' pairing); the
     # other route's answer on A, before and after it, is the cold one.
+    # Both routes read the pairing from K's singular values, so at n = 8
+    # both refuse, each with its own svd's margin.
     A = random_pd(n, seed=seed)
     routes = {"eig": lambda: symplectic_eigenvalues(A, tol),
               "williamson": lambda: williamson(A, tol)}
     cold = {name: _outcome(lambda: _cold(monkeypatch, call))
             for name, call in routes.items()}
-    assert [name for name in routes if cold[name][0] == "NumericalError"] == [
-        refused]
+    assert [name for name in routes
+            if cold[name][0] == "NumericalError"] == refused
     for order in (("eig", "williamson"), ("williamson", "eig")):
         monkeypatch.setattr(spectral, "_LAST", None)
         for name in order * 2:

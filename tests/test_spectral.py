@@ -11,9 +11,10 @@ from sympectra.schur_horn import (horn_symplectic_realize, kyfan_minimizer,
                                   kyfan_search, schur_check)
 from sympectra.spectral import (symplectic_diag, symplectic_eigenvalues,
                                 williamson)
-from sympectra.symplectic import (_pow2_scale, complete_to_symplectic,
-                                  expanding_sum, is_symplectic, random_pd,
-                                  random_symplectic, standard_J)
+from sympectra.symplectic import (DEFAULT_TOL, _pow2_scale,
+                                  complete_to_symplectic, expanding_sum,
+                                  is_symplectic, random_pd, random_symplectic,
+                                  standard_J)
 
 # Reference values computed with the generic nonsymmetric eigensolver on
 # J @ A (positive imaginary parts, sorted), independently of the
@@ -258,6 +259,68 @@ def test_williamson_exactly_degenerate_spectrum():
     assert f.symplectic_residual < 1e-13
 
 
+def _clustered_spectra(n, gap):
+    """delta with clusters split by ``gap`` (relative): n / 2 clusters of
+    two, one chain of n, and a chain of n / 2 beside n / 2 far values."""
+    base = np.geomspace(0.5, 2.0, n)
+    return {
+        "pairs": np.repeat(base[::2], 2) * np.tile([1.0, 1.0 + gap], n // 2),
+        "chain": 1.0 + gap * np.arange(n),
+        "half": np.concatenate([1.0 + gap * np.arange(n // 2), 3.0 * base[n // 2:]]),
+    }
+
+
+def _check_williamson(A, delta, bound):
+    f = williamson(A)
+    assert f.residual <= bound and f.symplectic_residual <= bound
+    assert is_symplectic(f.W, DEFAULT_TOL).ok
+    np.testing.assert_allclose(reconstruct(f), A,
+                               atol=bound * np.linalg.norm(A))
+    np.testing.assert_allclose(f.delta, np.sort(delta), rtol=1e-8)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9, 1e-5, 1e-3])
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_williamson_clustered_sweep(n, gap):
+    # Gaps below 1e-4 delta_n are solved as clusters, the rest as isolated
+    # pairs; either way the contract holds at DEFAULT_TOL, with residuals
+    # far below it.
+    for seed, delta in enumerate(_clustered_spectra(n, gap).values()):
+        _check_williamson(_congruent(delta, seed, 0.5), delta, 1e-10)
+
+
+@pytest.mark.parametrize("case", ["log-uniform", "S S^T"])
+def test_williamson_at_n_200(case):
+    n = 200
+    if case == "S S^T":
+        S = random_symplectic(n, seed=3, spread=0.5)
+        A, delta = S @ S.T, np.ones(n)
+    else:
+        rng = np.random.default_rng(200)
+        delta = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n))
+        A = _congruent(delta, 4, 0.3)
+    _check_williamson(A, delta, 1e-10)
+
+
+def test_williamson_kernels_follow_the_clusters(monkeypatch):
+    none = {"cholesky": 1, "eigvalsh": 0, "eigh": 0, "svd": 0, "svd_uv": 0}
+    # One cluster (A = S S^T, all delta = 1) is caught before any svd and
+    # solved as the Hermitian iK.
+    S = random_symplectic(4, seed=2, spread=0.5)
+    calls = _kernel_calls(monkeypatch)
+    williamson(S @ S.T)
+    assert calls == {**none, "eigh": 1}
+    # Two clusters of two pairs beside one isolated pair: one svd with
+    # vectors, and one small Hermitian eigensolve per cluster.
+    calls = _kernel_calls(monkeypatch)
+    williamson(_congruent(np.array([1.0, 1.0 + 1e-9, 2.0, 2.0, 3.0]), 1, 0.5))
+    assert calls == {**none, "eigh": 2, "svd_uv": 1}
+    # A single pair is never split, so it always takes the svd.
+    calls = _kernel_calls(monkeypatch)
+    williamson(np.diag([2.0, 8.0]))
+    assert calls == {**none, "svd_uv": 1}
+
+
 def test_near_singular_input_raises_typed_error():
     # Relatively singular inputs fail validation; absolutely tiny but
     # well-conditioned ones pass, since every floor is relative to delta_n.
@@ -478,20 +541,22 @@ def test_pairing_checks_raise():
 
 
 def _kernel_calls(monkeypatch):
-    """Counts of Cholesky, complex eigvalsh, complex eigh and values-only
-    svd calls, from cold: spectral's reuse entry starts empty.
+    """Counts of Cholesky, complex eigvalsh, complex eigh, values-only svd
+    and svd-with-vectors calls, from cold: spectral's reuse entry starts
+    empty.
 
-    complete_to_symplectic's orthonormal basis comes from an svd with
-    vectors; that is not the singular-value solve for delta, so only
-    ``compute_uv=False`` calls are counted."""
+    The delta route takes the values-only svd of K, the Williamson route
+    its svd with vectors, and complete_to_symplectic's orthonormal basis
+    an svd with vectors of its projector."""
     monkeypatch.setattr(spectral, "_LAST", None)
-    calls = {"cholesky": 0, "eigvalsh": 0, "eigh": 0, "svd": 0}
-    kernels = {name: getattr(np.linalg, name) for name in calls}
+    calls = {"cholesky": 0, "eigvalsh": 0, "eigh": 0, "svd": 0, "svd_uv": 0}
+    kernels = {name: getattr(np.linalg, name) for name in calls if name != "svd_uv"}
 
     def counting(name):
         def wrapped(a, *args, **kwargs):
             if name == "svd":
-                calls[name] += kwargs.get("compute_uv") is False
+                values_only = kwargs.get("compute_uv") is False
+                calls["svd" if values_only else "svd_uv"] += 1
             elif name == "cholesky":
                 calls[name] += 1
             else:
@@ -499,7 +564,7 @@ def _kernel_calls(monkeypatch):
             return kernels[name](a, *args, **kwargs)
         return wrapped
 
-    for name in calls:
+    for name in kernels:
         monkeypatch.setattr(np.linalg, name, counting(name))
     return calls
 
@@ -507,19 +572,25 @@ def _kernel_calls(monkeypatch):
 def test_delta_only_calls_take_one_real_svd(monkeypatch):
     A = random_pd(4, seed=9)
     mean = geometric_mean()
+    none = {"cholesky": 0, "eigvalsh": 0, "eigh": 0, "svd": 0, "svd_uv": 0}
     for call in (lambda: symplectic_eigenvalues(A),
                  lambda: schur_check(A, mean),
                  lambda: kyfan_search(A, 2, mean, budget=8)):
         calls = _kernel_calls(monkeypatch)
         call()
-        assert calls == {"cholesky": 1, "eigvalsh": 0, "eigh": 0, "svd": 1}
+        assert calls == {**none, "cholesky": 1, "svd": 1}
+    # The Williamson route takes the real svd of K with vectors, and no
+    # complex array, on a spectrum with no cluster; the completion keeps
+    # the Hermitian eigensolve of its complement's skew form.
     X = kyfan_minimizer(A, 2, mean).minimizer
-    for call, cholesky in ((lambda: williamson(A), 1),
-                           (lambda: kyfan_minimizer(A, 2, mean), 1),
-                           (lambda: complete_to_symplectic(X), 0)):
+    for call, want in ((lambda: williamson(A), {"cholesky": 1, "svd_uv": 1}),
+                       (lambda: kyfan_minimizer(A, 2, mean),
+                        {"cholesky": 1, "svd_uv": 1}),
+                       (lambda: complete_to_symplectic(X),
+                        {"eigh": 1, "svd_uv": 1})):
         calls = _kernel_calls(monkeypatch)
         call()
-        assert calls == {"cholesky": cholesky, "eigvalsh": 0, "eigh": 1, "svd": 0}
+        assert calls == {**none, **want}
     # A realization proves its spectrum from its own Williamson factor: no
     # decomposition of any kind, real or complex, with or without vectors.
     seen = []
@@ -555,11 +626,12 @@ def test_a_repeat_on_the_same_matrix_and_tol_takes_no_kernel(monkeypatch, first,
     calls.update(dict.fromkeys(calls, 0))
     monkeypatch.setattr(np.linalg, "cholesky", None)  # a factoring call fails
     again(A, mean)
-    assert calls == {"cholesky": 0, "eigvalsh": 0, "eigh": 0, "svd": 0}
+    assert calls == {"cholesky": 0, "eigvalsh": 0, "eigh": 0, "svd": 0,
+                     "svd_uv": 0}
 
 
 @pytest.mark.parametrize("route, kernel", [
-    (symplectic_eigenvalues, "svd"), (williamson, "eigh")])
+    (symplectic_eigenvalues, "svd"), (williamson, "svd_uv")])
 def test_another_tol_bit_or_layout_is_factored_afresh(monkeypatch, route,
                                                            kernel):
     A = random_pd(4, seed=9)
@@ -595,13 +667,16 @@ def test_the_two_routes_share_one_cholesky(monkeypatch, first, then):
 
 
 def test_the_delta_route_never_answers_from_the_williamson_factor(monkeypatch):
-    # eigh's delta differs from svd's in the last bits, so a delta-only
-    # call after williamson(A) solves for its own.
+    # LAPACK takes another path for the singular values when it also forms
+    # the vectors, so the two routes' delta can differ in the last bits (19
+    # of 20 random_pd draws at n = 2 to 64 do): a delta-only call after
+    # williamson(A) solves for its own.
     A = random_pd(4, seed=9)
     calls = _kernel_calls(monkeypatch)
     williamson(A)
     symplectic_eigenvalues(A)
-    assert calls == {"cholesky": 1, "eigvalsh": 0, "eigh": 1, "svd": 1}
+    assert calls == {"cholesky": 1, "eigvalsh": 0, "eigh": 0, "svd": 1,
+                     "svd_uv": 1}
 
 
 def _hermitian_delta(A):

@@ -331,6 +331,32 @@ def test_completion_rejects_non_frame():
         complete_to_symplectic(rng.normal(size=(6, 2)))
 
 
+def test_each_frame_check_reads_tol_once(monkeypatch):
+    # One read per frame check, whether it passes or raises, and the
+    # refusal prints the float that read returned.
+    reads = []
+    check_tol = symplectic._check_tol
+
+    def spy(tol):
+        reads.append(tol)
+        return check_tol(tol)
+
+    monkeypatch.setattr(symplectic, "_check_tol", spy)
+    A, mean = random_pd(3, seed=1), geometric_mean()
+    X = random_symplectic(3, seed=1)[:, [0, 3]]
+    for call in (lambda: is_symplectic(X, 1),
+                 lambda: complete_to_symplectic(X, 1e-8),
+                 lambda: kyfan_objective(A, X, mean),
+                 lambda: kyfan_minimizer(A, 1, mean, np.float64(1e-8))):
+        reads.clear()
+        call()
+        assert len(reads) == 1
+    reads.clear()
+    with pytest.raises(DomainError, match=r" > 1\.0e-300$"):
+        complete_to_symplectic(1.01 * X, 1e-300)
+    assert len(reads) == 1
+
+
 def test_completion_verification_raises(monkeypatch):
     basis = symplectic._symplectic_basis
     monkeypatch.setattr(symplectic, "_symplectic_basis",
